@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
+from scipy.optimize import minimize  # noqa: F401  (not called; benchmarks/tracer.py wraps this binding)
 
 from .core import (
     RANK_TOL_SCALE,
@@ -107,13 +108,20 @@ def error_bound_check(
     error = float(np.linalg.norm(err_vec))
     sigma_min = math.sqrt(float(np.linalg.eigvalsh(gram)[0]))
     bound = float(np.linalg.norm(w)) / sigma_min
-    assert error <= bound + 1e-10
+    if not error <= bound + 1e-10:
+        raise ArithmeticError(
+            f"recovery error {error:.17g} exceeds its bound {bound:.17g} on subset {sel.indices}"
+        )
     return error, bound
 
 
 def expected_worst_case_mse(angles: AngleSet, k: int = 3, noise_std: float = 1.0) -> float:
     """Closed-form E||x_hat - x||^2 = noise_std^2 * trace(G^-1) on the worst subset."""
-    report = worst_subset(angles, k)
+    return _expected_mse(worst_subset(angles, k), noise_std)
+
+
+def _expected_mse(report: WorstCaseReport, noise_std: float) -> float:
+    k = report.worst_subset.k
     lo, hi = report.summary.lambda_min, report.summary.lambda_max
     if lo <= RANK_TOL_SCALE * k:
         return math.inf
@@ -150,7 +158,7 @@ def simulate_worst_case_mse(scenario: EstimationScenario) -> EstimationResult:
     return EstimationResult(
         mse=mse,
         std_error=se,
-        expected_mse=expected_worst_case_mse(scenario.angles, scenario.k, scenario.noise_std),
+        expected_mse=_expected_mse(report, scenario.noise_std),
         report=report,
         trials=scenario.trials,
         seed=scenario.seed,
@@ -304,6 +312,7 @@ def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection
 
 GRID_POINTS_PER_AXIS = 101
 SEARCH_RADIUS_FACTOR = 2.0
+LM_TOL = 1e-15  # xtol = ftol = gtol of every Levenberg-Marquardt solve
 
 
 @dataclass(frozen=True)
@@ -313,37 +322,34 @@ class LocateResult:
     on_boundary: bool
 
 
-def _residual_grid(
-    samples: np.ndarray, pos: np.ndarray, points: np.ndarray, amplitude: float, beta: float
-) -> np.ndarray:
-    d = np.linalg.norm(points[:, None, :] - pos[None, :, :], axis=2)
-    with np.errstate(divide="ignore"):
-        mu = math.log(amplitude) - beta * np.log(d)
-    return np.sum((samples[None, :] - mu) ** 2, axis=1)
+@dataclass(frozen=True)
+class _StartTable:
+    """Coarse-grid start for one active set, independent of the noise level.
 
-
-def ml_locate(
-    scenario: RssScenario,
-    samples: Sequence[float],
-    active: SubsetSelection | Sequence[int],
-) -> LocateResult:
-    """Maximum-likelihood source estimate from the active sensors' readings.
-
-    Coarse 101x101 grid over the disc of radius 2 * sensor_radius around
-    the nominal source, then simplex refinement from the best cell.  The
-    refined residual never exceeds the best coarse-grid residual.
+    ``nodes`` are the grid nodes inside the search disc that keep at least
+    MIN_SENSOR_DISTANCE from every active sensor, ``mu`` their predicted
+    readings ln A - path_loss * ln d (one column per node) and ``mu_sq`` the
+    squared column norms, so the best node for readings y minimises
+    ``mu_sq - 2 y @ mu``.
     """
-    sel = as_subset(active)
+
+    pos: np.ndarray
+    center: np.ndarray
+    radius: float
+    log_amplitude: float
+    path_loss: float
+    nodes: np.ndarray
+    mu: np.ndarray
+    mu_sq: np.ndarray
+
+
+def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     if sel.k < 3:
         raise ValueError(f"need at least 3 active sensors, got {sel.k}")
     if sel.indices[-1] >= scenario.n:
         raise IndexError(
             f"active index {sel.indices[-1]} out of range for {scenario.n} sensors"
         )
-    obs = np.asarray(samples, dtype=float)
-    if obs.shape != (scenario.n,):
-        raise ValueError(f"samples must have shape ({scenario.n},), got {obs.shape}")
-
     pos = np.asarray(scenario.sensor_positions, dtype=float)[list(sel.indices)]
     spread = pos - pos.mean(axis=0)
     svals = np.linalg.svd(spread, compute_uv=False)
@@ -356,39 +362,102 @@ def ml_locate(
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()]) + z
     off = points - z
-    in_disc = np.einsum("ij,ij->i", off, off) <= radius**2
-    candidates = points[in_disc]
-
-    obs_active = obs[list(sel.indices)]
-    res = _residual_grid(obs_active, pos, candidates, scenario.amplitude, scenario.path_loss)
-    start = candidates[int(np.argmin(res))]
-    best_grid_residual = float(res.min())
-
-    big = 1e30
-
-    def objective(p: np.ndarray) -> float:
-        off = p - z
-        r2 = float(off @ off)
-        if r2 > radius**2:
-            return big * (1.0 + r2)
-        d = np.linalg.norm(pos - p, axis=1)
-        if np.any(d < MIN_SENSOR_DISTANCE):
-            return big
-        mu = math.log(scenario.amplitude) - scenario.path_loss * np.log(d)
-        return float(np.sum((obs_active - mu) ** 2))
-
-    opt = minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-30, "maxiter": 2000, "maxfev": 4000},
+    points = points[np.einsum("ij,ij->i", off, off) <= radius**2]
+    d = np.hypot(pos[:, :1] - points[:, 0], pos[:, 1:] - points[:, 1])
+    # a node on a sensor predicts an infinite reading; its score would be inf - inf
+    keep = d.min(axis=0) >= MIN_SENSOR_DISTANCE
+    log_amplitude = math.log(scenario.amplitude)
+    mu = log_amplitude - scenario.path_loss * np.log(d[:, keep])
+    return _StartTable(
+        pos=pos,
+        center=z,
+        radius=radius,
+        log_amplitude=log_amplitude,
+        path_loss=scenario.path_loss,
+        nodes=points[keep],
+        mu=mu,
+        mu_sq=np.einsum("ij,ij->j", mu, mu),
     )
-    est, residual = (opt.x, float(opt.fun))
-    if residual > best_grid_residual:  # simplex never made progress; keep the grid point
-        est, residual = start, best_grid_residual
-    cell = 2.0 * radius / (GRID_POINTS_PER_AXIS - 1)
-    on_boundary = float(np.linalg.norm(est - z)) >= radius - cell
+
+
+def _rss_residual(p: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
+    """r_i = y_i - ln A + path_loss * ln ||p - x_i||."""
+    d = np.sqrt(np.sum((p - table.pos) ** 2, axis=1))
+    return y - table.log_amplitude + table.path_loss * np.log(d)
+
+
+def _rss_jacobian(p: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
+    """dr_i/dp = path_loss * (p - x_i) / ||p - x_i||^2."""
+    rel = p - table.pos
+    return table.path_loss * rel / np.sum(rel**2, axis=1)[:, None]
+
+
+def _circle_point(table: _StartTable, phi: float) -> np.ndarray:
+    return table.center + table.radius * np.array([math.cos(phi), math.sin(phi)])
+
+
+def _circle_residual(phi: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
+    return _rss_residual(_circle_point(table, phi[0]), table, y)
+
+
+def _circle_jacobian(phi: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
+    tangent = table.radius * np.array([-math.sin(phi[0]), math.cos(phi[0])])
+    return _rss_jacobian(_circle_point(table, phi[0]), table, y) @ tangent[:, None]
+
+
+def _lm(fun, jac, x0, table: _StartTable, y: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = least_squares(
+            fun, x0, jac=jac, method="lm", xtol=LM_TOL, ftol=LM_TOL, gtol=LM_TOL, args=(table, y)
+        )
+    return fit.x
+
+
+def _locate(table: _StartTable, y: np.ndarray) -> LocateResult:
+    """Best grid node, refined by Levenberg-Marquardt inside the disc or on its rim."""
+    best = int(np.argmin(table.mu_sq - 2.0 * (y @ table.mu)))
+    start = table.nodes[best]
+    grid_residual = float(np.sum((y - table.mu[:, best]) ** 2))
+
+    est = _lm(_rss_residual, _rss_jacobian, start, table, y)
+    off = est - table.center
+    if float(off @ off) > table.radius**2:
+        # the constrained optimum lies on the rim: minimise over it, from the exit direction
+        phi = _lm(_circle_residual, _circle_jacobian, [math.atan2(off[1], off[0])], table, y)
+        est = _circle_point(table, phi[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = float(np.sum(_rss_residual(est, table, y) ** 2))
+    if not residual <= grid_residual:  # no progress (or a non-finite step): keep the grid node
+        est, residual = start, grid_residual
+    cell = 2.0 * table.radius / (GRID_POINTS_PER_AXIS - 1)
+    on_boundary = float(np.linalg.norm(est - table.center)) >= table.radius - cell
     return LocateResult(estimate=np.asarray(est, dtype=float), residual=residual, on_boundary=on_boundary)
+
+
+def ml_locate(
+    scenario: RssScenario,
+    samples: Sequence[float],
+    active: SubsetSelection | Sequence[int],
+) -> LocateResult:
+    """Maximum-likelihood source estimate from the active sensors' readings.
+
+    Minimises the log-RSS residual sum_i (y_i - ln A + path_loss ln d_i)^2
+    over the disc of radius 2 * sensor_radius around the nominal source.
+    The start is the best node of a 101x101 grid over the disc (nodes on an
+    active sensor excluded).  Levenberg-Marquardt with the analytic Jacobian
+    path_loss (p - x_i) / d_i^2 refines it; if that solution leaves the
+    disc, a one-dimensional Levenberg-Marquardt solve over the rim angle,
+    started at the exit angle, gives the constrained optimum.  The refined
+    residual never exceeds the best grid residual: when it would, the grid
+    node is returned.  ``on_boundary`` flags estimates within one grid cell
+    of the rim.
+    """
+    sel = as_subset(active)
+    table = _start_table(scenario, sel)
+    obs = np.asarray(samples, dtype=float)
+    if obs.shape != (scenario.n,):
+        raise ValueError(f"samples must have shape ({scenario.n},), got {obs.shape}")
+    return _locate(table, obs[list(sel.indices)])
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +502,8 @@ def simulate_monitoring(
         raise ValueError("snr_grid_db must be nonempty")
 
     sel, _ = worst_fim_subset(scenario, k=3)
+    table = _start_table(scenario, sel)  # shared by every SNR point and trial
+    active = list(sel.indices)
     z = np.asarray(scenario.source, dtype=float)
     pos = np.asarray(scenario.sensor_positions, dtype=float)
     dist = np.linalg.norm(pos - z, axis=1)
@@ -452,8 +523,7 @@ def simulate_monitoring(
         sq = np.empty(trials)
         for t in range(trials):
             rng = default_rng(SeedSequence((scenario.seed, pi, t)))
-            samples = rss_sample(scn, rng)
-            located = ml_locate(scn, samples, sel)
+            located = _locate(table, rss_sample(scn, rng)[active])
             sq[t] = float(np.sum((located.estimate - z) ** 2))
         mse = float(sq.mean())
         se = float(sq.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

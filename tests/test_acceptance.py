@@ -185,7 +185,7 @@ def test_criterion_7_monitoring_mse_ordering_over_snr():
                 f"{label} curve rises at snr={lo.snr_db}: {lo.mse} vs {hi.mse}"
             )
     elapsed = time.monotonic() - start
-    assert elapsed < 600.0
+    assert elapsed < 60.0
     print(f"criterion 7 PASS: monitoring sweep ordered in {elapsed:.1f}s")
 
 

@@ -1,9 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
+from scipy.optimize import minimize
 
+import sensedesign.simulate
 from sensedesign import (
     AngleSet,
     DegenerateGeometryError,
@@ -36,6 +44,56 @@ def ring_scenario(n=10, radius=1.0, source=(0.0, 0.0), **kw) -> RssScenario:
         sensor_radius=radius,
         **kw,
     )
+
+
+def grid_residuals(scn, samples, active):
+    """Brute-force coarse grid: every in-disc node and its log-RSS residual (inf on a sensor)."""
+    z = np.asarray(scn.source, dtype=float)
+    radius = 2.0 * scn.sensor_radius
+    axis = np.linspace(-radius, radius, 101)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()]) + z
+    off = pts - z
+    pts = pts[np.einsum("ij,ij->i", off, off) <= radius**2]
+    pos = np.asarray(scn.sensor_positions)[list(active)]
+    dist = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2)
+    with np.errstate(divide="ignore"):
+        mu = math.log(scn.amplitude) - scn.path_loss * np.log(dist)
+    y = np.asarray(samples, dtype=float)[list(active)]
+    return pts, ((y[None, :] - mu) ** 2).sum(axis=1)
+
+
+def nelder_mead_locate(scn, samples, active):
+    """Reference solve: Nelder-Mead from the best grid node, penalised outside the disc.
+
+    Returns (estimate, residual); the grid node when the simplex makes no progress.
+    """
+    pts, res = grid_residuals(scn, samples, active)
+    start, grid_best = pts[int(np.argmin(res))], float(res.min())
+    z = np.asarray(scn.source, dtype=float)
+    radius = 2.0 * scn.sensor_radius
+    pos = np.asarray(scn.sensor_positions)[list(active)]
+    y = np.asarray(samples, dtype=float)[list(active)]
+
+    def objective(p):
+        r2 = float((p - z) @ (p - z))
+        if r2 > radius**2:
+            return 1e30 * (1.0 + r2)
+        d = np.linalg.norm(pos - p, axis=1)
+        if np.any(d < 1e-12):
+            return 1e30
+        mu = math.log(scn.amplitude) - scn.path_loss * np.log(d)
+        return float(np.sum((y - mu) ** 2))
+
+    opt = minimize(
+        objective,
+        start,
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-30, "maxiter": 2000, "maxfev": 4000},
+    )
+    if float(opt.fun) > grid_best:
+        return start, grid_best
+    return opt.x, float(opt.fun)
 
 
 class TestLeastSquares:
@@ -77,6 +135,32 @@ class TestErrorBound:
         assert bound == pytest.approx(0.3 / math.sqrt(1.5), abs=1e-12)
         assert err <= bound
 
+    def test_violation_raises_under_optimize_flag(self):
+        # python -O strips assert statements; the check must survive it
+        script = textwrap.dedent(
+            """
+            import math, sys
+            import numpy as np
+            from sensedesign import AngleSet, error_bound_check
+            if sys.flags.optimize != 1:
+                sys.exit("not running under -O")
+            solve = np.linalg.solve
+            np.linalg.solve = lambda a, b: 10.0 * solve(a, b)
+            frame = AngleSet([0.0, math.pi / 3, 2 * math.pi / 3])
+            try:
+                error_bound_check(frame, [0, 1, 2], [0.3, 0.0, 0.0])
+            except ArithmeticError:
+                print("raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sensedesign.simulate.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
 
 class TestWorstCaseMse:
     def test_expected_mse_tight_frame(self):
@@ -103,6 +187,18 @@ class TestWorstCaseMse:
         assert a.std_error == b.std_error
         c = simulate_worst_case_mse(EstimationScenario(angles=design_optimal(7), trials=100, seed=6))
         assert c.mse != a.mse
+
+    def test_single_scan_per_simulation(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return worst_subset(*args, **kwargs)
+
+        monkeypatch.setattr(sensedesign.simulate, "worst_subset", counting)
+        result = simulate_worst_case_mse(EstimationScenario(angles=design_optimal(7), trials=10))
+        assert len(calls) == 1
+        assert result.expected_mse == expected_worst_case_mse(design_optimal(7), 3, 1.0)
 
     def test_singular_worst_subset_raises(self):
         with pytest.raises(SingularSubsetError):
@@ -249,19 +345,43 @@ class TestMlLocate:
         scn = ring_scenario(n=6, shadow_std=0.8, seed=3)
         samples = rss_sample(scn)
         result = ml_locate(scn, samples, [0, 1, 2])
-        # recompute the coarse-grid best residual
-        radius = 2.0 * scn.sensor_radius
-        axis = np.linspace(-radius, radius, 101)
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        keep = np.einsum("ij,ij->i", pts, pts) <= radius**2
-        pts = pts[keep]
-        pos = np.asarray(scn.sensor_positions)[[0, 1, 2]]
-        dist = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2)
-        with np.errstate(divide="ignore"):
-            mu = math.log(scn.amplitude) - scn.path_loss * np.log(dist)
-        res = ((samples[[0, 1, 2]][None, :] - mu) ** 2).sum(axis=1)
+        _, res = grid_residuals(scn, samples, [0, 1, 2])
         assert result.residual <= res.min() + 1e-12
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1), (-1, 1, -1), (-1, -1, -1)])
+    def test_sensor_on_grid_node(self, signs):
+        # every active sensor sits exactly on a grid node, where the predicted reading is infinite
+        axis = np.linspace(-2.0, 2.0, 101)
+        positions = (
+            (axis[75], axis[50]),
+            (axis[50], axis[75]),
+            (axis[25], axis[50]),
+            (axis[50], axis[25]),
+        )
+        scn = RssScenario(sensor_positions=positions, sensor_radius=1.0, shadow_std=0.5)
+        samples = np.array(signs + (1,), dtype=float) * np.array([0.7, 0.4, 0.3, 0.2])
+        result = ml_locate(scn, samples, [0, 1, 2])
+        _, res = grid_residuals(scn, samples, [0, 1, 2])
+        assert np.all(np.isfinite(result.estimate))
+        assert math.isfinite(result.residual)
+        assert result.residual <= res.min() + 1e-12
+
+    def test_never_worse_than_nelder_mead(self):
+        # seeded draws as the monitoring sweep makes them: n=10 ring, worst triple active,
+        # unit amplitude at unit distance so sigma^2 = 10^(-snr/10)
+        semicircle_rim_draws = 0
+        for name, design in (("optimal", design_optimal(10)), ("semicircle", baseline_semicircle(10))):
+            base = RssScenario(sensor_positions=ring_positions(design), sensor_radius=1.0)
+            active, _ = worst_fim_subset(base)
+            for pi, snr in enumerate((0.0, 10.0, 30.0)):
+                scn = replace(base, shadow_std=math.sqrt(10.0 ** (-snr / 10.0)))
+                for t in range(12):
+                    samples = rss_sample(scn, default_rng(SeedSequence((3, pi, t))))
+                    result = ml_locate(scn, samples, active)
+                    _, oracle = nelder_mead_locate(scn, samples, active.indices)
+                    assert result.residual <= oracle + 1e-12, (name, snr, t, result.residual, oracle)
+                    semicircle_rim_draws += name == "semicircle" and result.on_boundary
+        assert semicircle_rim_draws >= 3  # semicircle optima on the rim of the search disc
 
 
 class TestMonitoring:
