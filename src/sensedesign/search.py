@@ -1,9 +1,28 @@
-"""Worst-subset enumeration and minimax search over angle configurations.
+"""Worst-subset scan and minimax search over angle configurations.
 
 The design objective is the worst (largest) pair-cosine sum S over all
 K-column subsets; by the closed-form spectrum, maximizing S is the same as
 maximizing the Gram condition number and minimizing sigma_min, so a single
-enumeration serves all three views.
+scan serves all three views.
+
+``worst_subset`` never enumerates the C(n, K) subsets.  With equal weights,
+2*S + K = |R|^2 for the resultant R of the doubled-angle phasors exp(2i t).
+If R* is the resultant of a worst subset and phi its direction, then
+|R*| = Re(exp(-i phi) R*) is at most the sum of the K largest values of
+cos(2 t_j - phi) over all lines, and those K lines form an arc of the
+doubled-angle circle: a contiguous circular window in sorted-line order.
+That window's resultant is at least as long, so some window is a worst
+subset, and every worst subset is a window whose two end lines may be only
+partly taken.  Sorting plus one cumulative sum scores all n windows, and
+the windows within a screening slack of the best are re-scored from their
+own K phasors, so a scan costs O(n log n + n K) (n K log K when every
+window ties, for sorting the candidate index tuples).
+
+Tie rule: subsets whose S lies within ``TIE_TOL * max(1, |S|)`` of the
+largest count as tied, and the lexicographically smallest index tuple among
+*all* tied K-subsets is reported.  Lines closer than ``LINE_TOL`` (mod pi,
+so the line next to pi wraps onto the one at 0) are one line; any of their
+indices may fill a window, so each end line contributes its smallest.
 
 ``minimax_grid_search`` minimizes that worst case over configurations.  The
 objective is invariant under a common rotation and under relabeling, so the
@@ -11,13 +30,16 @@ first angle is pinned at 0 and the remaining n-1 angles are enumerated as
 non-decreasing tuples on a uniform grid over [0, pi).  The non-decreasing
 restriction is lossless and cuts the grid by about (n-1)!, which is what
 makes n = 5 at the default density tractable.  The last two angles are
-evaluated as one vectorized block per outer tuple.
+evaluated as one vectorized block per outer tuple, over the n windows of
+each sorted configuration rather than all C(n, K) of its subsets.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +54,11 @@ from .core import (
 
 # hard ceiling on grid configurations actually evaluated
 EVALUATION_GUARD = 1_000_000_000
+# lines closer than this (radians, mod pi) are one line for the tie rule
+LINE_TOL = 1e-12
+# pair-cosine sums within TIE_TOL * max(1, |S|) of the worst one tie
+TIE_TOL = 1e-12
+EPS = sys.float_info.epsilon
 
 
 class ResourceLimitError(RuntimeError):
@@ -70,39 +97,79 @@ class MinimaxSearchConfig:
             raise ValueError("refine_shrink must lie strictly between 0 and 1")
 
 
-def worst_subset(angles: AngleSet, k: int = 3) -> WorstCaseReport:
-    """Enumerate all C(N, K) subsets; ties go to the lexicographically
-    smallest index tuple (combinations are generated in that order and
-    only strict improvements replace the incumbent)."""
+def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], float, int]:
+    """(indices, S, subsets scored) of the worst K-subset; see the module notes."""
     n = angles.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    best_idx: tuple[int, ...] | None = None
-    best_s = -math.inf
-    count = 0
-    for idx in itertools.combinations(range(n), k):
-        count += 1
-        s = pair_cosine_sum(angles, idx)
-        if s > best_s:
-            best_s = s
-            best_idx = idx
-    sel = SubsetSelection(best_idx)
+    if k == n:
+        everything = tuple(range(n))
+        return everything, pair_cosine_sum(angles, everything), 1
+
+    # lines in circular sorted order, each listing its indices ascending
+    t = angles.angles
+    order = sorted(range(n), key=t.__getitem__)
+    lines = [[order[0]]]
+    for a, b in zip(order, order[1:]):
+        if t[b] - t[a] > LINE_TOL:
+            lines.append([])
+        lines[-1].append(b)
+    if len(lines) > 1 and t[order[0]] + math.pi - t[order[-1]] <= LINE_TOL:
+        lines[0] += lines.pop()  # the line next to pi is the line at 0
+    seq, line_of, head = [], [], []
+    for number, members in enumerate(lines):
+        head.append(len(seq))
+        seq += sorted(members)
+        line_of += [number] * len(members)
+
+    # every window's resultant from one cumulative sum of doubled-angle phasors
+    phasor = [cmath.exp(2j * a) for a in t]
+    csum = [0j, *itertools.accumulate(phasor[i] for i in seq + seq[: k - 1])]
+    s = [0.5 * (abs(csum[p + k] - csum[p]) ** 2 - k) for p in range(n)]
+    top = max(s)
+    # screen loosely: cumsum rounding grows like (n + k)^2 * eps per component,
+    # and a window takes its lines' members by index, not by angle
+    slack = TIE_TOL * max(1.0, abs(top)) + k * (4.0 * LINE_TOL + 8.0 * (n + k) ** 2 * EPS)
+
+    # a window may take any members of its end lines; the smallest indices of
+    # the line it starts in go first, the other lines' heads are already smallest
+    candidates = set()
+    for p in range(n):
+        if s[p] >= top - slack:
+            start = line_of[p]
+            others = [seq[q % n] for q in range(p, p + k) if line_of[q % n] != start]
+            own = seq[head[start] : head[start] + k - len(others)]
+            candidates.add(tuple(sorted(own + others)))
+    candidates = sorted(candidates)
+
+    # re-score each distinct candidate from its own phasors, then the tie rule
+    score = [0.5 * (abs(sum(phasor[i] for i in c)) ** 2 - k) for c in candidates]
+    floor = max(score)
+    floor -= TIE_TOL * max(1.0, abs(floor))
+    pick = next(c for c, v in zip(candidates, score) if v >= floor)
+    return pick, pair_cosine_sum(angles, pick), n + len(candidates)
+
+
+def worst_subset(angles: AngleSet, k: int = 3) -> WorstCaseReport:
+    """Worst K-subset: the one maximizing the pair-cosine sum S.
+
+    Scores the n contiguous circular windows in sorted-line order, not the
+    C(n, K) subsets (see the module notes for why a worst subset is always
+    a window, the cost and the tie rule).  Ties within
+    ``TIE_TOL * max(1, |S|)`` go to the lexicographically smallest index
+    tuple over all tied K-subsets.  ``objective`` is the exact
+    ``pair_cosine_sum`` of the reported subset; ``subsets_evaluated``
+    counts the n windows plus the distinct candidates re-scored (1 when
+    K = n).
+    """
+    idx, s, scored = _worst_window(angles, k)
+    sel = SubsetSelection(idx)
     return WorstCaseReport(
         worst_subset=sel,
-        objective=best_s,
+        objective=s,
         summary=spectral_summary(angles, sel),
-        subsets_evaluated=count,
+        subsets_evaluated=scored,
     )
-
-
-def worst_sigma_min(angles: AngleSet, k: int = 3) -> tuple[SubsetSelection, float]:
-    """Subset minimizing the smallest singular value, and that value.
-
-    sigma_min = sqrt(lambda_min) is strictly decreasing in the pair-cosine
-    sum at fixed K, so this is the same subset worst_subset reports.
-    """
-    report = worst_subset(angles, k)
-    return report.worst_subset, math.sqrt(report.summary.lambda_min)
 
 
 def grid_evaluations(config: MinimaxSearchConfig) -> int:
@@ -133,10 +200,15 @@ def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCas
 
     lower_mask = np.tril(np.ones((g, g), dtype=bool), k=-1)
 
+    # Sorted, the fixed angles come first and the free pair u <= v last, so
+    # by the arc argument the worst subset is one of these windows: k-2
+    # fixed angles around the wrap with u and v, the last k-1 fixed with u,
+    # v with the first k-1 fixed, or k fixed in a row.
     m = n - 2  # fixed angles per outer tuple: pinned 0 plus n-3 outer
-    combos2 = list(itertools.combinations(range(m), k - 2))
-    combos1 = list(itertools.combinations(range(m), k - 1)) if k - 1 <= m else []
-    combos0 = list(itertools.combinations(range(m), k)) if k <= m else []
+    both = [tuple(range(k - 2 - j)) + tuple(range(m - j, m)) for j in range(k - 1)]
+    only_u = tuple(range(m - k + 1, m)) if k <= m + 1 else None
+    only_v = tuple(range(k - 1)) if k <= m + 1 else None
+    neither = [tuple(range(p, p + k)) for p in range(m - k + 1)]
 
     best_val = math.inf
     best_tuple: tuple[int, ...] | None = None
@@ -147,32 +219,29 @@ def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCas
         length = g - r0
         rows = table[list(fixed)][:, r0:]  # (m, length)
 
-        def fixed_pair_sum(combo: tuple[int, ...]) -> float:
+        def fixed_pair_sum(members: tuple[int, ...]) -> float:
             return sum(
-                table[fixed[a], fixed[b]]
-                for a, b in itertools.combinations(combo, 2)
+                table[fixed[a], fixed[b]] for i, a in enumerate(members) for b in members[i + 1 :]
             )
 
-        # one fixed angle short of a subset on each free axis
+        def free_terms(members: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+            """Each free angle's terms with the fixed members, plus their pair sum."""
+            rs = rows[list(members)].sum(axis=0) if members else np.zeros(length)
+            return rs, rs + fixed_pair_sum(members)
+
         block = None
-        for combo in combos2:
-            base = fixed_pair_sum(combo)
-            rs = rows[list(combo)].sum(axis=0) if combo else np.zeros(length)
-            w = (rs + base)[:, None] + rs[None, :]
+        for members in both:
+            rs, with_base = free_terms(members)
+            w = with_base[:, None] + rs[None, :]
             block = w if block is None else np.maximum(block, w)
         block = block + table[r0:, r0:]
 
-        if combos1:
-            g1 = None
-            for combo in combos1:
-                vals = fixed_pair_sum(combo) + rows[list(combo)].sum(axis=0)
-                g1 = vals if g1 is None else np.maximum(g1, vals)
-            np.maximum(block, g1[:, None], out=block)
-            np.maximum(block, g1[None, :], out=block)
+        if only_u is not None:
+            np.maximum(block, free_terms(only_u)[1][:, None], out=block)
+            np.maximum(block, free_terms(only_v)[1][None, :], out=block)
 
-        if combos0:
-            smax = max(fixed_pair_sum(c) for c in combos0)
-            np.maximum(block, smax, out=block)
+        if neither:
+            np.maximum(block, max(fixed_pair_sum(w) for w in neither), out=block)
 
         block[lower_mask[:length, :length]] = math.inf
         flat = int(block.argmin())
@@ -213,14 +282,14 @@ def local_refine(
     if step <= 0.0:
         raise ValueError("initial_step must be positive")
     current = list(angles.angles)
-    best = worst_subset(AngleSet(current), k).objective
+    best = _worst_window(AngleSet(current), k)[1]
     for _ in range(iterations):
         improved = False
         for i in range(len(current)):
             for delta in (step, -step):
                 trial = current.copy()
                 trial[i] = trial[i] + delta
-                obj = worst_subset(AngleSet(trial), k).objective
+                obj = _worst_window(AngleSet(trial), k)[1]
                 if obj < best:
                     best = obj
                     current = [a for a in AngleSet(trial).angles]

@@ -69,7 +69,7 @@ class TestEvaluate:
         assert doc["worst_subset"] == list(want["worst_subset"])
         assert doc["pair_cosine_sum"] == want["pair_cosine_sum"]
         assert doc["gram_condition"] == want["gram_condition"]
-        assert doc["subsets_evaluated"] == 35
+        assert doc["subsets_evaluated"] == 13  # 7 windows, 6 tied candidates
 
     def test_by_scheme(self, tmp_path):
         out = tmp_path / "eval.json"
