@@ -1,27 +1,30 @@
-"""Angle sets, unit-column matrices and 2x2 Gram spectra.
+"""Angle sets, unit-column matrices and the one 2x2 spectrum they all share.
 
-A sensing direction in the plane is a unit column (cos t, sin t) and only
-its line matters, so angles live on [0, pi).  For a subset of K columns the
-Gram matrix G = A A^T is 2x2 with trace K, and its eigenvalues have the
-closed form
+A sensing direction in the plane is a unit column u = (cos t, sin t) and
+only its line matters, so angles live on [0, pi).  Every spectral quantity
+in the package is an instance of one identity: for directions t_i with
+weights w_i,
 
-    lambda_pm = K/2 +- sqrt(K + 2*S) / 2,
-    S = sum_{j<l} cos 2(t_l - t_j),
+    sum_i w_i u_i u_i^T = (W I + [[Re R, Im R], [Im R, -Re R]]) / 2,
+    W = sum_i w_i,  R = sum_i w_i exp(2i t_i),
 
-because K + 2*S = |sum_j exp(2i t_j)|^2 is the squared resultant of the
-doubled angles.  Everything downstream (worst-subset search, condition
-numbers, error bounds) is built on this pair (K, S).
+so its eigenvalues are (W -+ |R|) / 2.  With unit weights this is the Gram
+matrix A A^T of a K-column subset (W = K), and the pair-cosine sum
+S = sum_{j<l} cos 2(t_l - t_j) equals (|R|^2 - K) / 2; the worst-subset
+search, condition numbers, error bounds and the ring Fisher information
+(w_i = 1 / d_i^2) are all built from the pair (W, R).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# lambda_min at or below this fraction of K counts as rank deficient
+# lambda_min at or below this fraction of W counts as rank deficient
 RANK_TOL_SCALE = 1e-12
 
 
@@ -113,70 +116,49 @@ def angles_to_matrix(angles: AngleSet) -> np.ndarray:
     return np.vstack([np.cos(th), np.sin(th)])
 
 
+def _resultant(
+    angles: AngleSet, subset: SubsetSelection | Sequence[int]
+) -> tuple[int, complex]:
+    """(K, R) of a subset: its size and the sum of exp(2i t_j), in index order."""
+    sel = as_subset(subset)
+    _check_range(angles, sel)
+    return sel.k, sum(cmath.exp(2j * angles.angles[i]) for i in sel.indices)
+
+
+def _pair_sum(k, resultant):
+    """S = sum over pairs of cos 2(t_l - t_j) of K unit columns, (|R|^2 - K) / 2."""
+    return 0.5 * (abs(resultant) ** 2 - k)
+
+
+def _spectrum(weight, resultant):
+    """(lambda_min, lambda_max, condition) of sum_i w_i u_i u_i^T from (W, R).
+
+    Takes scalars or equal-shape arrays.  This is the package's only rank
+    rule: lambda_min <= RANK_TOL_SCALE * W counts as rank deficient, with an
+    infinite condition number.
+    """
+    m = abs(resultant)
+    lo = np.maximum(0.5 * (weight - m), 0.0)
+    hi = 0.5 * (weight + m)
+    singular = lo <= RANK_TOL_SCALE * weight
+    # adding `singular` only keeps the discarded quotient finite
+    cond = np.where(singular, math.inf, hi / (lo + singular))
+    return lo, hi, cond
+
+
+def _matrix(weight, resultant: complex) -> np.ndarray:
+    """sum_i w_i u_i u_i^T assembled from (W, R)."""
+    c, s = resultant.real, resultant.imag
+    return 0.5 * np.array([[weight + c, s], [s, weight - c]])
+
+
 def pair_cosine_sum(angles: AngleSet, subset: SubsetSelection | Sequence[int]) -> float:
-    """S = sum over index pairs j < l of cos 2(t_l - t_j).
+    """S = sum over index pairs j < l of cos 2(t_l - t_j), as (|R|^2 - K) / 2.
 
     Ranges over [-K/2, K(K-1)/2]; the lower bound holds because
     K + 2*S is a squared resultant and cannot be negative.
     """
-    sel = as_subset(subset)
-    _check_range(angles, sel)
-    th = angles.angles
-    idx = sel.indices
-    k = len(idx)
-    s = 0.0
-    for j in range(k):
-        tj = th[idx[j]]
-        for l in range(j + 1, k):
-            s += math.cos(2.0 * (th[idx[l]] - tj))
-    return s
-
-
-def _eigenvalues_from_pair_sum(k: float, s: float) -> tuple[float, float]:
-    radicand = k + 2.0 * s
-    if radicand < 0.0:  # only reachable by rounding; exact value is >= 0
-        radicand = 0.0
-    r = math.sqrt(radicand)
-    lo = 0.5 * (k - r)
-    hi = 0.5 * (k + r)
-    if lo < 0.0:
-        lo = 0.0
-    return lo, hi
-
-
-def gram_eigenvalues_closed_form(
-    angles: AngleSet, subset: SubsetSelection | Sequence[int]
-) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of the subset Gram matrix, via (K, S)."""
-    sel = as_subset(subset)
-    s = pair_cosine_sum(angles, sel)
-    return _eigenvalues_from_pair_sum(float(sel.k), s)
-
-
-def gram_eigenvalues_direct(
-    angles: AngleSet, subset: SubsetSelection | Sequence[int]
-) -> tuple[float, float]:
-    """Same spectrum, from the assembled 2x2 Gram matrix.
-
-    Independent route used to cross-check the closed form: accumulate
-    G = sum a_i a_i^T and eigendecompose via trace/determinant.
-    """
-    sel = as_subset(subset)
-    _check_range(angles, sel)
-    g00 = g01 = g11 = 0.0
-    for i in sel.indices:
-        c = math.cos(angles.angles[i])
-        s = math.sin(angles.angles[i])
-        g00 += c * c
-        g01 += c * s
-        g11 += s * s
-    mid = 0.5 * (g00 + g11)
-    half_gap = math.hypot(0.5 * (g00 - g11), g01)
-    lo = mid - half_gap
-    hi = mid + half_gap
-    if lo < 0.0:
-        lo = 0.0
-    return lo, hi
+    return _pair_sum(*_resultant(angles, subset))
 
 
 @dataclass(frozen=True)
@@ -190,25 +172,23 @@ class SpectralSummary:
     matrix_condition: float
 
 
+def _summary(k: int, resultant: complex) -> SpectralSummary:
+    lo, hi, cond = _spectrum(k, resultant)
+    return SpectralSummary(
+        pair_cosine_sum=_pair_sum(k, resultant),
+        lambda_min=float(lo),
+        lambda_max=float(hi),
+        gram_condition=float(cond),
+        matrix_condition=math.sqrt(float(cond)),
+    )
+
+
 def spectral_summary(
     angles: AngleSet, subset: SubsetSelection | Sequence[int]
 ) -> SpectralSummary:
-    """Eigenvalues and condition numbers for one subset.
+    """Eigenvalues and condition numbers for one subset, from its (K, R).
 
     A subset whose lambda_min is at or below RANK_TOL_SCALE * K is treated
     as rank deficient and reports infinite condition numbers.
     """
-    sel = as_subset(subset)
-    s = pair_cosine_sum(angles, sel)
-    lo, hi = _eigenvalues_from_pair_sum(float(sel.k), s)
-    if lo <= RANK_TOL_SCALE * sel.k:
-        gram_cond = math.inf
-    else:
-        gram_cond = hi / lo
-    return SpectralSummary(
-        pair_cosine_sum=s,
-        lambda_min=lo,
-        lambda_max=hi,
-        gram_condition=gram_cond,
-        matrix_condition=math.sqrt(gram_cond),
-    )
+    return _summary(*_resultant(angles, subset))

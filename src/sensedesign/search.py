@@ -44,13 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AngleSet,
-    SubsetSelection,
-    SpectralSummary,
-    pair_cosine_sum,
-    spectral_summary,
-)
+from .core import AngleSet, SpectralSummary, SubsetSelection, _pair_sum, _summary
 
 # hard ceiling on grid configurations actually evaluated
 EVALUATION_GUARD = 1_000_000_000
@@ -82,7 +76,6 @@ class MinimaxSearchConfig:
     grid_points_per_angle: int = 180
     refine_iterations: int = 200
     refine_shrink: float = 0.5
-    seed: int = 0  # recorded in manifests; the search itself is deterministic
 
     def __post_init__(self):
         if self.n < 3:
@@ -97,17 +90,17 @@ class MinimaxSearchConfig:
             raise ValueError("refine_shrink must lie strictly between 0 and 1")
 
 
-def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], float, int]:
-    """(indices, S, subsets scored) of the worst K-subset; see the module notes."""
+def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], complex, int]:
+    """(indices, resultant R, subsets scored) of the worst K-subset; see the module notes."""
     n = angles.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    t = angles.angles
+    phasor = [cmath.exp(2j * a) for a in t]
     if k == n:
-        everything = tuple(range(n))
-        return everything, pair_cosine_sum(angles, everything), 1
+        return tuple(range(n)), sum(phasor), 1
 
     # lines in circular sorted order, each listing its indices ascending
-    t = angles.angles
     order = sorted(range(n), key=t.__getitem__)
     lines = [[order[0]]]
     for a, b in zip(order, order[1:]):
@@ -123,9 +116,8 @@ def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], float, int
         line_of += [number] * len(members)
 
     # every window's resultant from one cumulative sum of doubled-angle phasors
-    phasor = [cmath.exp(2j * a) for a in t]
     csum = [0j, *itertools.accumulate(phasor[i] for i in seq + seq[: k - 1])]
-    s = [0.5 * (abs(csum[p + k] - csum[p]) ** 2 - k) for p in range(n)]
+    s = [_pair_sum(k, csum[p + k] - csum[p]) for p in range(n)]
     top = max(s)
     # screen loosely: cumsum rounding grows like (n + k)^2 * eps per component,
     # and a window takes its lines' members by index, not by angle
@@ -143,11 +135,12 @@ def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], float, int
     candidates = sorted(candidates)
 
     # re-score each distinct candidate from its own phasors, then the tie rule
-    score = [0.5 * (abs(sum(phasor[i] for i in c)) ** 2 - k) for c in candidates]
+    resultant = [sum(phasor[i] for i in c) for c in candidates]
+    score = [_pair_sum(k, r) for r in resultant]
     floor = max(score)
     floor -= TIE_TOL * max(1.0, abs(floor))
-    pick = next(c for c, v in zip(candidates, score) if v >= floor)
-    return pick, pair_cosine_sum(angles, pick), n + len(candidates)
+    pick = next(i for i, v in enumerate(score) if v >= floor)
+    return candidates[pick], resultant[pick], n + len(candidates)
 
 
 def worst_subset(angles: AngleSet, k: int = 3) -> WorstCaseReport:
@@ -157,17 +150,17 @@ def worst_subset(angles: AngleSet, k: int = 3) -> WorstCaseReport:
     C(n, K) subsets (see the module notes for why a worst subset is always
     a window, the cost and the tie rule).  Ties within
     ``TIE_TOL * max(1, |S|)`` go to the lexicographically smallest index
-    tuple over all tied K-subsets.  ``objective`` is the exact
-    ``pair_cosine_sum`` of the reported subset; ``subsets_evaluated``
-    counts the n windows plus the distinct candidates re-scored (1 when
-    K = n).
+    tuple over all tied K-subsets.  ``objective`` and ``summary`` come
+    from the reported subset's resultant, so ``objective`` equals its
+    ``pair_cosine_sum``; ``subsets_evaluated`` counts the n windows plus
+    the distinct candidates re-scored (1 when K = n).
     """
-    idx, s, scored = _worst_window(angles, k)
-    sel = SubsetSelection(idx)
+    idx, r, scored = _worst_window(angles, k)
+    summary = _summary(k, r)
     return WorstCaseReport(
-        worst_subset=sel,
-        objective=s,
-        summary=spectral_summary(angles, sel),
+        worst_subset=SubsetSelection(idx),
+        objective=summary.pair_cosine_sum,
+        summary=summary,
         subsets_evaluated=scored,
     )
 
@@ -282,14 +275,14 @@ def local_refine(
     if step <= 0.0:
         raise ValueError("initial_step must be positive")
     current = list(angles.angles)
-    best = _worst_window(AngleSet(current), k)[1]
+    best = _pair_sum(k, _worst_window(AngleSet(current), k)[1])
     for _ in range(iterations):
         improved = False
         for i in range(len(current)):
             for delta in (step, -step):
                 trial = current.copy()
                 trial[i] = trial[i] + delta
-                obj = _worst_window(AngleSet(trial), k)[1]
+                obj = _pair_sum(k, _worst_window(AngleSet(trial), k)[1])
                 if obj < best:
                     best = obj
                     current = [a for a in AngleSet(trial).angles]

@@ -27,13 +27,15 @@ from scipy.optimize import least_squares
 from scipy.optimize import minimize  # noqa: F401  (not called; benchmarks/tracer.py wraps this binding)
 
 from .core import (
-    RANK_TOL_SCALE,
     AngleSet,
     SubsetSelection,
+    _matrix,
+    _resultant,
+    _spectrum,
     angles_to_matrix,
     as_subset,
 )
-from .search import WorstCaseReport, worst_subset
+from .search import TIE_TOL, WorstCaseReport, worst_subset
 
 MIN_SENSOR_DISTANCE = 1e-12
 
@@ -72,15 +74,13 @@ def _subset_matrix(angles: AngleSet, sel: SubsetSelection) -> np.ndarray:
     return angles_to_matrix(angles)[:, list(sel.indices)]
 
 
-def _gram_or_raise(angles: AngleSet, sel: SubsetSelection) -> np.ndarray:
-    a = _subset_matrix(angles, sel)
-    gram = a @ a.T
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= RANK_TOL_SCALE * sel.k:
-        raise SingularSubsetError(
-            f"subset {sel.indices} is rank deficient (lambda_min={eigs[0]:.3e})"
-        )
-    return gram
+def _gram_or_raise(angles: AngleSet, sel: SubsetSelection) -> tuple[np.ndarray, float]:
+    """The subset's Gram matrix and lambda_min; raises if it is rank deficient."""
+    k, r = _resultant(angles, sel)
+    lo, _, cond = _spectrum(k, r)
+    if math.isinf(cond):
+        raise SingularSubsetError(f"subset {sel.indices} is rank deficient (lambda_min={lo:.3e})")
+    return _matrix(k, r), float(lo)
 
 
 def least_squares_estimate(
@@ -91,7 +91,7 @@ def least_squares_estimate(
     obs = np.asarray(y, dtype=float)
     if obs.shape != (sel.k,):
         raise ValueError(f"y must have shape ({sel.k},), got {obs.shape}")
-    gram = _gram_or_raise(angles, sel)
+    gram, _ = _gram_or_raise(angles, sel)
     return np.linalg.solve(gram, _subset_matrix(angles, sel) @ obs)
 
 
@@ -103,11 +103,10 @@ def error_bound_check(
     w = np.asarray(noise, dtype=float)
     if w.shape != (sel.k,):
         raise ValueError(f"noise must have shape ({sel.k},), got {w.shape}")
-    gram = _gram_or_raise(angles, sel)
+    gram, lambda_min = _gram_or_raise(angles, sel)
     err_vec = np.linalg.solve(gram, _subset_matrix(angles, sel) @ w)
     error = float(np.linalg.norm(err_vec))
-    sigma_min = math.sqrt(float(np.linalg.eigvalsh(gram)[0]))
-    bound = float(np.linalg.norm(w)) / sigma_min
+    bound = float(np.linalg.norm(w)) / math.sqrt(lambda_min)
     if not error <= bound + 1e-10:
         raise ArithmeticError(
             f"recovery error {error:.17g} exceeds its bound {bound:.17g} on subset {sel.indices}"
@@ -121,11 +120,10 @@ def expected_worst_case_mse(angles: AngleSet, k: int = 3, noise_std: float = 1.0
 
 
 def _expected_mse(report: WorstCaseReport, noise_std: float) -> float:
-    k = report.worst_subset.k
-    lo, hi = report.summary.lambda_min, report.summary.lambda_max
-    if lo <= RANK_TOL_SCALE * k:
+    s = report.summary
+    if math.isinf(s.gram_condition):
         return math.inf
-    return noise_std**2 * k / (lo * hi)
+    return noise_std**2 * report.worst_subset.k / (s.lambda_min * s.lambda_max)
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,7 @@ def simulate_worst_case_mse(scenario: EstimationScenario) -> EstimationResult:
     """Average squared recovery error on the worst-conditioned subset."""
     report = worst_subset(scenario.angles, scenario.k)
     sel = report.worst_subset
-    gram = _gram_or_raise(scenario.angles, sel)
+    gram, _ = _gram_or_raise(scenario.angles, sel)
     a = _subset_matrix(scenario.angles, sel)
     recover = np.linalg.solve(gram, a)  # x_hat = recover @ y
     x = np.asarray(scenario.signal, dtype=float)
@@ -243,27 +241,26 @@ class FimSummary:
     prefactor: float
 
 
-def _fim_matrix(scenario: RssScenario, indices: Sequence[int]) -> np.ndarray:
-    pos = np.asarray(scenario.sensor_positions, dtype=float)[list(indices)]
-    z = np.asarray(scenario.source, dtype=float)
-    rel = pos - z
-    d2 = np.sum(rel**2, axis=1)
-    mat = (rel[:, :, None] * rel[:, None, :] / d2[:, None, None] ** 2).sum(axis=0)
-    return 0.5 * (mat + mat.T)
+def _fim_terms(scenario: RssScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per sensor, the weight 1/d^2 and the weighted doubled-angle phasor exp(2i t)/d^2."""
+    pos = np.asarray(scenario.sensor_positions, dtype=float)
+    z = (pos[:, 0] - scenario.source[0]) + 1j * (pos[:, 1] - scenario.source[1])
+    d2 = z.real**2 + z.imag**2
+    return 1.0 / d2, z**2 / d2**2
 
 
 def fim(
     scenario: RssScenario,
     subset: SubsetSelection | Sequence[int] | None = None,
     prefactor: float | None = None,
-    convention: str = "natural",
 ) -> FimSummary:
     """Fisher information of the source location from the active sensors.
 
-    The geometry term is sum (x_i - z)(x_i - z)^T / ||x_i - z||^4.  The
-    scale is path_loss^2 / shadow_std^2 for log-RSS in natural log units
-    ("natural"), or divided by ln(10)^2 when readings are in decibel-like
-    base-10 units ("log10").  An explicit prefactor overrides both.
+    The geometry term is sum (x_i - z)(x_i - z)^T / ||x_i - z||^4, the
+    weighted direction sum of ``core`` with weights 1/d_i^2.  The scale is
+    path_loss^2 / shadow_std^2 for log-RSS in natural log units; readings
+    in other units take an explicit prefactor (base-10 logs: divide by
+    ln(10)^2).
     """
     if subset is None:
         indices: tuple[int, ...] = tuple(range(scenario.n))
@@ -275,36 +272,41 @@ def fim(
             )
         indices = sel.indices
     if prefactor is None:
-        if convention not in ("natural", "log10"):
-            raise ValueError(f"convention must be 'natural' or 'log10', got {convention!r}")
         if scenario.shadow_std == 0:
             raise ValueError("prefactor is undefined at shadow_std=0; pass it explicitly")
         prefactor = scenario.path_loss**2 / scenario.shadow_std**2
-        if convention == "log10":
-            prefactor /= math.log(10.0) ** 2
     if prefactor <= 0:
         raise ValueError("prefactor must be positive")
-    mat = prefactor * _fim_matrix(scenario, indices)
-    mid = 0.5 * (mat[0, 0] + mat[1, 1])
-    half_gap = math.hypot(0.5 * (mat[0, 0] - mat[1, 1]), mat[0, 1])
-    lo = max(mid - half_gap, 0.0)
-    hi = mid + half_gap
-    cond = math.inf if lo <= RANK_TOL_SCALE * max(hi, 1.0) else hi / lo
-    return FimSummary(matrix=mat, lambda_min=lo, lambda_max=hi, condition=cond, prefactor=prefactor)
+    w, p = _fim_terms(scenario)
+    idx = list(indices)
+    weight, r = prefactor * w[idx].sum(), prefactor * p[idx].sum()
+    lo, hi, cond = _spectrum(weight, r)
+    return FimSummary(
+        matrix=_matrix(weight, r),
+        lambda_min=float(lo),
+        lambda_max=float(hi),
+        condition=float(cond),
+        prefactor=prefactor,
+    )
 
 
 def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection, float]:
-    """Active subset with the largest FIM condition number (lexicographic ties)."""
+    """Active subset with the largest FIM condition number, and that condition.
+
+    All C(n, K) subsets are scored in one vectorized pass.  Conditions
+    within ``TIE_TOL * max(1, |c|)`` of the largest tie and the
+    lexicographically smallest index tuple among them is reported; when
+    some subset is rank deficient, the smallest such tuple is.
+    """
     if not 2 <= k <= scenario.n:
         raise ValueError(f"need 2 <= k <= {scenario.n}, got k={k}")
-    best: tuple[int, ...] | None = None
-    best_cond = -math.inf
-    for idx in itertools.combinations(range(scenario.n), k):
-        cond = fim(scenario, idx, prefactor=1.0).condition
-        if cond > best_cond:
-            best_cond = cond
-            best = idx
-    return SubsetSelection(best), best_cond
+    w, p = _fim_terms(scenario)
+    combos = np.array(list(itertools.combinations(range(scenario.n), k)))
+    _, _, cond = _spectrum(w[combos].sum(axis=1), p[combos].sum(axis=1))
+    top = float(cond.max())
+    floor = top if math.isinf(top) else top - TIE_TOL * max(1.0, abs(top))
+    pick = int(np.argmax(cond >= floor))
+    return SubsetSelection(combos[pick]), float(cond[pick])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import gram_eigenvalues_direct
 
 from sensedesign import (
     AngleSet,
@@ -23,14 +24,13 @@ from sensedesign import (
     design_large_odd,
     design_optimal,
     expected_worst_case_mse,
-    gram_eigenvalues_closed_form,
-    gram_eigenvalues_direct,
     minimax_grid_search,
     ml_locate,
     pair_cosine_sum,
     rss_sample,
     simulate_monitoring,
     simulate_worst_case_mse,
+    spectral_summary,
     worst_fim_subset,
     worst_subset,
 )
@@ -41,7 +41,7 @@ SEMICIRCLE_7_CONDITION = 6.967911665634092
 
 
 def test_criterion_1_eigenvalue_formulas_agree():
-    """Closed-form Gram eigenvalues match the direct 2x2 computation to 1e-10
+    """Gram eigenvalues from the (K, R) kernel match the direct 2x2 computation to 1e-10
     over 100000 random angle-set/triple draws.  Runs in well under 10 s."""
     rng = np.random.default_rng(20260819)
     start = time.monotonic()
@@ -50,7 +50,8 @@ def test_criterion_1_eigenvalue_formulas_agree():
         n = int(rng.integers(3, 9))
         angles = AngleSet(rng.uniform(-10.0, 10.0, n))
         subset = sorted(rng.choice(n, 3, replace=False).tolist())
-        c_min, c_max = gram_eigenvalues_closed_form(angles, subset)
+        summary = spectral_summary(angles, subset)
+        c_min, c_max = summary.lambda_min, summary.lambda_max
         d_min, d_max = gram_eigenvalues_direct(angles, subset)
         gap = max(abs(c_min - d_min), abs(c_max - d_max))
         if gap > worst_gap:

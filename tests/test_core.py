@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gram_eigenvalues_direct
 
 from sensedesign import (
     AngleSet,
     SubsetSelection,
     angles_to_matrix,
-    gram_eigenvalues_closed_form,
-    gram_eigenvalues_direct,
     normalize_angle,
     pair_cosine_sum,
     spectral_summary,
@@ -127,13 +126,15 @@ class TestPairCosineSum:
 class TestEigenvalues:
     def test_quarter_spread_example(self):
         a = AngleSet([0.0, math.pi / 4, math.pi / 2])
-        lo, hi = gram_eigenvalues_closed_form(a, [0, 1, 2])
+        s = spectral_summary(a, [0, 1, 2])
+        lo, hi = s.lambda_min, s.lambda_max
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(2.0, abs=1e-12)
 
     def test_coincident_angles_collapse_rank(self):
         a = AngleSet([0.3, 0.3, 0.3])
-        lo, hi = gram_eigenvalues_closed_form(a, [0, 1, 2])
+        s = spectral_summary(a, [0, 1, 2])
+        lo, hi = s.lambda_min, s.lambda_max
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(3.0, abs=1e-12)
 
@@ -143,10 +144,10 @@ class TestEigenvalues:
             vals = rng.uniform(-8, 8, 5)
             a = AngleSet(vals)
             idx = sorted(rng.choice(5, size=3, replace=False).tolist())
-            lo, hi = gram_eigenvalues_closed_form(a, idx)
+            s = spectral_summary(a, idx)
             ref = brute_eigs(a, idx)
-            assert lo == pytest.approx(ref[0], abs=1e-10)
-            assert hi == pytest.approx(ref[1], abs=1e-10)
+            assert s.lambda_min == pytest.approx(ref[0], abs=1e-10)
+            assert s.lambda_max == pytest.approx(ref[1], abs=1e-10)
 
     @given(st.lists(finite_angles, min_size=3, max_size=7), st.integers(0, 10_000))
     @settings(derandomize=True, max_examples=150)
@@ -154,7 +155,8 @@ class TestEigenvalues:
         a = AngleSet(values)
         combos = list(itertools.combinations(range(a.n), 3))
         idx = combos[pick % len(combos)]
-        closed = gram_eigenvalues_closed_form(a, idx)
+        s = spectral_summary(a, idx)
+        closed = (s.lambda_min, s.lambda_max)
         direct = gram_eigenvalues_direct(a, idx)
         assert closed[0] == pytest.approx(direct[0], abs=1e-10)
         assert closed[1] == pytest.approx(direct[1], abs=1e-10)

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import TIE_TOL, pair_cosine_sum_loop
 
 from sensedesign import (
     AngleSet,
@@ -24,16 +25,13 @@ from sensedesign import (
 from sensedesign.cli import main
 
 
-TIE_TOL = 1e-12
-
-
 def brute_worst(angles: AngleSet, k: int):
     """(S, indices) of the lexicographically smallest subset tied with the worst.
 
-    Every K-subset is scored with pair_cosine_sum; those within
+    Every K-subset is scored with the pairwise-cosine loop; those within
     TIE_TOL * max(1, |S_max|) of the largest S tie.
     """
-    scored = [(pair_cosine_sum(angles, idx), idx) for idx in itertools.combinations(range(angles.n), k)]
+    scored = [(pair_cosine_sum_loop(angles, idx), idx) for idx in itertools.combinations(range(angles.n), k)]
     top = max(s for s, _ in scored)
     floor = top - TIE_TOL * max(1.0, abs(top))
     return min(((s, idx) for s, idx in scored if s >= floor), key=lambda pair: pair[1])
@@ -65,7 +63,7 @@ class TestWorstSubset:
             a = AngleSet(rng.uniform(0, math.pi, 7))
             report = worst_subset(a, 3)
             s, idx = brute_worst(a, 3)
-            assert report.objective == s
+            assert report.objective == pytest.approx(s, abs=1e-12)
             assert report.worst_subset.indices == idx
             # 7 windows plus the one best window re-scored
             assert report.subsets_evaluated == 8

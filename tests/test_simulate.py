@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
+from oracles import fim_matrix_direct, worst_fim_direct
 from scipy.optimize import minimize
 
 import sensedesign.simulate
@@ -18,6 +19,7 @@ from sensedesign import (
     EstimationScenario,
     RssScenario,
     SingularSubsetError,
+    baseline_circle,
     baseline_semicircle,
     design_optimal,
     error_bound_check,
@@ -44,6 +46,12 @@ def ring_scenario(n=10, radius=1.0, source=(0.0, 0.0), **kw) -> RssScenario:
         sensor_radius=radius,
         **kw,
     )
+
+
+def polar_scenario(phi, dist, source=(0.0, 0.0)) -> RssScenario:
+    """Sensors at angles phi and distances dist from the source."""
+    positions = [(source[0] + d * math.cos(a), source[1] + d * math.sin(a)) for a, d in zip(phi, dist)]
+    return RssScenario(sensor_positions=positions, source=source, sensor_radius=1.0)
 
 
 def grid_residuals(scn, samples, active):
@@ -251,12 +259,30 @@ class TestFim:
     def test_prefactor_conventions(self):
         scn = ring_scenario(n=6, shadow_std=0.5, path_loss=2.0)
         natural = fim(scn, [0, 1, 2])
-        log10 = fim(scn, [0, 1, 2], convention="log10")
+        log10 = fim(scn, [0, 1, 2], prefactor=natural.prefactor / math.log(10) ** 2)
         assert natural.prefactor == pytest.approx(4.0 / 0.25, abs=1e-12)
-        assert log10.prefactor == pytest.approx(natural.prefactor / math.log(10) ** 2, abs=1e-12)
         np.testing.assert_allclose(
             log10.matrix * math.log(10) ** 2, natural.matrix, atol=1e-12
         )
+        assert log10.condition == pytest.approx(natural.condition, rel=1e-12)
+
+    @pytest.mark.parametrize("prefactor", [10.0**e for e in range(-15, 7)])
+    def test_condition_is_scale_free(self, prefactor):
+        scn = RssScenario(sensor_positions=ring_positions(TIGHT_FRAME), sensor_radius=1.0)
+        assert fim(scn, [0, 1, 2], prefactor=prefactor).condition == pytest.approx(1.0, rel=1e-12)
+
+    def test_matches_per_sensor_sum(self):
+        # the weighted case of the kernel: w_i = prefactor / d_i^2 at unequal distances
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            source = tuple(rng.uniform(-1.0, 1.0, 2))
+            scn = polar_scenario(rng.uniform(0.0, 2 * math.pi, n), rng.uniform(1.0, 4.0, n), source)
+            prefactor = float(10.0 ** rng.uniform(-3.0, 3.0))
+            idx = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+            got = fim(scn, idx, prefactor=prefactor).matrix
+            want = fim_matrix_direct(scn, idx, prefactor)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_noise_needs_explicit_prefactor(self):
         scn = ring_scenario(n=6, shadow_std=0.0)
@@ -292,6 +318,40 @@ class TestWorstFimSubset:
                 if abs(df) < 1e-9 or abs(dg) < 1e-9:
                     continue
                 assert (df > 0) == (dg > 0)
+
+    @pytest.mark.parametrize(
+        "design, want",
+        [
+            (design_optimal(10), (0, 1, 5)),
+            (baseline_semicircle(10), (0, 1, 2)),
+            (design_optimal(6), (0, 1, 3)),
+        ],
+    )
+    def test_ring_ties_report_smallest_subset(self, design, want):
+        scn = RssScenario(sensor_positions=ring_positions(design), sensor_radius=1.0)
+        assert worst_fim_subset(scn)[0].indices == want
+
+    def test_tie_rule_matches_direct_oracle(self):
+        rng = np.random.default_rng(17)
+        cases = []
+        for n in range(3, 11):
+            for build in (design_optimal, baseline_semicircle, baseline_circle):
+                cases.append(RssScenario(sensor_positions=ring_positions(build(n)), sensor_radius=1.0))
+            for _ in range(2):
+                cases.append(polar_scenario(rng.uniform(0.0, 2 * math.pi, n), rng.uniform(1.0, 3.0, n)))
+            # three sensors on one line through the source: a rank-deficient triple
+            phi = np.concatenate([[0.5, 0.5 + math.pi, 0.5], rng.uniform(0.0, 2 * math.pi, n - 3)])
+            dist = np.concatenate([[1.0, 2.0, 3.0], rng.uniform(1.0, 3.0, n - 3)])
+            order = rng.permutation(n)
+            cases.append(polar_scenario(phi[order], dist[order]))
+        mismatches = []
+        for scn in cases:
+            for k in range(2, scn.n + 1):
+                sel, cond = worst_fim_subset(scn, k)
+                idx, want = worst_fim_direct(scn, k)
+                if sel.indices != idx or cond != pytest.approx(want, rel=1e-9):
+                    mismatches.append((scn.n, k, sel.indices, idx, cond, want))
+        assert mismatches == []
 
     def test_worst_value_matches_gram_worst(self):
         design = design_optimal(10)
