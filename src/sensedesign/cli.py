@@ -1,13 +1,14 @@
 """Command-line front end: design tables, evaluation reports, simulations.
 
 Every command writes one machine-readable data file (CSV or JSON) plus a
-``<output>.manifest.json`` sidecar recording the resolved configuration,
-seed, tool version and a UTC timestamp.  Data files contain no timestamp,
-so a re-run with the same arguments reproduces them byte for byte; the
-sidecar is the only thing that differs.
+``<output>.manifest.json`` sidecar, both through ``emit``.  The manifest
+records the command, the seed, the tool version, a UTC timestamp and a
+``config`` holding every parsed option plus the resolved ``output`` path.
+Data files contain no timestamp, so a re-run with the same arguments
+reproduces them byte for byte; the sidecar is the only thing that differs.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 resource
-limit exceeded.
+Exit codes: 0 success, 2 usage error (printed as ``error: ...``), 3 input
+parse error, 4 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from . import __version__
 from .core import AngleSet
-from .designs import SCHEME_ALIASES, SCHEMES, build_design, baseline_semicircle, design_optimal
+from .designs import SCHEME_ALIASES, SCHEMES, build_design
 from .search import MinimaxSearchConfig, ResourceLimitError, minimax_grid_search, worst_subset
 from .simulate import (
     EstimationScenario,
@@ -84,25 +85,6 @@ def write_atomic(path: str, data: str) -> None:
         raise
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt_cell(v) for v in row])
-    return buf.getvalue()
-
-
-def render_json(obj) -> str:
-    return json.dumps(sanitize_json(obj), indent=2, allow_nan=False) + "\n"
-
-
-def resolve_output(name: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), name)
-
-
 def write_manifest(output_path: str, command: str, config: dict, seed: int | None) -> None:
     manifest = {
         "command": command,
@@ -112,6 +94,34 @@ def write_manifest(output_path: str, command: str, config: dict, seed: int | Non
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
     }
     write_atomic(output_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def emit(args, name: str, header, rows, doc, seed: int | None = None, **extra_config) -> str:
+    """Write a command's data file and its manifest; returns the path written.
+
+    CSV renders ``header`` and ``rows``, JSON renders ``doc``.  The path is
+    ``--output`` or ``<name>.<format>`` under $SENSEDESIGN_OUTPUT_DIR.  The
+    manifest config is every parsed option, the resolved ``output`` and
+    ``extra_config``.
+    """
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt_cell(v) for v in row] for row in rows)
+        payload = buf.getvalue()
+    else:
+        payload = json.dumps(sanitize_json(doc), indent=2, allow_nan=False) + "\n"
+    path = args.output or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), f"{name}.{args.format}")
+    write_atomic(path, payload)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
+    write_manifest(path, args.subcommand, {**config, "output": path, **extra_config}, seed)
+    return path
+
+
+def _table_doc(args, header, rows, **extra) -> dict:
+    """JSON document of a row table: the command, any ``extra`` keys, then the rows."""
+    return {"command": args.subcommand, **extra, "rows": [dict(zip(header, r)) for r in rows]}
 
 
 def read_angle_file(path: str) -> AngleSet:
@@ -174,21 +184,13 @@ def cmd_design(args) -> int:
         for i, (a, r) in enumerate(zip(design.angles, design.raw))
     ]
     header = ["index", "angle_rad", "angle_rad_raw", "x", "y"]
-    config = {"n": args.n, "scheme": args.scheme, "format": args.format}
-    if args.format == "csv":
-        payload = render_csv(header, rows)
-    else:
-        payload = render_json(
-            {
-                "command": "design",
-                "n": args.n,
-                "scheme": args.scheme,
-                "angles": [dict(zip(header, row)) for row in rows],
-            }
-        )
-    path = resolve_output(f"design_n{args.n}_{args.scheme}.{args.format}", args.output)
-    write_atomic(path, payload)
-    write_manifest(path, "design", {**config, "output": path}, seed=None)
+    doc = {
+        "command": "design",
+        "n": args.n,
+        "scheme": args.scheme,
+        "angles": [dict(zip(header, row)) for row in rows],
+    }
+    path = emit(args, f"design_n{args.n}_{args.scheme}", header, rows, doc)
     print(f"wrote {path} ({len(rows)} angles)")
     return 0
 
@@ -212,72 +214,45 @@ def evaluation_report(angles: AngleSet, k: int, source: str) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    if bool(args.angles_file) == bool(args.n):
-        print("evaluate needs exactly one of --angles-file or --n", file=sys.stderr)
-        return 2
+    if bool(args.angles_file) == (args.n is not None):
+        raise ValueError("evaluate needs exactly one of --angles-file or --n")
     if args.angles_file:
         angles = read_angle_file(args.angles_file)
         source = args.angles_file
-        stem = os.path.splitext(os.path.basename(args.angles_file))[0]
-        default_name = f"evaluate_{stem}.{args.format}"
+        name = "evaluate_" + os.path.splitext(os.path.basename(args.angles_file))[0]
     else:
         angles = build_design(args.n, args.scheme)
         source = f"{args.scheme}(n={args.n})"
-        default_name = f"evaluate_n{args.n}_{args.scheme}.{args.format}"
+        name = f"evaluate_n{args.n}_{args.scheme}"
     if not 1 <= args.k <= angles.n:
-        print(f"--k must lie in [1, {angles.n}], got {args.k}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--k must lie in [1, {angles.n}], got {args.k}")
     report = evaluation_report(angles, args.k, source)
-    if args.format == "json":
-        payload = render_json(report)
-    else:
-        keys = [k for k in report if k != "command"]
-        payload = render_csv(keys, [[report[k] for k in keys]])
-    path = resolve_output(default_name, args.output)
-    write_atomic(path, payload)
-    write_manifest(
-        path,
-        "evaluate",
-        {
-            "angles_file": args.angles_file,
-            "n": args.n,
-            "scheme": args.scheme,
-            "k": args.k,
-            "format": args.format,
-            "output": path,
-        },
-        seed=None,
-    )
+    keys = [k for k in report if k != "command"]
+    path = emit(args, name, keys, [[report[k] for k in keys]], report)
     print(json.dumps(sanitize_json(report), indent=2))
     print(f"wrote {path}")
     return 0
 
 
-def cmd_verify(args) -> int:
+def _check_n_range(args) -> None:
     if args.n_min < 3 or args.n_max < args.n_min:
-        print(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}", file=sys.stderr)
-        return 2
-    header = [
-        "n",
-        "optimal_objective",
-        "optimal_gram_condition",
-        "semicircle_objective",
-        "semicircle_gram_condition",
-        "circle_objective",
-        "circle_gram_condition",
-        "grid_objective",
-        "grid_minus_optimal",
-    ]
+        raise ValueError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
+
+
+def cmd_verify(args) -> int:
+    _check_n_range(args)
+    schemes = ("optimal", "semicircle", "circle")
+    header = ["n"]
+    for scheme in schemes:
+        header += [f"{scheme}_objective", f"{scheme}_gram_condition"]
+    header += ["grid_objective", "grid_minus_optimal"]
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        per_scheme = {}
-        for scheme in ("optimal_auto", "baseline_semicircle", "baseline_circle"):
-            report = worst_subset(build_design(n, scheme), args.k)
-            per_scheme[scheme] = report
+        reports = [worst_subset(build_design(n, scheme), args.k) for scheme in schemes]
         row = [n]
-        for scheme in ("optimal_auto", "baseline_semicircle", "baseline_circle"):
-            report = per_scheme[scheme]
+        for report in reports:
             row += [report.objective, report.summary.gram_condition]
+        optimal = reports[0].objective
         if n <= args.grid_max_n:
             config = MinimaxSearchConfig(
                 n=n,
@@ -286,48 +261,24 @@ def cmd_verify(args) -> int:
                 refine_iterations=args.refine_iterations,
             )
             _, grid_report = minimax_grid_search(config)
-            row += [grid_report.objective, grid_report.objective - per_scheme["optimal_auto"].objective]
+            row += [grid_report.objective, grid_report.objective - optimal]
         else:
             row += ["", ""]
         rows.append(row)
-        print(f"n={n}: optimal objective {per_scheme['optimal_auto'].objective:.6f}")
-    if args.format == "csv":
-        payload = render_csv(header, rows)
-    else:
-        payload = render_json(
-            {"command": "verify", "rows": [dict(zip(header, r)) for r in rows]}
-        )
-    path = resolve_output(f"verify_n{args.n_min}-{args.n_max}.{args.format}", args.output)
-    write_atomic(path, payload)
-    write_manifest(
-        path,
-        "verify",
-        {
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "k": args.k,
-            "grid_max_n": args.grid_max_n,
-            "grid_points": args.grid_points,
-            "refine_iterations": args.refine_iterations,
-            "format": args.format,
-            "output": path,
-        },
-        seed=None,
-    )
+        print(f"n={n}: optimal objective {optimal:.6f}")
+    path = emit(args, f"verify_n{args.n_min}-{args.n_max}", header, rows, _table_doc(args, header, rows))
     print(f"wrote {path}")
     return 0
 
 
 def cmd_simulate_estimation(args) -> int:
-    if args.n_min < 3 or args.n_max < args.n_min:
-        print(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}", file=sys.stderr)
-        return 2
+    _check_n_range(args)
     header = ["n", "design", "worst_subset", "mse", "std_error", "expected_mse"]
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        for label, angles in (("optimal", design_optimal(n)), ("semicircle", baseline_semicircle(n))):
+        for label in ("optimal", "semicircle"):
             scenario = EstimationScenario(
-                angles=angles,
+                angles=build_design(n, label),
                 k=args.k,
                 signal=args.signal,
                 noise_std=args.noise_std,
@@ -335,54 +286,23 @@ def cmd_simulate_estimation(args) -> int:
                 seed=args.seed,
             )
             result = simulate_worst_case_mse(scenario)
-            rows.append(
-                [
-                    n,
-                    label,
-                    result.report.worst_subset.indices,
-                    result.mse,
-                    result.std_error,
-                    result.expected_mse,
-                ]
-            )
-    if args.format == "csv":
-        payload = render_csv(header, rows)
-    else:
-        payload = render_json(
-            {"command": "simulate-estimation", "rows": [dict(zip(header, r)) for r in rows]}
-        )
-    path = resolve_output(f"estimation_n{args.n_min}-{args.n_max}.{args.format}", args.output)
-    write_atomic(path, payload)
-    write_manifest(
-        path,
-        "simulate-estimation",
-        {
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "k": args.k,
-            "signal": list(args.signal),
-            "noise_std": args.noise_std,
-            "trials": args.trials,
-            "seed": args.seed,
-            "format": args.format,
-            "output": path,
-        },
-        seed=args.seed,
-    )
+            indices = result.report.worst_subset.indices
+            rows.append([n, label, indices, result.mse, result.std_error, result.expected_mse])
+    doc = _table_doc(args, header, rows)
+    path = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows, doc, seed=args.seed)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def cmd_simulate_monitoring(args) -> int:
     if args.n < 3:
-        print(f"--n must be at least 3, got {args.n}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n must be at least 3, got {args.n}")
     header = ["snr_db", "design", "noise_std", "mse", "std_error", "mse_db", "worst_subset"]
     rows = []
     metadata = {}
-    for label, angles in (("optimal", design_optimal(args.n)), ("semicircle", baseline_semicircle(args.n))):
+    for label in ("optimal", "semicircle"):
         scenario = RssScenario(
-            sensor_positions=ring_positions(angles, args.radius, args.source),
+            sensor_positions=ring_positions(build_design(args.n, label), args.radius, args.source),
             source=args.source,
             sensor_radius=args.radius,
             amplitude=args.amplitude,
@@ -392,54 +312,25 @@ def cmd_simulate_monitoring(args) -> int:
         )
         result = simulate_monitoring(scenario, args.snr, trials=args.trials)
         metadata[label] = result.metadata
-        for point in result.points:
-            rows.append(
-                [
-                    point.snr_db,
-                    label,
-                    point.noise_std,
-                    point.mse,
-                    point.std_error,
-                    point.mse_db,
-                    point.worst_subset,
-                ]
-            )
+        for pt in result.points:
+            rows.append([pt.snr_db, label, pt.noise_std, pt.mse, pt.std_error, pt.mse_db, pt.worst_subset])
     rows.sort(key=lambda r: (r[0], r[1]))
-    if args.format == "csv":
-        payload = render_csv(header, rows)
-    else:
-        payload = render_json(
-            {
-                "command": "simulate-monitoring",
-                "metadata": metadata,
-                "rows": [dict(zip(header, r)) for r in rows],
-            }
-        )
-    path = resolve_output(f"monitoring_n{args.n}.{args.format}", args.output)
-    write_atomic(path, payload)
-    write_manifest(
-        path,
-        "simulate-monitoring",
-        {
-            "n": args.n,
-            "snr": list(args.snr),
-            "trials": args.trials,
-            "seed": args.seed,
-            "radius": args.radius,
-            "amplitude": args.amplitude,
-            "path_loss": args.path_loss,
-            "source": list(args.source),
-            "format": args.format,
-            "output": path,
-            "metadata": metadata,
-        },
-        seed=args.seed,
-    )
+    doc = _table_doc(args, header, rows, metadata=metadata)
+    path = emit(args, f"monitoring_n{args.n}", header, rows, doc, seed=args.seed, metadata=metadata)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 # ---------------------------------------------------------------------------
+
+
+def _add_command(sub, name: str, func, help: str, fmt: str = "csv") -> argparse.ArgumentParser:
+    """A subcommand parser with the shared --output and --format options."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--output")
+    p.add_argument("--format", default=fmt, choices=["csv", "json"])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,34 +341,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     scheme_choices = list(SCHEMES) + sorted(SCHEME_ALIASES)
 
-    p = sub.add_parser("design", help="emit a closed-form angle placement")
+    p = _add_command(sub, "design", cmd_design, "emit a closed-form angle placement")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scheme", default="optimal_auto", choices=scheme_choices)
-    p.add_argument("--output")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("evaluate", help="worst-subset spectral report for a design or angle file")
+    p = _add_command(
+        sub, "evaluate", cmd_evaluate, "worst-subset spectral report for a design or angle file", fmt="json"
+    )
     p.add_argument("--angles-file")
     p.add_argument("--n", type=int)
     p.add_argument("--scheme", default="optimal_auto", choices=scheme_choices)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--output")
-    p.add_argument("--format", default="json", choices=["csv", "json"])
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("verify", help="closed-form designs vs baselines vs grid search")
+    p = _add_command(sub, "verify", cmd_verify, "closed-form designs vs baselines vs grid search")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=15)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--grid-max-n", type=int, default=5)
     p.add_argument("--grid-points", type=int, default=180)
     p.add_argument("--refine-iterations", type=int, default=200)
-    p.add_argument("--output")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate-estimation", help="worst-subset recovery MSE versus n")
+    p = _add_command(
+        sub, "simulate-estimation", cmd_simulate_estimation, "worst-subset recovery MSE versus n"
+    )
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=15)
     p.add_argument("--k", type=int, default=3)
@@ -485,11 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-std", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.set_defaults(func=cmd_simulate_estimation)
 
-    p = sub.add_parser("simulate-monitoring", help="localization MSE versus SNR on ring placements")
+    p = _add_command(
+        sub, "simulate-monitoring", cmd_simulate_monitoring, "localization MSE versus SNR on ring placements"
+    )
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--snr", type=parse_float_list, default=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
     p.add_argument("--trials", type=int, default=2000)
@@ -498,10 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--path-loss", type=float, default=2.0)
     p.add_argument("--source", type=parse_pair, default=(0.0, 0.0))
-    p.add_argument("--output")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.set_defaults(func=cmd_simulate_monitoring)
-
     return parser
 
 

@@ -103,11 +103,10 @@ def as_subset(subset: SubsetSelection | Sequence[int]) -> SubsetSelection:
     return SubsetSelection(subset)
 
 
-def _check_range(angles: AngleSet, subset: SubsetSelection) -> None:
-    if subset.indices and subset.indices[-1] >= angles.n:
-        raise IndexError(
-            f"subset index {subset.indices[-1]} out of range for {angles.n} angles"
-        )
+def _check_range(subset: SubsetSelection, n: int) -> None:
+    """IndexError unless every index of ``subset`` is below the item count ``n``."""
+    if subset.indices and subset.indices[-1] >= n:
+        raise IndexError(f"subset index {subset.indices[-1]} out of range for {n} items")
 
 
 def angles_to_matrix(angles: AngleSet) -> np.ndarray:
@@ -121,7 +120,7 @@ def _resultant(
 ) -> tuple[int, complex]:
     """(K, R) of a subset: its size and the sum of exp(2i t_j), in index order."""
     sel = as_subset(subset)
-    _check_range(angles, sel)
+    _check_range(sel, angles.n)
     return sel.k, sum(cmath.exp(2j * angles.angles[i]) for i in sel.indices)
 
 

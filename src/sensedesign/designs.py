@@ -20,16 +20,6 @@ import math
 
 from .core import AngleSet
 
-SCHEMES = (
-    "theorem_even_a",
-    "theorem_even_b",
-    "theorem_small_odd",
-    "theorem_large_odd",
-    "baseline_semicircle",
-    "baseline_circle",
-    "optimal_auto",
-)
-
 # convenience spellings accepted by build_design / the CLI
 SCHEME_ALIASES = {
     "optimal": "optimal_auto",
@@ -95,21 +85,23 @@ def design_optimal(n: int) -> AngleSet:
     return design_large_odd(n)
 
 
+# scheme name -> constructor; each lambda looks its function up at call time,
+# so a rebound module function (a profiler's wrapper, a test patch) is the one called
+_BUILDERS = {
+    "theorem_even_a": lambda n: design_even(n, variant="a"),
+    "theorem_even_b": lambda n: design_even(n, variant="b"),
+    "theorem_small_odd": lambda n: design_small_odd(n),
+    "theorem_large_odd": lambda n: design_large_odd(n),
+    "baseline_semicircle": lambda n: baseline_semicircle(n),
+    "baseline_circle": lambda n: baseline_circle(n),
+    "optimal_auto": lambda n: design_optimal(n),
+}
+SCHEMES = tuple(_BUILDERS)
+
+
 def build_design(n: int, scheme: str) -> AngleSet:
     """Construct a design by scheme name (aliases accepted)."""
-    name = SCHEME_ALIASES.get(scheme, scheme)
-    if name == "theorem_even_a":
-        return design_even(n, variant="a")
-    if name == "theorem_even_b":
-        return design_even(n, variant="b")
-    if name == "theorem_small_odd":
-        return design_small_odd(n)
-    if name == "theorem_large_odd":
-        return design_large_odd(n)
-    if name == "baseline_semicircle":
-        return baseline_semicircle(n)
-    if name == "baseline_circle":
-        return baseline_circle(n)
-    if name == "optimal_auto":
-        return design_optimal(n)
-    raise ValueError(f"unknown scheme {scheme!r}; known schemes: {', '.join(SCHEMES)}")
+    build = _BUILDERS.get(SCHEME_ALIASES.get(scheme, scheme))
+    if build is None:
+        raise ValueError(f"unknown scheme {scheme!r}; known schemes: {', '.join(SCHEMES)}")
+    return build(n)

@@ -29,6 +29,7 @@ from scipy.optimize import minimize  # noqa: F401  (not called; benchmarks/trace
 from .core import (
     AngleSet,
     SubsetSelection,
+    _check_range,
     _matrix,
     _resultant,
     _spectrum,
@@ -64,8 +65,10 @@ class EstimationScenario:
     def __post_init__(self):
         if not 1 <= self.k <= self.angles.n:
             raise ValueError(f"need 1 <= k <= {self.angles.n}, got k={self.k}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < math.inf:  # written so that NaN fails
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
+        if not all(map(math.isfinite, self.signal)):
+            raise ValueError(f"signal must be finite, got {self.signal!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
 
@@ -181,19 +184,24 @@ class RssScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sensor_radius <= 0:
-            raise ValueError("sensor_radius must be positive")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.path_loss <= 0:
-            raise ValueError("path_loss must be positive")
-        if self.shadow_std < 0:
-            raise ValueError("shadow_std must be nonnegative")
+        # every comparison is written so that NaN fails it
+        if not 0 < self.sensor_radius < math.inf:
+            raise ValueError(f"sensor_radius must be finite and positive, got {self.sensor_radius!r}")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and positive, got {self.amplitude!r}")
+        if not 0 < self.path_loss < math.inf:
+            raise ValueError(f"path_loss must be finite and positive, got {self.path_loss!r}")
+        if not 0 <= self.shadow_std < math.inf:
+            raise ValueError(f"shadow_std must be finite and nonnegative, got {self.shadow_std!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if not all(map(math.isfinite, self.source)):
+            raise ValueError(f"source must be finite, got {self.source!r}")
         pos = tuple((float(p[0]), float(p[1])) for p in self.sensor_positions)
         if not pos:
             raise ValueError("at least one sensor position is required")
+        if not all(math.isfinite(c) for p in pos for c in p):
+            raise ValueError("sensor positions must be finite")
         z = np.asarray(self.source, dtype=float)
         for i, p in enumerate(pos):
             d = float(np.linalg.norm(np.asarray(p) - z))
@@ -262,15 +270,8 @@ def fim(
     in other units take an explicit prefactor (base-10 logs: divide by
     ln(10)^2).
     """
-    if subset is None:
-        indices: tuple[int, ...] = tuple(range(scenario.n))
-    else:
-        sel = as_subset(subset)
-        if sel.indices and sel.indices[-1] >= scenario.n:
-            raise IndexError(
-                f"subset index {sel.indices[-1]} out of range for {scenario.n} sensors"
-            )
-        indices = sel.indices
+    sel = SubsetSelection(range(scenario.n)) if subset is None else as_subset(subset)
+    _check_range(sel, scenario.n)
     if prefactor is None:
         if scenario.shadow_std == 0:
             raise ValueError("prefactor is undefined at shadow_std=0; pass it explicitly")
@@ -278,7 +279,7 @@ def fim(
     if prefactor <= 0:
         raise ValueError("prefactor must be positive")
     w, p = _fim_terms(scenario)
-    idx = list(indices)
+    idx = list(sel.indices)
     weight, r = prefactor * w[idx].sum(), prefactor * p[idx].sum()
     lo, hi, cond = _spectrum(weight, r)
     return FimSummary(
@@ -348,10 +349,7 @@ class _StartTable:
 def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     if sel.k < 3:
         raise ValueError(f"need at least 3 active sensors, got {sel.k}")
-    if sel.indices[-1] >= scenario.n:
-        raise IndexError(
-            f"active index {sel.indices[-1]} out of range for {scenario.n} sensors"
-        )
+    _check_range(sel, scenario.n)
     pos = np.asarray(scenario.sensor_positions, dtype=float)[list(sel.indices)]
     spread = pos - pos.mean(axis=0)
     svals = np.linalg.svd(spread, compute_uv=False)
@@ -502,6 +500,8 @@ def simulate_monitoring(
     snrs = [float(s) for s in snr_grid_db]
     if not snrs:
         raise ValueError("snr_grid_db must be nonempty")
+    if not all(map(math.isfinite, snrs)):
+        raise ValueError(f"SNR values must be finite, got {snrs}")
 
     sel, _ = worst_fim_subset(scenario, k=3)
     table = _start_table(scenario, sel)  # shared by every SNR point and trial

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sensedesign
 from sensedesign import design_optimal, worst_subset
-from sensedesign.cli import evaluation_report, main
+from sensedesign.cli import build_parser, evaluation_report, main
 
 
 def run(tmp_path, *argv) -> int:
@@ -106,6 +109,14 @@ class TestEvaluate:
         assert run(tmp_path, "evaluate", "--angles-file", src, "--n", 5) == 2
         assert run(tmp_path, "evaluate") == 2
 
+    def test_n_zero_with_angles_file_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "angles.csv"
+        src.write_text("angle_rad\n0.2\n0.4\n0.9\n")
+        out = tmp_path / "eval.json"
+        assert run(tmp_path, "evaluate", "--angles-file", src, "--n", 0, "--output", out) == 2
+        assert "exactly one" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "eval.csv"
         assert run(tmp_path, "evaluate", "--n", 5, "--output", out, "--format", "csv") == 0
@@ -202,3 +213,79 @@ class TestWorstSubsetReexport:
         report = worst_subset(design_optimal(7))
         want = evaluation_report(design_optimal(7), 3, "x")
         assert list(report.worst_subset.indices) == want["worst_subset"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-estimation", "--signal", "nan,1"],
+        ["simulate-estimation", "--noise-std", "nan"],
+        ["simulate-monitoring", "--radius", "nan"],
+        ["simulate-monitoring", "--source", "nan,0"],
+        ["simulate-monitoring", "--snr", "nan"],
+        ["simulate-monitoring", "--amplitude", "nan"],
+        ["simulate-monitoring", "--path-loss", "nan"],
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv):
+    sizes = ["--n-min", 3, "--n-max", 3] if argv[0] == "simulate-estimation" else ["--n", 4]
+    out = tmp_path / "out.csv"
+    assert run(tmp_path, *argv, *sizes, "--trials", 2, "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert not out.exists()
+
+
+REPLAY_COMMANDS = [
+    ["design", "--n", 5, "--scheme", "circle"],
+    ["evaluate", "--n", 6, "--scheme", "semicircle", "--k", 4, "--format", "csv"],
+    ["verify", "--n-min", 3, "--n-max", 4, "--grid-max-n", 3, "--grid-points", 30, "--format", "json"],
+    ["simulate-estimation", "--n-min", 3, "--n-max", 4, "--trials", 20, "--seed", 4,
+     "--signal", "1.5,-2", "--noise-std", 0.5],
+    ["simulate-monitoring", "--n", 5, "--snr", "10,20.5", "--trials", 2, "--seed", 3,
+     "--radius", 1.5, "--source", "0.25,-0.5", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", REPLAY_COMMANDS, ids=lambda argv: argv[0])
+def test_manifest_replay(tmp_path, argv):
+    """The manifest config names every parser option, and replaying it rewrites the file."""
+    first = tmp_path / "first.out"
+    assert run(tmp_path, *argv, "--output", first) == 0
+    config = json.loads((tmp_path / "first.out.manifest.json").read_text())["config"]
+    required = ["--n", "1"] if argv[0] == "design" else []
+    options = set(vars(build_parser().parse_args([argv[0], *required]))) - {"func", "subcommand"}
+    assert "output" in options and options <= set(config)
+
+    replay = tmp_path / "replay.out"
+    replay_argv = [argv[0], "--output", replay]
+    for key in sorted(options - {"output"}):
+        value = config[key]
+        if value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            replay_argv += ["--" + key.replace("_", "-"), text]
+    assert run(tmp_path, *replay_argv) == 0
+    assert replay.read_bytes() == first.read_bytes()
+    replayed = json.loads((tmp_path / "replay.out.manifest.json").read_text())["config"]
+    assert {**replayed, "output": config["output"]} == config
+
+
+def test_process_exit_codes(tmp_path):
+    """``python -m sensedesign.cli`` maps outcomes to exit codes end to end."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("angle_rad\nbanana\n")
+    src_dir = os.path.dirname(os.path.dirname(sensedesign.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir, "SENSEDESIGN_OUTPUT_DIR": str(tmp_path)}
+    cases = [
+        (0, ["design", "--n", "4"]),
+        (2, ["verify", "--n-min", "5", "--n-max", "4"]),
+        (3, ["evaluate", "--angles-file", str(bad)]),
+        (4, ["verify", "--n-min", "6", "--n-max", "6", "--grid-max-n", "6"]),
+    ]
+    for code, argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sensedesign.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
+    assert (tmp_path / "design_n4_optimal_auto.csv").exists()

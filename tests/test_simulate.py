@@ -222,11 +222,37 @@ class TestWorstCaseMse:
         with pytest.raises(ValueError):
             EstimationScenario(angles=TIGHT_FRAME, trials=0)
 
+    @pytest.mark.parametrize(
+        "kw", [{"noise_std": math.nan}, {"noise_std": math.inf}, {"signal": (math.nan, 1.0)}]
+    )
+    def test_non_finite_scenario_rejected(self, kw):
+        with pytest.raises(ValueError, match="must be finite"):
+            EstimationScenario(angles=TIGHT_FRAME, **kw)
+
 
 class TestRssModel:
     def test_scenario_rejects_inside_ring(self):
         with pytest.raises(ValueError):
             RssScenario(sensor_positions=((0.5, 0.0),), sensor_radius=1.0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"sensor_radius": math.nan},
+            {"amplitude": math.nan},
+            {"path_loss": math.inf},
+            {"shadow_std": math.nan},
+            {"source": (math.nan, 0.0)},
+            {"sensor_positions": ((math.nan, 2.0),)},
+        ],
+    )
+    def test_scenario_rejects_non_finite(self, kw):
+        with pytest.raises(ValueError, match="must be finite"):
+            RssScenario(**{"sensor_positions": ((2.0, 0.0),), **kw})
+
+    def test_sweep_rejects_non_finite_snr(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_monitoring(ring_scenario(n=6), [10.0, math.nan], trials=2)
 
     def test_ring_positions_use_raw_angles(self):
         d = design_optimal(10)
