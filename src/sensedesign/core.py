@@ -97,12 +97,6 @@ class SubsetSelection:
         return iter(self.indices)
 
 
-def as_subset(subset: SubsetSelection | Sequence[int]) -> SubsetSelection:
-    if isinstance(subset, SubsetSelection):
-        return subset
-    return SubsetSelection(subset)
-
-
 def _check_range(subset: SubsetSelection, n: int) -> None:
     """IndexError unless every index of ``subset`` is below the item count ``n``."""
     if subset.indices and subset.indices[-1] >= n:
@@ -119,7 +113,7 @@ def _resultant(
     angles: AngleSet, subset: SubsetSelection | Sequence[int]
 ) -> tuple[int, complex]:
     """(K, R) of a subset: its size and the sum of exp(2i t_j), in index order."""
-    sel = as_subset(subset)
+    sel = SubsetSelection(subset)
     _check_range(sel, angles.n)
     return sel.k, sum(cmath.exp(2j * angles.angles[i]) for i in sel.indices)
 

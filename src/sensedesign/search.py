@@ -41,6 +41,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +51,10 @@ from .core import AngleSet, SpectralSummary, SubsetSelection, _pair_sum, _summar
 EVALUATION_GUARD = 1_000_000_000
 # lines closer than this (radians, mod pi) are one line for the tie rule
 LINE_TOL = 1e-12
-# pair-cosine sums within TIE_TOL * max(1, |S|) of the worst one tie
+# relative tolerance of the tie rule (see _tie_floor)
 TIE_TOL = 1e-12
+# local refinement halves its step after a sweep without improvement
+REFINE_SHRINK = 0.5
 EPS = sys.float_info.epsilon
 
 
@@ -75,7 +78,6 @@ class MinimaxSearchConfig:
     k: int = 3
     grid_points_per_angle: int = 180
     refine_iterations: int = 200
-    refine_shrink: float = 0.5
 
     def __post_init__(self):
         if self.n < 3:
@@ -86,8 +88,17 @@ class MinimaxSearchConfig:
             raise ValueError("grid_points_per_angle must be at least 2")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be nonnegative")
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise ValueError("refine_shrink must lie strictly between 0 and 1")
+
+
+def _tie_floor(top: float) -> float:
+    """Lowest score tied with ``top``: within TIE_TOL * max(1, |top|) of it, or equal when it is inf."""
+    return top if math.isinf(top) else top - TIE_TOL * max(1.0, abs(top))
+
+
+def _first_tied(scores: Sequence[float]) -> int:
+    """Index of the first score tied with the largest one (0 when NaN scores compare with none)."""
+    floor = _tie_floor(max(scores))
+    return next((i for i, v in enumerate(scores) if v >= floor), 0)
 
 
 def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], complex, int]:
@@ -118,16 +129,15 @@ def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], complex, i
     # every window's resultant from one cumulative sum of doubled-angle phasors
     csum = [0j, *itertools.accumulate(phasor[i] for i in seq + seq[: k - 1])]
     s = [_pair_sum(k, csum[p + k] - csum[p]) for p in range(n)]
-    top = max(s)
-    # screen loosely: cumsum rounding grows like (n + k)^2 * eps per component,
-    # and a window takes its lines' members by index, not by angle
-    slack = TIE_TOL * max(1.0, abs(top)) + k * (4.0 * LINE_TOL + 8.0 * (n + k) ** 2 * EPS)
+    # screen below the tie floor: cumsum rounding grows like (n + k)^2 * eps per
+    # component, and a window takes its lines' members by index, not by angle
+    floor = _tie_floor(max(s)) - k * (4.0 * LINE_TOL + 8.0 * (n + k) ** 2 * EPS)
 
     # a window may take any members of its end lines; the smallest indices of
     # the line it starts in go first, the other lines' heads are already smallest
     candidates = set()
     for p in range(n):
-        if s[p] >= top - slack:
+        if s[p] >= floor:
             start = line_of[p]
             others = [seq[q % n] for q in range(p, p + k) if line_of[q % n] != start]
             own = seq[head[start] : head[start] + k - len(others)]
@@ -136,10 +146,7 @@ def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], complex, i
 
     # re-score each distinct candidate from its own phasors, then the tie rule
     resultant = [sum(phasor[i] for i in c) for c in candidates]
-    score = [_pair_sum(k, r) for r in resultant]
-    floor = max(score)
-    floor -= TIE_TOL * max(1.0, abs(floor))
-    pick = next(i for i, v in enumerate(score) if v >= floor)
+    pick = _first_tied([_pair_sum(k, r) for r in resultant])
     return candidates[pick], resultant[pick], n + len(candidates)
 
 
@@ -148,12 +155,11 @@ def worst_subset(angles: AngleSet, k: int = 3) -> WorstCaseReport:
 
     Scores the n contiguous circular windows in sorted-line order, not the
     C(n, K) subsets (see the module notes for why a worst subset is always
-    a window, the cost and the tie rule).  Ties within
-    ``TIE_TOL * max(1, |S|)`` go to the lexicographically smallest index
-    tuple over all tied K-subsets.  ``objective`` and ``summary`` come
-    from the reported subset's resultant, so ``objective`` equals its
-    ``pair_cosine_sum``; ``subsets_evaluated`` counts the n windows plus
-    the distinct candidates re-scored (1 when K = n).
+    a window, the cost and the tie rule).  Ties go to the lexicographically
+    smallest index tuple over all tied K-subsets.  ``objective`` and
+    ``summary`` come from the reported subset's resultant, so ``objective``
+    equals its ``pair_cosine_sum``; ``subsets_evaluated`` counts the n
+    windows plus the distinct candidates re-scored (1 when K = n).
     """
     idx, r, scored = _worst_window(angles, k)
     summary = _summary(k, r)
@@ -249,7 +255,6 @@ def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCas
         coarse,
         k,
         iterations=config.refine_iterations,
-        shrink=config.refine_shrink,
         initial_step=math.pi / g,
     )
     return refined, worst_subset(refined, k)
@@ -259,13 +264,12 @@ def local_refine(
     angles: AngleSet,
     k: int = 3,
     iterations: int = 200,
-    shrink: float = 0.5,
     initial_step: float | None = None,
 ) -> AngleSet:
     """Coordinate descent on the worst-subset objective.
 
     Each sweep tries +-step on every angle and keeps strict improvements;
-    the step shrinks after a sweep with no improvement.  The objective
+    the step halves after a sweep with no improvement.  The objective
     never increases, but tied plateaus (where any single-angle move leaves
     some maximizing subset untouched) are fixed points.
     """
@@ -288,7 +292,7 @@ def local_refine(
                     current = [a for a in AngleSet(trial).angles]
                     improved = True
         if not improved:
-            step *= shrink
+            step *= REFINE_SHRINK
             if step < 1e-12:
                 break
     return AngleSet(current)

@@ -9,16 +9,18 @@ Two settings share the same geometric core:
   triple with the worst Fisher-information condition number is activated
   and the source is recovered by maximum likelihood.
 
-Randomness policy: every trial draws from its own PCG64 stream seeded by
-SeedSequence((seed, ...indices...)), so runs are reproducible and trial
-order (or parallel execution) cannot change results.
+Randomness policy: ``_trial_noise`` draws every trial's noise from its own
+PCG64 stream, seeded by the sweep's key (the seed, plus the SNR point for
+monitoring) and the trial index.  A sweep scores one such table per point,
+so runs are reproducible and neither trial order nor trial count changes
+the draws of a trial.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,9 +36,8 @@ from .core import (
     _resultant,
     _spectrum,
     angles_to_matrix,
-    as_subset,
 )
-from .search import TIE_TOL, WorstCaseReport, worst_subset
+from .search import WorstCaseReport, _first_tied, worst_subset
 
 MIN_SENSOR_DISTANCE = 1e-12
 
@@ -73,42 +74,41 @@ class EstimationScenario:
             raise ValueError("trials must be positive")
 
 
-def _subset_matrix(angles: AngleSet, sel: SubsetSelection) -> np.ndarray:
-    return angles_to_matrix(angles)[:, list(sel.indices)]
+def _trial_noise(key: tuple[int, ...], trials: int, size: int) -> np.ndarray:
+    """Standard normal (trials, size) table; row t comes from stream SeedSequence((*key, t))."""
+    return np.array([default_rng(SeedSequence((*key, t))).standard_normal(size) for t in range(trials)])
 
 
-def _gram_or_raise(angles: AngleSet, sel: SubsetSelection) -> tuple[np.ndarray, float]:
-    """The subset's Gram matrix and lambda_min; raises if it is rank deficient."""
+def _recovery(angles: AngleSet, sel: SubsetSelection) -> tuple[np.ndarray, float]:
+    """(A_S A_S^T)^-1 A_S, so x_hat = recover @ y, and lambda_min; raises if rank deficient."""
     k, r = _resultant(angles, sel)
     lo, _, cond = _spectrum(k, r)
     if math.isinf(cond):
         raise SingularSubsetError(f"subset {sel.indices} is rank deficient (lambda_min={lo:.3e})")
-    return _matrix(k, r), float(lo)
+    return np.linalg.solve(_matrix(k, r), angles_to_matrix(angles)[:, list(sel.indices)]), float(lo)
 
 
 def least_squares_estimate(
     angles: AngleSet, subset: SubsetSelection | Sequence[int], y: Sequence[float]
 ) -> np.ndarray:
     """Least-squares recovery x_hat = (A_S A_S^T)^-1 A_S y."""
-    sel = as_subset(subset)
+    sel = SubsetSelection(subset)
     obs = np.asarray(y, dtype=float)
     if obs.shape != (sel.k,):
         raise ValueError(f"y must have shape ({sel.k},), got {obs.shape}")
-    gram, _ = _gram_or_raise(angles, sel)
-    return np.linalg.solve(gram, _subset_matrix(angles, sel) @ obs)
+    return _recovery(angles, sel)[0] @ obs
 
 
 def error_bound_check(
     angles: AngleSet, subset: SubsetSelection | Sequence[int], noise: Sequence[float]
 ) -> tuple[float, float]:
     """Recovery error for a given noise draw, with its bound ||w||/sigma_min."""
-    sel = as_subset(subset)
+    sel = SubsetSelection(subset)
     w = np.asarray(noise, dtype=float)
     if w.shape != (sel.k,):
         raise ValueError(f"noise must have shape ({sel.k},), got {w.shape}")
-    gram, lambda_min = _gram_or_raise(angles, sel)
-    err_vec = np.linalg.solve(gram, _subset_matrix(angles, sel) @ w)
-    error = float(np.linalg.norm(err_vec))
+    recover, lambda_min = _recovery(angles, sel)
+    error = float(np.linalg.norm(recover @ w))
     bound = float(np.linalg.norm(w)) / math.sqrt(lambda_min)
     if not error <= bound + 1e-10:
         raise ArithmeticError(
@@ -139,23 +139,24 @@ class EstimationResult:
     seed: int
 
 
+def _mean_and_se(sq_errors: np.ndarray) -> tuple[float, float]:
+    """Mean of per-trial squared errors and its standard error (0 for a single trial)."""
+    trials = len(sq_errors)
+    se = float(sq_errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(sq_errors.mean()), se
+
+
 def simulate_worst_case_mse(scenario: EstimationScenario) -> EstimationResult:
     """Average squared recovery error on the worst-conditioned subset."""
     report = worst_subset(scenario.angles, scenario.k)
     sel = report.worst_subset
-    gram, _ = _gram_or_raise(scenario.angles, sel)
-    a = _subset_matrix(scenario.angles, sel)
-    recover = np.linalg.solve(gram, a)  # x_hat = recover @ y
+    recover, _ = _recovery(scenario.angles, sel)
     x = np.asarray(scenario.signal, dtype=float)
-    clean = a.T @ x
-    sq_errors = np.empty(scenario.trials)
-    for t in range(scenario.trials):
-        rng = default_rng(SeedSequence((scenario.seed, t)))
-        w = scenario.noise_std * rng.standard_normal(sel.k)
-        x_hat = recover @ (clean + w)
-        sq_errors[t] = float(np.sum((x_hat - x) ** 2))
-    mse = float(sq_errors.mean())
-    se = float(sq_errors.std(ddof=1) / math.sqrt(scenario.trials)) if scenario.trials > 1 else 0.0
+    clean = angles_to_matrix(scenario.angles)[:, list(sel.indices)].T @ x
+    readings = clean + scenario.noise_std * _trial_noise((scenario.seed,), scenario.trials, sel.k)
+    # one product per row: a single (trials, K) @ (K, 2) product rounds differently
+    x_hat = np.array([recover @ y for y in readings])
+    mse, se = _mean_and_se(np.sum((x_hat - x) ** 2, axis=1))
     return EstimationResult(
         mse=mse,
         std_error=se,
@@ -227,17 +228,20 @@ def ring_positions(
     )
 
 
+def _rss_mean(scenario: RssScenario) -> np.ndarray:
+    """Noiseless log-RSS readings ln A - path_loss * ln distance of every sensor."""
+    pos = np.asarray(scenario.sensor_positions, dtype=float)
+    dist = np.linalg.norm(pos - np.asarray(scenario.source, dtype=float), axis=1)
+    if np.any(dist < MIN_SENSOR_DISTANCE):
+        raise DegenerateGeometryError("a sensor coincides with the source")
+    return math.log(scenario.amplitude) - scenario.path_loss * np.log(dist)
+
+
 def rss_sample(scenario: RssScenario, rng: Generator | None = None) -> np.ndarray:
     """One draw of log-RSS readings: ln A - path_loss * ln distance + noise."""
     if rng is None:
         rng = default_rng(SeedSequence(scenario.seed))
-    pos = np.asarray(scenario.sensor_positions, dtype=float)
-    z = np.asarray(scenario.source, dtype=float)
-    dist = np.linalg.norm(pos - z, axis=1)
-    if np.any(dist < MIN_SENSOR_DISTANCE):
-        raise DegenerateGeometryError("a sensor coincides with the source")
-    clean = math.log(scenario.amplitude) - scenario.path_loss * np.log(dist)
-    return clean + scenario.shadow_std * rng.standard_normal(len(dist))
+    return _rss_mean(scenario) + scenario.shadow_std * rng.standard_normal(scenario.n)
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,7 @@ def fim(
     in other units take an explicit prefactor (base-10 logs: divide by
     ln(10)^2).
     """
-    sel = SubsetSelection(range(scenario.n)) if subset is None else as_subset(subset)
+    sel = SubsetSelection(range(scenario.n) if subset is None else subset)
     _check_range(sel, scenario.n)
     if prefactor is None:
         if scenario.shadow_std == 0:
@@ -294,19 +298,17 @@ def fim(
 def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection, float]:
     """Active subset with the largest FIM condition number, and that condition.
 
-    All C(n, K) subsets are scored in one vectorized pass.  Conditions
-    within ``TIE_TOL * max(1, |c|)`` of the largest tie and the
-    lexicographically smallest index tuple among them is reported; when
-    some subset is rank deficient, the smallest such tuple is.
+    All C(n, K) subsets are scored in one vectorized pass.  Conditions tie
+    by the rule of ``search`` and the lexicographically smallest index tuple
+    among them is reported; when some subset is rank deficient, the
+    smallest such tuple is.
     """
     if not 2 <= k <= scenario.n:
         raise ValueError(f"need 2 <= k <= {scenario.n}, got k={k}")
     w, p = _fim_terms(scenario)
     combos = np.array(list(itertools.combinations(range(scenario.n), k)))
     _, _, cond = _spectrum(w[combos].sum(axis=1), p[combos].sum(axis=1))
-    top = float(cond.max())
-    floor = top if math.isinf(top) else top - TIE_TOL * max(1.0, abs(top))
-    pick = int(np.argmax(cond >= floor))
+    pick = _first_tied(cond.tolist())
     return SubsetSelection(combos[pick]), float(cond[pick])
 
 
@@ -452,7 +454,7 @@ def ml_locate(
     node is returned.  ``on_boundary`` flags estimates within one grid cell
     of the rim.
     """
-    sel = as_subset(active)
+    sel = SubsetSelection(active)
     table = _start_table(scenario, sel)
     obs = np.asarray(samples, dtype=float)
     if obs.shape != (scenario.n,):
@@ -503,13 +505,7 @@ def simulate_monitoring(
     if not all(map(math.isfinite, snrs)):
         raise ValueError(f"SNR values must be finite, got {snrs}")
 
-    sel, _ = worst_fim_subset(scenario, k=3)
-    table = _start_table(scenario, sel)  # shared by every SNR point and trial
-    active = list(sel.indices)
-    z = np.asarray(scenario.source, dtype=float)
-    pos = np.asarray(scenario.sensor_positions, dtype=float)
-    dist = np.linalg.norm(pos - z, axis=1)
-    clean = math.log(scenario.amplitude) - scenario.path_loss * np.log(dist)
+    clean = _rss_mean(scenario)
     signal_power = float(np.mean(clean**2))
     if signal_power > 1e-30:
         reference = "mean_squared_noiseless_log_rss"
@@ -517,18 +513,22 @@ def simulate_monitoring(
     else:
         reference = "unit_log_power"
         p_ref = 1.0
+    try:  # every noise level before the first solve; a too-low SNR overflows
+        sigmas = [math.sqrt(p_ref * 10.0 ** (-snr / 10.0)) for snr in snrs]
+    except OverflowError:
+        sigmas = [math.inf]
+    if not all(map(math.isfinite, sigmas)):
+        raise ValueError(f"noise levels must be finite, but SNR values {snrs} dB are too low")
 
+    sel, _ = worst_fim_subset(scenario, k=3)
+    table = _start_table(scenario, sel)  # shared by every SNR point and trial
+    active = list(sel.indices)
+    z = np.asarray(scenario.source, dtype=float)
     points = []
-    for pi, snr in enumerate(snrs):
-        sigma = math.sqrt(p_ref * 10.0 ** (-snr / 10.0))
-        scn = replace(scenario, shadow_std=sigma)
-        sq = np.empty(trials)
-        for t in range(trials):
-            rng = default_rng(SeedSequence((scenario.seed, pi, t)))
-            located = _locate(table, rss_sample(scn, rng)[active])
-            sq[t] = float(np.sum((located.estimate - z) ** 2))
-        mse = float(sq.mean())
-        se = float(sq.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    for pi, (snr, sigma) in enumerate(zip(snrs, sigmas)):
+        readings = clean + sigma * _trial_noise((scenario.seed, pi), trials, scenario.n)
+        sq = np.array([np.sum((_locate(table, y[active]).estimate - z) ** 2) for y in readings])
+        mse, se = _mean_and_se(sq)
         mse_db = 10.0 * math.log10(mse) if mse > 0 else -math.inf
         points.append(
             MonitoringPoint(

@@ -225,6 +225,7 @@ class TestWorstSubsetReexport:
         ["simulate-monitoring", "--snr", "nan"],
         ["simulate-monitoring", "--amplitude", "nan"],
         ["simulate-monitoring", "--path-loss", "nan"],
+        ["simulate-monitoring", "--snr", "-4000"],
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv):

@@ -203,8 +203,6 @@ class TestGridSearch:
             MinimaxSearchConfig(n=2)
         with pytest.raises(ValueError):
             MinimaxSearchConfig(n=4, k=5)
-        with pytest.raises(ValueError):
-            MinimaxSearchConfig(n=4, refine_shrink=1.5)
 
 
 class TestLocalRefine:

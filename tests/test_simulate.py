@@ -196,6 +196,22 @@ class TestWorstCaseMse:
         c = simulate_worst_case_mse(EstimationScenario(angles=design_optimal(7), trials=100, seed=6))
         assert c.mse != a.mse
 
+    @pytest.mark.parametrize("trials", [1, 17, 40])
+    def test_trial_streams_independent_of_trial_count(self, trials):
+        # trial t draws its noise from SeedSequence((seed, t)) alone
+        angles = design_optimal(7)
+        result = simulate_worst_case_mse(
+            EstimationScenario(angles=angles, signal=(1.5, -2.0), noise_std=0.5, trials=trials, seed=3)
+        )
+        idx = result.report.worst_subset.indices
+        x = np.array([1.5, -2.0])
+        clean = [math.cos(angles.angles[i]) * x[0] + math.sin(angles.angles[i]) * x[1] for i in idx]
+        errors = []
+        for t in range(trials):
+            w = 0.5 * default_rng(SeedSequence((3, t))).standard_normal(len(idx))
+            errors.append(np.sum((least_squares_estimate(angles, idx, clean + w) - x) ** 2))
+        assert result.mse == pytest.approx(np.mean(errors), rel=1e-12, abs=1e-12)
+
     def test_single_scan_per_simulation(self, monkeypatch):
         calls = []
 
@@ -253,6 +269,16 @@ class TestRssModel:
     def test_sweep_rejects_non_finite_snr(self):
         with pytest.raises(ValueError, match="must be finite"):
             simulate_monitoring(ring_scenario(n=6), [10.0, math.nan], trials=2)
+
+    # -4000 dB overflows 10 ** (-snr / 10); at -3080 dB the power is finite but P_ref * power is not
+    @pytest.mark.parametrize("snr", [-4000.0, -3080.0])
+    def test_sweep_rejects_overflowing_noise_level(self, monkeypatch, snr):
+        def no_solve(*args):
+            raise AssertionError("a solve ran before every noise level was checked")
+
+        monkeypatch.setattr(sensedesign.simulate, "_locate", no_solve)
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_monitoring(ring_scenario(n=6, amplitude=10.0), [10.0, snr], trials=2)
 
     def test_ring_positions_use_raw_angles(self):
         d = design_optimal(10)
@@ -489,6 +515,18 @@ class TestMonitoring:
         a = simulate_monitoring(scn, [15.0], trials=5)
         b = simulate_monitoring(scn, [15.0], trials=5)
         assert a.points[0].mse == b.points[0].mse
+
+    def test_point_rebuilt_from_trial_streams(self):
+        # trial t of point p draws its readings from SeedSequence((seed, p, t)) alone
+        scn = ring_scenario(n=6, amplitude=3.0, seed=4)
+        point = simulate_monitoring(scn, [5.0, 15.0], trials=3).points[1]
+        noisy = replace(scn, shadow_std=point.noise_std)
+        sq = []
+        for t in range(3):
+            samples = rss_sample(noisy, default_rng(SeedSequence((4, 1, t))))
+            estimate = ml_locate(noisy, samples, point.worst_subset).estimate
+            sq.append(np.sum((estimate - np.asarray(scn.source)) ** 2))
+        assert point.mse == float(np.mean(sq))
 
     def test_point_fields(self):
         scn = ring_scenario(n=6, trials=5, seed=9)
