@@ -29,9 +29,14 @@ objective is invariant under a common rotation and under relabeling, so the
 first angle is pinned at 0 and the remaining n-1 angles are enumerated as
 non-decreasing tuples on a uniform grid over [0, pi).  The non-decreasing
 restriction is lossless and cuts the grid by about (n-1)!, which is what
-makes n = 5 at the default density tractable.  The last two angles are
+makes n = 5 at the default density feasible.  The last two angles are
 evaluated as one vectorized block per outer tuple, over the n windows of
-each sorted configuration rather than all C(n, K) of its subsets.
+each sorted configuration rather than all C(n, K) of its subsets.  Each
+window is scored from resultants, like the scan: ``_pair_sum`` of its fixed
+members' resultant r, plus Re(conj(r) P) for each free angle's phasor P it
+holds, plus the u-v term when it holds both.  The coarse pick follows the
+same tie rule: the first configuration in enumeration order whose worst S
+is within TIE_TOL of the minimum (``_tie_floor``).
 """
 
 from __future__ import annotations
@@ -181,8 +186,9 @@ def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCas
     """Exhaustive minimax over the gauge-fixed, sorted angle grid.
 
     Returns the refined configuration and its worst-subset report.  The
-    enumeration order (lexicographic over sorted tuples, row-major within
-    each block) fixes tie-breaking, so results are reproducible.
+    coarse configuration is the first in enumeration order (lexicographic
+    over sorted tuples, row-major within each block) whose worst S lies
+    within TIE_TOL of the minimum, so ties do not hinge on rounding.
     """
     n, k, g = config.n, config.k, config.grid_points_per_angle
     total = grid_evaluations(config)
@@ -193,64 +199,51 @@ def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCas
         )
 
     grid = np.arange(g) * (math.pi / g)
-    # T[i, j] = cos 2(grid_i - grid_j); every pair term is a lookup here
-    diff = grid[:, None] - grid[None, :]
-    table = np.cos(2.0 * diff)
+    phasor = np.exp(2j * grid)
+    ph = phasor.tolist()
+    # u-v term Re(P_u conj P_v) of every free pair, +inf below the diagonal (v < u)
+    cross = (phasor[:, None] * phasor.conj()).real
+    cross[np.tril_indices(g, -1)] = math.inf
 
-    lower_mask = np.tril(np.ones((g, g), dtype=bool), k=-1)
+    # Sorted, the n-2 fixed angles (pinned 0, then the outer tuple) come first
+    # and the free pair u <= v last; by the arc argument the worst subset is one
+    # of the n circular windows.  Each window keeps its fixed positions and
+    # whether it holds u (position n-2) and v (position n-1).
+    m = n - 2
+    windows = sorted({tuple(sorted((p + j) % n for j in range(k))) for p in range(n)})
+    split = [([q for q in w if q < m], m in w, m + 1 in w) for w in windows]
 
-    # Sorted, the fixed angles come first and the free pair u <= v last, so
-    # by the arc argument the worst subset is one of these windows: k-2
-    # fixed angles around the wrap with u and v, the last k-1 fixed with u,
-    # v with the first k-1 fixed, or k fixed in a row.
-    m = n - 2  # fixed angles per outer tuple: pinned 0 plus n-3 outer
-    both = [tuple(range(k - 2 - j)) + tuple(range(m - j, m)) for j in range(k - 1)]
-    only_u = tuple(range(m - k + 1, m)) if k <= m + 1 else None
-    only_v = tuple(range(k - 1)) if k <= m + 1 else None
-    neither = [tuple(range(p, p + k)) for p in range(m - k + 1)]
-
-    best_val = math.inf
-    best_tuple: tuple[int, ...] | None = None
-
-    for outer in itertools.combinations_with_replacement(range(g), n - 3):
-        fixed = (0,) + outer
+    def block(fixed: tuple[int, ...]) -> np.ndarray:
+        """Worst window S of (*fixed, u, v) for grid points fixed[-1] <= u <= v; +inf where v < u."""
         r0 = fixed[-1]
-        length = g - r0
-        rows = table[list(fixed)][:, r0:]  # (m, length)
+        free = phasor[r0:]
+        both, rows, cols = -math.inf, np.full(g - r0, -math.inf), np.full(g - r0, -math.inf)
+        for own, has_u, has_v in split:
+            r = sum(ph[fixed[q]] for q in own)
+            s = _pair_sum(len(own), r)
+            if not (has_u or has_v):  # a constant; folding it into the u rows is exact
+                np.maximum(rows, s, out=rows)
+                continue
+            a = (r.conjugate() * free).real  # Re(conj(r) P) for each free angle P
+            if has_u and has_v:
+                both = np.maximum(both, (s + a)[:, None] + a)
+            else:
+                side = rows if has_u else cols
+                np.maximum(side, s + a, out=side)
+        out = both + cross[r0:, r0:]
+        np.maximum(out, rows[:, None], out=out)
+        return np.maximum(out, cols, out=out)
 
-        def fixed_pair_sum(members: tuple[int, ...]) -> float:
-            return sum(
-                table[fixed[a], fixed[b]] for i, a in enumerate(members) for b in members[i + 1 :]
-            )
+    def fixed_tuples():
+        return ((0, *outer) for outer in itertools.combinations_with_replacement(range(g), n - 3))
 
-        def free_terms(members: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-            """Each free angle's terms with the fixed members, plus their pair sum."""
-            rs = rows[list(members)].sum(axis=0) if members else np.zeros(length)
-            return rs, rs + fixed_pair_sum(members)
-
-        block = None
-        for members in both:
-            rs, with_base = free_terms(members)
-            w = with_base[:, None] + rs[None, :]
-            block = w if block is None else np.maximum(block, w)
-        block = block + table[r0:, r0:]
-
-        if only_u is not None:
-            np.maximum(block, free_terms(only_u)[1][:, None], out=block)
-            np.maximum(block, free_terms(only_v)[1][None, :], out=block)
-
-        if neither:
-            np.maximum(block, max(fixed_pair_sum(w) for w in neither), out=block)
-
-        block[lower_mask[:length, :length]] = math.inf
-        flat = int(block.argmin())
-        val = float(block.flat[flat])
-        if val < best_val:
-            u, v = divmod(flat, length)
-            best_val = val
-            best_tuple = outer + (r0 + u, r0 + v)
-
-    coarse = AngleSet((0.0,) + tuple(grid[t] for t in best_tuple))
+    # tie rule: the first block, in enumeration order, whose minimum is tied
+    # with the smallest, then its first row-major entry at or below the ceiling
+    minima = np.fromiter((block(fixed).min() for fixed in fixed_tuples()), float)
+    fixed = next(itertools.islice(fixed_tuples(), _first_tied(-minima), None))
+    ceiling = -_tie_floor(-float(minima.min()))
+    u, v = divmod(int(np.argmax(block(fixed) <= ceiling)), g - fixed[-1])
+    coarse = AngleSet(grid[[*fixed, fixed[-1] + u, fixed[-1] + v]])
     refined = local_refine(
         coarse,
         k,

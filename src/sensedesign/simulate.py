@@ -206,6 +206,8 @@ class RssScenario:
         z = np.asarray(self.source, dtype=float)
         for i, p in enumerate(pos):
             d = float(np.linalg.norm(np.asarray(p) - z))
+            if d < MIN_SENSOR_DISTANCE:
+                raise DegenerateGeometryError(f"sensor {i} coincides with the source")
             if d < self.sensor_radius - 1e-9:
                 raise ValueError(
                     f"sensor {i} at distance {d:.6g} lies inside the radius-"
@@ -232,8 +234,6 @@ def _rss_mean(scenario: RssScenario) -> np.ndarray:
     """Noiseless log-RSS readings ln A - path_loss * ln distance of every sensor."""
     pos = np.asarray(scenario.sensor_positions, dtype=float)
     dist = np.linalg.norm(pos - np.asarray(scenario.source, dtype=float), axis=1)
-    if np.any(dist < MIN_SENSOR_DISTANCE):
-        raise DegenerateGeometryError("a sensor coincides with the source")
     return math.log(scenario.amplitude) - scenario.path_loss * np.log(dist)
 
 

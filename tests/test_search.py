@@ -174,13 +174,15 @@ class TestGridSearch:
         # the block scores only windows; replay every grid point over all subsets
         g = 9
         config = MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g, refine_iterations=0)
-        _, report = minimax_grid_search(config)
+        angles, report = minimax_grid_search(config)
         grid = [i * math.pi / g for i in range(g)]
-        best = min(
-            brute_worst(AngleSet([0.0] + [grid[t] for t in tup]), k)[0]
-            for tup in itertools.combinations_with_replacement(range(g), n - 1)
-        )
+        tuples = list(itertools.combinations_with_replacement(range(g), n - 1))
+        worst = [brute_worst(AngleSet([0.0] + [grid[t] for t in tup]), k)[0] for tup in tuples]
+        best = min(worst)
         assert report.objective == pytest.approx(best, abs=1e-12)
+        # tie rule: the first tuple in enumeration order within TIE_TOL of the minimum
+        first = next(t for t, w in zip(tuples, worst) if w <= best + 1e-12 * max(1.0, abs(best)))
+        assert angles.angles == pytest.approx([grid[t] for t in (0, *first)], abs=1e-15)
 
     def test_gauge_fixing_lossless(self):
         angles, report = minimax_grid_search(MinimaxSearchConfig(n=4, grid_points_per_angle=30))

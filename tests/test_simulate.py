@@ -248,8 +248,13 @@ class TestWorstCaseMse:
 
 class TestRssModel:
     def test_scenario_rejects_inside_ring(self):
-        with pytest.raises(ValueError):
-            RssScenario(sensor_positions=((0.5, 0.0),), sensor_radius=1.0)
+        for kw in (
+            {"sensor_positions": ((0.5, 0.0),), "sensor_radius": 1.0},
+            # below ~1e-9 the ring check alone admits a sensor on the source (fim would be NaN)
+            {"sensor_positions": ((0, 0), (1, 0), (0, 1), (-1, -1)), "sensor_radius": 1e-10},
+        ):
+            with pytest.raises(ValueError):
+                RssScenario(**kw)
 
     @pytest.mark.parametrize(
         "kw",
