@@ -123,20 +123,19 @@ def _pair_sum(k, resultant):
     return 0.5 * (abs(resultant) ** 2 - k)
 
 
-def _spectrum(weight, resultant):
-    """(lambda_min, lambda_max, condition) of sum_i w_i u_i u_i^T from (W, R).
+def _spectrum(weight: float, resultant: complex) -> tuple[float, float, float]:
+    """(lambda_min, lambda_max, condition) of sum_i w_i u_i u_i^T from scalar (W, R).
 
-    Takes scalars or equal-shape arrays.  This is the package's only rank
-    rule: lambda_min <= RANK_TOL_SCALE * W counts as rank deficient, with an
-    infinite condition number.
+    Takes Python scalars (real W, complex R) and returns Python floats.  The
+    package's only rank rule: lambda_min <= RANK_TOL_SCALE * W counts as
+    rank deficient, with an infinite condition number and no division.
     """
     m = abs(resultant)
-    lo = np.maximum(0.5 * (weight - m), 0.0)
+    lo = max(0.5 * (weight - m), 0.0)
     hi = 0.5 * (weight + m)
-    singular = lo <= RANK_TOL_SCALE * weight
-    # adding `singular` only keeps the discarded quotient finite
-    cond = np.where(singular, math.inf, hi / (lo + singular))
-    return lo, hi, cond
+    if lo <= RANK_TOL_SCALE * weight:
+        return lo, hi, math.inf
+    return lo, hi, hi / lo
 
 
 def _matrix(weight, resultant: complex) -> np.ndarray:
@@ -169,10 +168,10 @@ def _summary(k: int, resultant: complex) -> SpectralSummary:
     lo, hi, cond = _spectrum(k, resultant)
     return SpectralSummary(
         pair_cosine_sum=_pair_sum(k, resultant),
-        lambda_min=float(lo),
-        lambda_max=float(hi),
-        gram_condition=float(cond),
-        matrix_condition=math.sqrt(float(cond)),
+        lambda_min=lo,
+        lambda_max=hi,
+        gram_condition=cond,
+        matrix_condition=math.sqrt(cond),
     )
 
 

@@ -261,10 +261,13 @@ def local_refine(
 ) -> AngleSet:
     """Coordinate descent on the worst-subset objective.
 
-    Each sweep tries +-step on every angle and keeps strict improvements;
-    the step halves after a sweep with no improvement.  The objective
-    never increases, but tied plateaus (where any single-angle move leaves
-    some maximizing subset untouched) are fixed points.
+    Each sweep tries +-step on every angle and keeps a move only when its
+    worst S lies below the tie floor of the current one (``_tie_floor``):
+    the reported S of a tied subset can sit up to TIE_TOL below the largest,
+    so a smaller gain is tie noise, not an improvement.  The step halves
+    after a sweep with no improvement.  The objective never increases, but
+    tied plateaus (where any single-angle move leaves some maximizing
+    subset untouched) are fixed points.
     """
     if not 1 <= k <= angles.n:
         raise ValueError(f"need 1 <= k <= {angles.n}, got k={k}")
@@ -280,7 +283,7 @@ def local_refine(
                 trial = current.copy()
                 trial[i] = trial[i] + delta
                 obj = _pair_sum(k, _worst_window(AngleSet(trial), k)[1])
-                if obj < best:
+                if obj < _tie_floor(best):
                     best = obj
                     current = [a for a in AngleSet(trial).angles]
                     improved = True

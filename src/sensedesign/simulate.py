@@ -85,7 +85,7 @@ def _recovery(angles: AngleSet, sel: SubsetSelection) -> tuple[np.ndarray, float
     lo, _, cond = _spectrum(k, r)
     if math.isinf(cond):
         raise SingularSubsetError(f"subset {sel.indices} is rank deficient (lambda_min={lo:.3e})")
-    return np.linalg.solve(_matrix(k, r), angles_to_matrix(angles)[:, list(sel.indices)]), float(lo)
+    return np.linalg.solve(_matrix(k, r), angles_to_matrix(angles)[:, list(sel.indices)]), lo
 
 
 def least_squares_estimate(
@@ -203,9 +203,8 @@ class RssScenario:
             raise ValueError("at least one sensor position is required")
         if not all(math.isfinite(c) for p in pos for c in p):
             raise ValueError("sensor positions must be finite")
-        z = np.asarray(self.source, dtype=float)
-        for i, p in enumerate(pos):
-            d = float(np.linalg.norm(np.asarray(p) - z))
+        object.__setattr__(self, "sensor_positions", pos)
+        for i, d in enumerate(np.sqrt(_offsets(self)[1]).tolist()):
             if d < MIN_SENSOR_DISTANCE:
                 raise DegenerateGeometryError(f"sensor {i} coincides with the source")
             if d < self.sensor_radius - 1e-9:
@@ -213,7 +212,6 @@ class RssScenario:
                     f"sensor {i} at distance {d:.6g} lies inside the radius-"
                     f"{self.sensor_radius:.6g} ring around the source"
                 )
-        object.__setattr__(self, "sensor_positions", pos)
 
     @property
     def n(self) -> int:
@@ -230,11 +228,16 @@ def ring_positions(
     )
 
 
+def _offsets(scenario: RssScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Sensor-minus-source offsets z = x_i - source as complex numbers, and |z|^2."""
+    pos = np.asarray(scenario.sensor_positions, dtype=float)
+    z = (pos[:, 0] - scenario.source[0]) + 1j * (pos[:, 1] - scenario.source[1])
+    return z, z.real**2 + z.imag**2
+
+
 def _rss_mean(scenario: RssScenario) -> np.ndarray:
     """Noiseless log-RSS readings ln A - path_loss * ln distance of every sensor."""
-    pos = np.asarray(scenario.sensor_positions, dtype=float)
-    dist = np.linalg.norm(pos - np.asarray(scenario.source, dtype=float), axis=1)
-    return math.log(scenario.amplitude) - scenario.path_loss * np.log(dist)
+    return math.log(scenario.amplitude) - scenario.path_loss * np.log(np.sqrt(_offsets(scenario)[1]))
 
 
 def rss_sample(scenario: RssScenario, rng: Generator | None = None) -> np.ndarray:
@@ -255,9 +258,7 @@ class FimSummary:
 
 def _fim_terms(scenario: RssScenario) -> tuple[np.ndarray, np.ndarray]:
     """Per sensor, the weight 1/d^2 and the weighted doubled-angle phasor exp(2i t)/d^2."""
-    pos = np.asarray(scenario.sensor_positions, dtype=float)
-    z = (pos[:, 0] - scenario.source[0]) + 1j * (pos[:, 1] - scenario.source[1])
-    d2 = z.real**2 + z.imag**2
+    z, d2 = _offsets(scenario)
     return 1.0 / d2, z**2 / d2**2
 
 
@@ -284,32 +285,29 @@ def fim(
         raise ValueError("prefactor must be positive")
     w, p = _fim_terms(scenario)
     idx = list(sel.indices)
-    weight, r = prefactor * w[idx].sum(), prefactor * p[idx].sum()
+    weight, r = prefactor * float(w[idx].sum()), prefactor * complex(p[idx].sum())
     lo, hi, cond = _spectrum(weight, r)
     return FimSummary(
-        matrix=_matrix(weight, r),
-        lambda_min=float(lo),
-        lambda_max=float(hi),
-        condition=float(cond),
-        prefactor=prefactor,
+        matrix=_matrix(weight, r), lambda_min=lo, lambda_max=hi, condition=cond, prefactor=prefactor
     )
 
 
 def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection, float]:
     """Active subset with the largest FIM condition number, and that condition.
 
-    All C(n, K) subsets are scored in one vectorized pass.  Conditions tie
-    by the rule of ``search`` and the lexicographically smallest index tuple
-    among them is reported; when some subset is rank deficient, the
-    smallest such tuple is.
+    Each of the C(n, K) subsets is scored through the scalar kernel of
+    ``core`` from its summed weights and phasors.  Conditions tie by the
+    rule of ``search`` and the lexicographically smallest index tuple among
+    them is reported; when some subset is rank deficient, the smallest such
+    tuple is.
     """
     if not 2 <= k <= scenario.n:
         raise ValueError(f"need 2 <= k <= {scenario.n}, got k={k}")
-    w, p = _fim_terms(scenario)
-    combos = np.array(list(itertools.combinations(range(scenario.n), k)))
-    _, _, cond = _spectrum(w[combos].sum(axis=1), p[combos].sum(axis=1))
-    pick = _first_tied(cond.tolist())
-    return SubsetSelection(combos[pick]), float(cond[pick])
+    w, p = (a.tolist() for a in _fim_terms(scenario))
+    combos = list(itertools.combinations(range(scenario.n), k))
+    cond = [_spectrum(sum(map(w.__getitem__, c)), sum(map(p.__getitem__, c)))[2] for c in combos]
+    pick = _first_tied(cond)
+    return SubsetSelection(combos[pick]), cond[pick]
 
 
 # ---------------------------------------------------------------------------

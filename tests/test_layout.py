@@ -1,0 +1,18 @@
+"""Source layout rules that review would otherwise check by eye."""
+
+from pathlib import Path
+
+MAX_LINE = 110
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_no_line_longer_than_limit():
+    files = sorted((ROOT / "src" / "sensedesign").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert files
+    long_lines = [
+        f"{path.relative_to(ROOT)}:{number}: {len(line)} characters"
+        for path in files
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > MAX_LINE
+    ]
+    assert long_lines == []

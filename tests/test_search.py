@@ -223,6 +223,10 @@ class TestLocalRefine:
             after = worst_subset(local_refine(d, 3, iterations=60), 3).objective
             assert after <= before + 1e-15
             assert after >= before - 1e-9
+            # a step far below the tie tolerance only finds tie noise, so nothing moves
+            assert local_refine(d, 3, iterations=60, initial_step=1e-13).angles == d.angles
+        semi = baseline_semicircle(5)
+        assert local_refine(semi, 4, iterations=60, initial_step=1e-13).angles == semi.angles
 
     def test_semicircle7_tied_plateau(self):
         # every angle move leaves >= 4 of the 7 maximizing triples untouched,

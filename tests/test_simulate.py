@@ -390,6 +390,7 @@ class TestWorstFimSubset:
 
     def test_tie_rule_matches_direct_oracle(self):
         rng = np.random.default_rng(17)
+        line = np.random.default_rng(23)
         cases = []
         for n in range(3, 11):
             for build in (design_optimal, baseline_semicircle, baseline_circle):
@@ -401,6 +402,8 @@ class TestWorstFimSubset:
             dist = np.concatenate([[1.0, 2.0, 3.0], rng.uniform(1.0, 3.0, n - 3)])
             order = rng.permutation(n)
             cases.append(polar_scenario(phi[order], dist[order]))
+            # every sensor on one line through the source: every subset is rank deficient
+            cases.append(polar_scenario(0.5 + math.pi * line.integers(0, 2, n), line.uniform(1.0, 3.0, n)))
         mismatches = []
         for scn in cases:
             for k in range(2, scn.n + 1):
