@@ -14,6 +14,18 @@ PCG64 stream, seeded by the sweep's key (the seed, plus the SNR point for
 monitoring) and the trial index.  A sweep scores one such table per point,
 so runs are reproducible and neither trial order nor trial count changes
 the draws of a trial.
+
+Localization: ``ml_locate`` and the monitoring sweep share one solver,
+``_locate``, which takes all readings of a design at once, one trial per
+row.  Each row starts at its best coarse-grid node and is refined by
+Levenberg-Marquardt run on every row together: closed-form damped 2x2
+normal equations, Nielsen's damping update, and MINPACK's xtol, ftol and
+gtol stopping tests, all at ``LM_TOL``.  A solution outside the search disc
+is solved again over the rim angle, from its exit direction.  A row that
+passes no test within ``_LM_ITERATIONS`` steps, or ends non-finite, is
+solved alone by ``scipy.optimize.least_squares(method="lm")`` at the same
+tolerances.  A row's arithmetic does not depend on the rows batched with
+it, so a trial gives the same bits in a sweep and in ``ml_locate``.
 """
 
 from __future__ import annotations
@@ -315,7 +327,15 @@ def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection
 
 GRID_POINTS_PER_AXIS = 101
 SEARCH_RADIUS_FACTOR = 2.0
-LM_TOL = 1e-15  # xtol = ftol = gtol of every Levenberg-Marquardt solve
+# xtol = ftol = gtol of every Levenberg-Marquardt solve: the batched one inside the disc and on its
+# rim, and scipy's for the rows it leaves.  A batched row stops at the first of MINPACK's tests:
+# its step is at most xtol * (||x|| + xtol); the actual and the predicted reduction of the squared
+# residual norm, relative to it, are both at most ftol (and their ratio at most 2); or
+# max_j |J_j^T r| / (||J_j|| ||r||) is at most gtol.
+LM_TOL = 1e-15
+_LM_ITERATIONS = 100  # steps a batched row may take; one still running then, or non-finite, goes to scipy
+_LM_TAU = 1e-3  # first damping: tau times the largest diagonal entry of J^T J (Nielsen)
+_START_ROWS = 8  # rows scored against the grid at a time: two 8 x nodes buffers of work memory
 
 
 @dataclass(frozen=True)
@@ -380,6 +400,131 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     )
 
 
+def _sum(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Left-to-right sum of per-sensor (or per-parameter) arrays: no reduction across the batch."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
+    """Best grid node of every row of y (rows, k): the argmin of mu_sq - 2 sum_i y_i mu_i.
+
+    Rows are scored ``_START_ROWS`` at a time, elementwise, so the node of a
+    row does not depend on the rows scored with it.
+    """
+    score = np.empty((min(len(y), _START_ROWS), len(table.nodes)))
+    term = np.empty_like(score)
+    best = np.empty(len(y), dtype=np.intp)
+    for lo in range(0, len(y), _START_ROWS):
+        block = y[lo : lo + _START_ROWS]
+        s, t = score[: len(block)], term[: len(block)]
+        np.multiply(block[:, :1], table.mu[0], out=s)
+        for i in range(1, block.shape[1]):
+            s += np.multiply(block[:, i : i + 1], table.mu[i], out=t)
+        s *= -2.0
+        s += table.mu_sq
+        best[lo : lo + len(block)] = np.argmin(s, axis=1)
+    return best
+
+
+def _disc_model(x: np.ndarray, table: _StartTable, y: np.ndarray):
+    """Residuals r_i = y_i - ln A + path_loss ln d_i at the points x = (px, py), and their gradients."""
+    px, py = x
+    r, jx, jy = [], [], []
+    for (sx, sy), yi in zip(table.pos.tolist(), y.T):
+        dx, dy = px - sx, py - sy
+        q = dx * dx + dy * dy
+        r.append(yi - table.log_amplitude + table.path_loss * np.log(np.sqrt(q)))
+        jx.append(table.path_loss * dx / q)
+        jy.append(table.path_loss * dy / q)
+    return r, (jx, jy)
+
+
+def _rim_points(table: _StartTable, phi: np.ndarray) -> np.ndarray:
+    cx, cy = table.center
+    return np.array([cx + table.radius * np.cos(phi), cy + table.radius * np.sin(phi)])
+
+
+def _rim_model(x: np.ndarray, table: _StartTable, y: np.ndarray):
+    """The same residuals at the rim angles x = (phi,), and dr_i/dphi."""
+    (phi,) = x
+    tx, ty = -table.radius * np.sin(phi), table.radius * np.cos(phi)
+    r, (jx, jy) = _disc_model(_rim_points(table, phi), table, y)
+    return r, ([a * tx + b * ty for a, b in zip(jx, jy)],)
+
+
+def _gradient_small(s: np.ndarray, a, g) -> np.ndarray:
+    """MINPACK's gtol test, max_j |J_j^T r| / (||J_j|| ||r||) <= LM_TOL; zero columns are skipped."""
+    small = np.ones(len(s), dtype=bool)
+    for j, gj in enumerate(g):
+        col = np.sqrt(a[j][j])
+        small &= (col == 0.0) | (np.abs(gj) / (col * np.sqrt(s)) <= LM_TOL)
+    return small | (s == 0.0)
+
+
+def _damped_step(a, g, mu: np.ndarray) -> np.ndarray:
+    """h solving (J^T J + mu I) h = -J^T r for one or two parameters, by Cramer's rule."""
+    if len(g) == 1:
+        return np.array([-g[0] / (a[0][0] + mu)])
+    d0, d1, off = a[0][0] + mu, a[1][1] + mu, a[0][1]
+    det = d0 * d1 - off * off
+    return np.array([(off * g[1] - d1 * g[0]) / det, (off * g[0] - d0 * g[1]) / det])
+
+
+def _lm_rows(model, x: np.ndarray, table: _StartTable, y: np.ndarray):
+    """Levenberg-Marquardt on every row at once: x (p, rows) with p = 1 or 2, readings y (rows, k).
+
+    Damping starts at ``_LM_TAU`` times the largest diagonal entry of J^T J
+    and follows Nielsen's rule per row: an accepted step (gain ratio
+    rho > 0) scales it by max(1/3, 1 - (2 rho - 1)^3), a rejected one by nu,
+    which then doubles.  Rows stop at the tests of ``LM_TOL``.  Returns the
+    final x, its squared residual norm, and whether the row stopped within
+    ``_LM_ITERATIONS`` steps.  Every sum over sensors or parameters is
+    written out, so a row's arithmetic is the same in any batch.
+    """
+    x = x.copy()
+    rss = np.full(x.shape[1], np.nan)
+    mu = np.empty(x.shape[1])
+    nu = np.full(x.shape[1], 2.0)
+    stopped = np.zeros(x.shape[1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(_LM_ITERATIONS + 1):
+            live = np.flatnonzero(~stopped)
+            if not live.size:
+                break
+            xi, yi = x[:, live], y[live]
+            r, jac = model(xi, table, yi)
+            s = _sum([v * v for v in r])
+            a = [[_sum([u * v for u, v in zip(jj, jl)]) for jl in jac] for jj in jac]
+            g = [_sum([u * v for u, v in zip(jj, r)]) for jj in jac]
+            if step == 0:
+                mu[:] = _LM_TAU * np.maximum(a[0][0], a[-1][-1])
+            rss[live] = s
+            stop = _gradient_small(s, a, g)
+            if step < _LM_ITERATIONS:
+                mui, nui = mu[live], nu[live]
+                h = _damped_step(a, g, mui)
+                xn = xi + h
+                sn = _sum([v * v for v in model(xn, table, yi)[0]])
+                hh = _sum([v * v for v in h])
+                jh = [_sum([jj[i] * hj for jj, hj in zip(jac, h)]) for i in range(len(r))]
+                pred = _sum([v * v for v in jh]) + 2.0 * mui * hh
+                rho = (s - sn) / pred
+                actual = np.where(sn < 100.0 * s, 1.0 - sn / s, -1.0)
+                accept = (rho > 0.0) & ~stop
+                stop |= np.sqrt(hh) <= LM_TOL * (np.sqrt(_sum([v * v for v in xi])) + LM_TOL)
+                stop |= (np.abs(actual) <= LM_TOL) & (pred / s <= LM_TOL) & (rho <= 2.0)
+                x[:, live[accept]] = xn[:, accept]
+                rss[live[accept]] = sn[accept]
+                shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                mu[live] = np.where(accept, mui * shrink, mui * nui)
+                nu[live] = np.where(accept, 2.0, 2.0 * nui)
+            stopped[live[stop]] = True
+    return x, rss, stopped
+
+
 def _rss_residual(p: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
     """r_i = y_i - ln A + path_loss * ln ||p - x_i||."""
     d = np.sqrt(np.sum((p - table.pos) ** 2, axis=1))
@@ -413,25 +558,39 @@ def _lm(fun, jac, x0, table: _StartTable, y: np.ndarray) -> np.ndarray:
     return fit.x
 
 
-def _locate(table: _StartTable, y: np.ndarray) -> LocateResult:
-    """Best grid node, refined by Levenberg-Marquardt inside the disc or on its rim."""
-    best = int(np.argmin(table.mu_sq - 2.0 * (y @ table.mu)))
-    start = table.nodes[best]
-    grid_residual = float(np.sum((y - table.mu[:, best]) ** 2))
-
+def _refine(table: _StartTable, start: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """One row through scipy: LM from the start node inside the disc, then on its rim if it left."""
     est = _lm(_rss_residual, _rss_jacobian, start, table, y)
     off = est - table.center
     if float(off @ off) > table.radius**2:
-        # the constrained optimum lies on the rim: minimise over it, from the exit direction
         phi = _lm(_circle_residual, _circle_jacobian, [math.atan2(off[1], off[0])], table, y)
         est = _circle_point(table, phi[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        residual = float(np.sum(_rss_residual(est, table, y) ** 2))
-    if not residual <= grid_residual:  # no progress (or a non-finite step): keep the grid node
-        est, residual = start, grid_residual
+        return est, float(np.sum(_rss_residual(est, table, y) ** 2))
+
+
+def _locate(table: _StartTable, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimates (rows, 2), residuals and on_boundary flags for the readings y (rows, k); see ml_locate."""
+    best = _start(table, y)
+    start = table.nodes[best]
+    grid_residual = _sum([(y[:, i] - table.mu[i, best]) ** 2 for i in range(y.shape[1])])
+
+    est, residual, solved = _lm_rows(_disc_model, start.T, table, y)
+    off = est - table.center[:, None]
+    rim = np.flatnonzero(solved & (off[0] * off[0] + off[1] * off[1] > table.radius**2))
+    if rim.size:  # the constrained optimum lies on the rim: minimise over it, from the exit direction
+        exit_angle = np.arctan2(off[1:, rim], off[:1, rim])
+        phi, residual[rim], solved[rim] = _lm_rows(_rim_model, exit_angle, table, y[rim])
+        est[:, rim] = _rim_points(table, phi[0])
+    est = est.T.copy()
+    for i in np.flatnonzero(~(solved & np.isfinite(residual))):
+        est[i], residual[i] = _refine(table, start[i], y[i])
+
+    keep = ~(residual <= grid_residual)  # no progress (or a non-finite step): keep the grid node
+    est[keep], residual[keep] = start[keep], grid_residual[keep]
     cell = 2.0 * table.radius / (GRID_POINTS_PER_AXIS - 1)
-    on_boundary = float(np.linalg.norm(est - table.center)) >= table.radius - cell
-    return LocateResult(estimate=np.asarray(est, dtype=float), residual=residual, on_boundary=on_boundary)
+    off = est - table.center
+    return est, residual, np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]) >= table.radius - cell
 
 
 def ml_locate(
@@ -447,7 +606,11 @@ def ml_locate(
     active sensor excluded).  Levenberg-Marquardt with the analytic Jacobian
     path_loss (p - x_i) / d_i^2 refines it; if that solution leaves the
     disc, a one-dimensional Levenberg-Marquardt solve over the rim angle,
-    started at the exit angle, gives the constrained optimum.  The refined
+    started at the exit angle, gives the constrained optimum.  Both solves
+    are the batched ones of the monitoring sweep, run on this one row, and
+    stop at MINPACK's xtol, ftol or gtol test (``LM_TOL``); if none passes
+    within ``_LM_ITERATIONS`` steps, or the result is non-finite, scipy's
+    ``least_squares(method="lm")`` solves the row instead.  The refined
     residual never exceeds the best grid residual: when it would, the grid
     node is returned.  ``on_boundary`` flags estimates within one grid cell
     of the rim.
@@ -457,7 +620,8 @@ def ml_locate(
     obs = np.asarray(samples, dtype=float)
     if obs.shape != (scenario.n,):
         raise ValueError(f"samples must have shape ({scenario.n},), got {obs.shape}")
-    return _locate(table, obs[list(sel.indices)])
+    est, residual, on_boundary = _locate(table, obs[list(sel.indices)][None])
+    return LocateResult(estimate=est[0], residual=float(residual[0]), on_boundary=bool(on_boundary[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +686,15 @@ def simulate_monitoring(
     table = _start_table(scenario, sel)  # shared by every SNR point and trial
     active = list(sel.indices)
     z = np.asarray(scenario.source, dtype=float)
+    # every point's trials in one batch; row pi * trials + t is trial t of point pi
+    readings = np.concatenate(
+        [clean + s * _trial_noise((scenario.seed, pi), trials, scenario.n) for pi, s in enumerate(sigmas)]
+    )
+    est = _locate(table, readings[:, active])[0]
+    sq = (est[:, 0] - z[0]) ** 2 + (est[:, 1] - z[1]) ** 2
     points = []
     for pi, (snr, sigma) in enumerate(zip(snrs, sigmas)):
-        readings = clean + sigma * _trial_noise((scenario.seed, pi), trials, scenario.n)
-        sq = np.array([np.sum((_locate(table, y[active]).estimate - z) ** 2) for y in readings])
-        mse, se = _mean_and_se(sq)
+        mse, se = _mean_and_se(sq[pi * trials : (pi + 1) * trials])
         mse_db = 10.0 * math.log10(mse) if mse > 0 else -math.inf
         points.append(
             MonitoringPoint(

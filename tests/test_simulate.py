@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from sensedesign import (
     EstimationScenario,
     RssScenario,
     SingularSubsetError,
+    SubsetSelection,
     baseline_circle,
     baseline_semicircle,
     design_optimal,
@@ -102,6 +104,57 @@ def nelder_mead_locate(scn, samples, active):
     if float(opt.fun) > grid_best:
         return start, grid_best
     return opt.x, float(opt.fun)
+
+
+def scipy_locate(table, y, node):
+    """Reference: scipy's least_squares from grid node ``node``, inside the disc and then on its rim.
+
+    Returns (estimate, residual, on_boundary); the grid node when the refined residual is worse.
+    """
+    sim = sensedesign.simulate
+    start = table.nodes[node]
+    grid = sum(float(y[i] - table.mu[i, node]) ** 2 for i in range(len(y)))
+    est = sim._lm(sim._rss_residual, sim._rss_jacobian, start, table, y)
+    off = est - table.center
+    if float(off @ off) > table.radius**2:
+        phi = sim._lm(sim._circle_residual, sim._circle_jacobian, [math.atan2(off[1], off[0])], table, y)
+        est = sim._circle_point(table, phi[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = float(np.sum(sim._rss_residual(est, table, y) ** 2))
+    if not residual <= grid:
+        est, residual = start, grid
+    cell = 2.0 * table.radius / (sim.GRID_POINTS_PER_AXIS - 1)
+    return est, residual, float(np.linalg.norm(est - table.center)) >= table.radius - cell
+
+
+def grid_node_scenario():
+    """Four sensors, each exactly on a node of the 101x101 start grid (as in test_sensor_on_grid_node)."""
+    axis = np.linspace(-2.0, 2.0, 101)
+    positions = ((axis[75], axis[50]), (axis[50], axis[75]), (axis[25], axis[50]), (axis[50], axis[25]))
+    return RssScenario(sensor_positions=positions, sensor_radius=1.0, shadow_std=0.5)
+
+
+def sweep_draws(per_point):
+    """Seeded cases (scenario, active triple, readings stacked one trial per row).
+
+    Both n=10 designs at 0, 10 and 30 dB, drawn as the monitoring sweep draws
+    them (unit amplitude at unit distance, so sigma^2 = 10^(-snr/10)), and
+    the sensors-on-grid-nodes geometry: its four sign patterns and seeded draws.
+    """
+    cases = []
+    for design in (design_optimal(10), baseline_semicircle(10)):
+        base = RssScenario(sensor_positions=ring_positions(design), sensor_radius=1.0)
+        active, _ = worst_fim_subset(base)
+        for pi, snr in enumerate((0.0, 10.0, 30.0)):
+            scn = replace(base, shadow_std=math.sqrt(10.0 ** (-snr / 10.0)))
+            rows = [rss_sample(scn, default_rng(SeedSequence((5, pi, t)))) for t in range(per_point)]
+            cases.append((scn, active, np.array(rows)))
+    scn = grid_node_scenario()
+    signs = [(1, 1, 1), (1, -1, 1), (-1, 1, -1), (-1, -1, -1)]
+    rows = [np.array(sg + (1,), dtype=float) * np.array([0.7, 0.4, 0.3, 0.2]) for sg in signs]
+    rows += [rss_sample(scn, default_rng(SeedSequence((5, 3, t)))) for t in range(per_point)]
+    cases.append((scn, SubsetSelection([0, 1, 2]), np.array(rows)))
+    return cases
 
 
 class TestLeastSquares:
@@ -503,6 +556,49 @@ class TestMlLocate:
                     semicircle_rim_draws += name == "semicircle" and result.on_boundary
         assert semicircle_rim_draws >= 3  # semicircle optima on the rim of the search disc
 
+    def test_batch_matches_row_by_row(self):
+        # one stacked _locate call gives, bit for bit, what ml_locate gives each row alone
+        interior = rim = 0
+        for scn, active, rows in sweep_draws(50):
+            table = sensedesign.simulate._start_table(scn, active)
+            est, residual, on_boundary = sensedesign.simulate._locate(table, rows[:, list(active.indices)])
+            for i, samples in enumerate(rows):
+                alone = ml_locate(scn, samples, active)
+                assert est[i].tolist() == alone.estimate.tolist(), (scn.shadow_std, i)
+                assert residual[i] == alone.residual, (scn.shadow_std, i)
+                assert on_boundary[i] == alone.on_boundary, (scn.shadow_std, i)
+            dist = np.linalg.norm(est - table.center, axis=1)
+            interior += int(np.sum(~on_boundary))
+            rim += int(np.sum(np.abs(dist - table.radius) <= 1e-12))
+        assert interior >= 100 and rim >= 5, (interior, rim)
+
+    def test_scipy_path_is_the_oracle_and_the_fallback(self, monkeypatch):
+        sim = sensedesign.simulate
+        fallback_rows = 0
+        for scn, active, rows in sweep_draws(50):
+            table = sim._start_table(scn, active)
+            y = rows[:, list(active.indices)]
+            nodes = sim._start(table, y)
+            oracle = [scipy_locate(table, yi, node) for yi, node in zip(y, nodes)]
+            _, residual, _ = sim._locate(table, y)
+            for i, (_, want, _) in enumerate(oracle):
+                assert residual[i] <= want + 1e-12, (scn.shadow_std, i, residual[i], want)
+
+            # with no batched steps allowed, every row not stopped at its start goes through scipy
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_LM_ITERATIONS", 0)
+                _, _, at_start = sim._lm_rows(sim._disc_model, table.nodes[nodes].T, table, y)
+                est, residual, on_boundary = sim._locate(table, y)
+            for i in np.flatnonzero(at_start):
+                assert est[i].tolist() == table.nodes[nodes[i]].tolist()
+            for i in np.flatnonzero(~at_start):
+                want_est, want_residual, want_boundary = oracle[i]
+                assert est[i].tolist() == want_est.tolist(), (scn.shadow_std, i)
+                assert residual[i] == want_residual, (scn.shadow_std, i)
+                assert on_boundary[i] == want_boundary, (scn.shadow_std, i)
+            fallback_rows += int(np.sum(~at_start))
+        assert fallback_rows >= 300
+
 
 class TestMonitoring:
     def test_metadata_unit_fallback(self):
@@ -543,6 +639,17 @@ class TestMonitoring:
         assert point.mse > 0
         assert point.mse_db == pytest.approx(10 * math.log10(point.mse), abs=1e-12)
         assert len(point.worst_subset) == 3
+
+    def test_sweep_work_memory_is_bounded(self):
+        # the start grid has 7,839 nodes: scoring all 2,800 rows at once would take 176 MB
+        scn = RssScenario(sensor_positions=ring_positions(baseline_semicircle(10)), sensor_radius=1.0)
+        tracemalloc.start()
+        try:
+            simulate_monitoring(scn, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], trials=400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
 
     def test_empty_grid_rejected(self):
         scn = ring_scenario(n=6)
