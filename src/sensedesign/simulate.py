@@ -21,11 +21,12 @@ row.  Each row starts at its best coarse-grid node and is refined by
 Levenberg-Marquardt run on every row together: closed-form damped 2x2
 normal equations, Nielsen's damping update, and MINPACK's xtol, ftol and
 gtol stopping tests, all at ``LM_TOL``.  A solution outside the search disc
-is solved again over the rim angle, from its exit direction.  A row that
-passes no test within ``_LM_ITERATIONS`` steps, or ends non-finite, is
-solved alone by ``scipy.optimize.least_squares(method="lm")`` at the same
-tolerances.  A row's arithmetic does not depend on the rows batched with
-it, so a trial gives the same bits in a sweep and in ``ml_locate``.
+is solved again over the rim angle, from its exit direction.  This loop is
+the only solver; no row goes to scipy.  A row still running after
+``_LM_ITERATIONS`` steps keeps its last accepted iterate, and a row whose
+residual ends non-finite, or above its grid node's, keeps the grid node.
+A row's arithmetic does not depend on the rows batched with it, so a trial
+gives the same bits in a sweep and in ``ml_locate``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
-from scipy.optimize import least_squares
 from scipy.optimize import minimize  # noqa: F401  (not called; benchmarks/tracer.py wraps this binding)
 
 from .core import (
@@ -327,13 +327,16 @@ def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection
 
 GRID_POINTS_PER_AXIS = 101
 SEARCH_RADIUS_FACTOR = 2.0
-# xtol = ftol = gtol of every Levenberg-Marquardt solve: the batched one inside the disc and on its
-# rim, and scipy's for the rows it leaves.  A batched row stops at the first of MINPACK's tests:
-# its step is at most xtol * (||x|| + xtol); the actual and the predicted reduction of the squared
-# residual norm, relative to it, are both at most ftol (and their ratio at most 2); or
+# xtol = ftol = gtol of the Levenberg-Marquardt solves inside the disc and on its rim (there is no
+# other solver).  A row stops at the first of MINPACK's tests: its step is at most
+# xtol * (||x|| + xtol); the actual and the predicted reduction of the squared residual norm,
+# relative to it, are both at most ftol (and their ratio at most 2); or
 # max_j |J_j^T r| / (||J_j|| ||r||) is at most gtol.
 LM_TOL = 1e-15
-_LM_ITERATIONS = 100  # steps a batched row may take; one still running then, or non-finite, goes to scipy
+# Steps a row may take: 200, MINPACK's default evaluation budget 100 * (p + 1) for p = 2 parameters
+# with an analytic Jacobian (scipy's max_nfev for method="lm").  The rows that reach it converge only
+# linearly; a row still running then keeps its last accepted iterate, whose residual only went down.
+_LM_ITERATIONS = 200
 _LM_TAU = 1e-3  # first damping: tau times the largest diagonal entry of J^T J (Nielsen)
 _START_ROWS = 8  # rows scored against the grid at a time: two 8 x nodes buffers of work memory
 
@@ -479,10 +482,10 @@ def _lm_rows(model, x: np.ndarray, table: _StartTable, y: np.ndarray):
     Damping starts at ``_LM_TAU`` times the largest diagonal entry of J^T J
     and follows Nielsen's rule per row: an accepted step (gain ratio
     rho > 0) scales it by max(1/3, 1 - (2 rho - 1)^3), a rejected one by nu,
-    which then doubles.  Rows stop at the tests of ``LM_TOL``.  Returns the
-    final x, its squared residual norm, and whether the row stopped within
-    ``_LM_ITERATIONS`` steps.  Every sum over sensors or parameters is
-    written out, so a row's arithmetic is the same in any batch.
+    which then doubles.  Rows stop at the tests of ``LM_TOL`` or after
+    ``_LM_ITERATIONS`` steps.  Returns the last accepted x and its squared
+    residual norm.  Every sum over sensors or parameters is written out, so
+    a row's arithmetic is the same in any batch.
     """
     x = x.copy()
     rss = np.full(x.shape[1], np.nan)
@@ -522,51 +525,7 @@ def _lm_rows(model, x: np.ndarray, table: _StartTable, y: np.ndarray):
                 mu[live] = np.where(accept, mui * shrink, mui * nui)
                 nu[live] = np.where(accept, 2.0, 2.0 * nui)
             stopped[live[stop]] = True
-    return x, rss, stopped
-
-
-def _rss_residual(p: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
-    """r_i = y_i - ln A + path_loss * ln ||p - x_i||."""
-    d = np.sqrt(np.sum((p - table.pos) ** 2, axis=1))
-    return y - table.log_amplitude + table.path_loss * np.log(d)
-
-
-def _rss_jacobian(p: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
-    """dr_i/dp = path_loss * (p - x_i) / ||p - x_i||^2."""
-    rel = p - table.pos
-    return table.path_loss * rel / np.sum(rel**2, axis=1)[:, None]
-
-
-def _circle_point(table: _StartTable, phi: float) -> np.ndarray:
-    return table.center + table.radius * np.array([math.cos(phi), math.sin(phi)])
-
-
-def _circle_residual(phi: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
-    return _rss_residual(_circle_point(table, phi[0]), table, y)
-
-
-def _circle_jacobian(phi: np.ndarray, table: _StartTable, y: np.ndarray) -> np.ndarray:
-    tangent = table.radius * np.array([-math.sin(phi[0]), math.cos(phi[0])])
-    return _rss_jacobian(_circle_point(table, phi[0]), table, y) @ tangent[:, None]
-
-
-def _lm(fun, jac, x0, table: _StartTable, y: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fit = least_squares(
-            fun, x0, jac=jac, method="lm", xtol=LM_TOL, ftol=LM_TOL, gtol=LM_TOL, args=(table, y)
-        )
-    return fit.x
-
-
-def _refine(table: _StartTable, start: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """One row through scipy: LM from the start node inside the disc, then on its rim if it left."""
-    est = _lm(_rss_residual, _rss_jacobian, start, table, y)
-    off = est - table.center
-    if float(off @ off) > table.radius**2:
-        phi = _lm(_circle_residual, _circle_jacobian, [math.atan2(off[1], off[0])], table, y)
-        est = _circle_point(table, phi[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return est, float(np.sum(_rss_residual(est, table, y) ** 2))
+    return x, rss
 
 
 def _locate(table: _StartTable, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -575,17 +534,14 @@ def _locate(table: _StartTable, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     start = table.nodes[best]
     grid_residual = _sum([(y[:, i] - table.mu[i, best]) ** 2 for i in range(y.shape[1])])
 
-    est, residual, solved = _lm_rows(_disc_model, start.T, table, y)
+    est, residual = _lm_rows(_disc_model, start.T, table, y)
     off = est - table.center[:, None]
-    rim = np.flatnonzero(solved & (off[0] * off[0] + off[1] * off[1] > table.radius**2))
+    rim = np.flatnonzero(off[0] * off[0] + off[1] * off[1] > table.radius**2)
     if rim.size:  # the constrained optimum lies on the rim: minimise over it, from the exit direction
         exit_angle = np.arctan2(off[1:, rim], off[:1, rim])
-        phi, residual[rim], solved[rim] = _lm_rows(_rim_model, exit_angle, table, y[rim])
+        phi, residual[rim] = _lm_rows(_rim_model, exit_angle, table, y[rim])
         est[:, rim] = _rim_points(table, phi[0])
     est = est.T.copy()
-    for i in np.flatnonzero(~(solved & np.isfinite(residual))):
-        est[i], residual[i] = _refine(table, start[i], y[i])
-
     keep = ~(residual <= grid_residual)  # no progress (or a non-finite step): keep the grid node
     est[keep], residual[keep] = start[keep], grid_residual[keep]
     cell = 2.0 * table.radius / (GRID_POINTS_PER_AXIS - 1)
@@ -607,20 +563,24 @@ def ml_locate(
     path_loss (p - x_i) / d_i^2 refines it; if that solution leaves the
     disc, a one-dimensional Levenberg-Marquardt solve over the rim angle,
     started at the exit angle, gives the constrained optimum.  Both solves
-    are the batched ones of the monitoring sweep, run on this one row, and
-    stop at MINPACK's xtol, ftol or gtol test (``LM_TOL``); if none passes
-    within ``_LM_ITERATIONS`` steps, or the result is non-finite, scipy's
-    ``least_squares(method="lm")`` solves the row instead.  The refined
-    residual never exceeds the best grid residual: when it would, the grid
-    node is returned.  ``on_boundary`` flags estimates within one grid cell
-    of the rim.
+    are the batched ones of the monitoring sweep, run on this one row (there
+    is no scipy path), and stop at MINPACK's xtol, ftol or gtol test
+    (``LM_TOL``) or after ``_LM_ITERATIONS`` = 200 steps, MINPACK's budget
+    for two parameters; a solve still running then returns its last
+    accepted iterate.  The refined residual never exceeds the best grid
+    residual: when it would, or when it is non-finite, the grid node is
+    returned.  ``on_boundary`` flags estimates within one grid cell of the
+    rim.  Readings of the active sensors must be finite.
     """
     sel = SubsetSelection(active)
     table = _start_table(scenario, sel)
     obs = np.asarray(samples, dtype=float)
     if obs.shape != (scenario.n,):
         raise ValueError(f"samples must have shape ({scenario.n},), got {obs.shape}")
-    est, residual, on_boundary = _locate(table, obs[list(sel.indices)][None])
+    y = obs[list(sel.indices)]
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"samples must be finite at the active sensors {sel.indices}, got {y.tolist()}")
+    est, residual, on_boundary = _locate(table, y[None])
     return LocateResult(estimate=est[0], residual=float(residual[0]), on_boundary=bool(on_boundary[0]))
 
 
