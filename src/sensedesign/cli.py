@@ -28,13 +28,7 @@ from . import __version__
 from .core import AngleSet
 from .designs import SCHEME_ALIASES, SCHEMES, build_design
 from .search import MinimaxSearchConfig, ResourceLimitError, minimax_grid_search, worst_subset
-from .simulate import (
-    EstimationScenario,
-    RssScenario,
-    ring_positions,
-    simulate_monitoring,
-    simulate_worst_case_mse,
-)
+from .simulate import EstimationScenario, RssScenario, _estimation_sweep, _monitoring_sweep, ring_positions
 
 OUTPUT_DIR_ENV = "SENSEDESIGN_OUTPUT_DIR"
 
@@ -274,20 +268,22 @@ def cmd_verify(args) -> int:
 def cmd_simulate_estimation(args) -> int:
     _check_n_range(args)
     header = ["n", "design", "worst_subset", "mse", "std_error", "expected_mse"]
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        for label in ("optimal", "semicircle"):
-            scenario = EstimationScenario(
-                angles=build_design(n, label),
-                k=args.k,
-                signal=args.signal,
-                noise_std=args.noise_std,
-                trials=args.trials,
-                seed=args.seed,
-            )
-            result = simulate_worst_case_mse(scenario)
-            indices = result.report.worst_subset.indices
-            rows.append([n, label, indices, result.mse, result.std_error, result.expected_mse])
+    cases = [(n, label) for n in range(args.n_min, args.n_max + 1) for label in ("optimal", "semicircle")]
+    scenarios = [
+        EstimationScenario(
+            angles=build_design(n, label),
+            k=args.k,
+            signal=args.signal,
+            noise_std=args.noise_std,
+            trials=args.trials,
+            seed=args.seed,
+        )
+        for n, label in cases
+    ]
+    rows = [
+        [n, label, r.report.worst_subset.indices, r.mse, r.std_error, r.expected_mse]
+        for (n, label), r in zip(cases, _estimation_sweep(scenarios))
+    ]
     doc = _table_doc(args, header, rows)
     path = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows, doc, seed=args.seed)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -298,10 +294,9 @@ def cmd_simulate_monitoring(args) -> int:
     if args.n < 3:
         raise ValueError(f"--n must be at least 3, got {args.n}")
     header = ["snr_db", "design", "noise_std", "mse", "std_error", "mse_db", "worst_subset"]
-    rows = []
-    metadata = {}
-    for label in ("optimal", "semicircle"):
-        scenario = RssScenario(
+    labels = ("optimal", "semicircle")
+    scenarios = [
+        RssScenario(
             sensor_positions=ring_positions(build_design(args.n, label), args.radius, args.source),
             source=args.source,
             sensor_radius=args.radius,
@@ -310,10 +305,15 @@ def cmd_simulate_monitoring(args) -> int:
             trials=args.trials,
             seed=args.seed,
         )
-        result = simulate_monitoring(scenario, args.snr, trials=args.trials)
-        metadata[label] = result.metadata
-        for pt in result.points:
-            rows.append([pt.snr_db, label, pt.noise_std, pt.mse, pt.std_error, pt.mse_db, pt.worst_subset])
+        for label in labels
+    ]
+    results = _monitoring_sweep(scenarios, args.snr, args.trials)
+    metadata = {label: result.metadata for label, result in zip(labels, results)}
+    rows = [
+        [pt.snr_db, label, pt.noise_std, pt.mse, pt.std_error, pt.mse_db, pt.worst_subset]
+        for label, result in zip(labels, results)
+        for pt in result.points
+    ]
     rows.sort(key=lambda r: (r[0], r[1]))
     doc = _table_doc(args, header, rows, metadata=metadata)
     path = emit(args, f"monitoring_n{args.n}", header, rows, doc, seed=args.seed, metadata=metadata)

@@ -11,9 +11,14 @@ Two settings share the same geometric core:
 
 Randomness policy: ``_trial_noise`` draws every trial's noise from its own
 PCG64 stream, seeded by the sweep's key (the seed, plus the SNR point for
-monitoring) and the trial index.  A sweep scores one such table per point,
-so runs are reproducible and neither trial order nor trial count changes
-the draws of a trial.
+monitoring) and the trial index, so runs are reproducible and neither
+trial order nor trial count changes the draws of a trial.  The private
+sweeps ``_estimation_sweep`` and ``_monitoring_sweep`` take every design of
+one command and draw each table once: a table is fixed by its key, the
+trial count and its row width (K, or n for monitoring), and every design
+and row with the same three shares it.  The tables live only for the
+sweep call; ``simulate_worst_case_mse`` and ``simulate_monitoring`` are
+sweeps of one design.
 
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which takes all readings of a design at once, one trial per
@@ -91,6 +96,13 @@ def _trial_noise(key: tuple[int, ...], trials: int, size: int) -> np.ndarray:
     return np.array([default_rng(SeedSequence((*key, t))).standard_normal(size) for t in range(trials)])
 
 
+def _shared_noise(tables: dict, key: tuple[int, ...], trials: int, size: int) -> np.ndarray:
+    """``_trial_noise(key, trials, size)``, drawn on its first use in a sweep and kept in its ``tables``."""
+    if (key, trials, size) not in tables:
+        tables[key, trials, size] = _trial_noise(key, trials, size)
+    return tables[key, trials, size]
+
+
 def _recovery(angles: AngleSet, sel: SubsetSelection) -> tuple[np.ndarray, float]:
     """(A_S A_S^T)^-1 A_S, so x_hat = recover @ y, and lambda_min; raises if rank deficient."""
     k, r = _resultant(angles, sel)
@@ -158,25 +170,49 @@ def _mean_and_se(sq_errors: np.ndarray) -> tuple[float, float]:
     return float(sq_errors.mean()), se
 
 
+def _estimates(recover: np.ndarray, readings: np.ndarray) -> np.ndarray:
+    """x_hat = recover @ y for every row y of readings (trials, K), one (2, K) @ (K, 1) product a row.
+
+    The rows come out with the bits of ``least_squares_estimate`` on each
+    row alone (pinned by ``test_batched_recovery_matches_per_row``); a single
+    (trials, K) @ (K, 2) product rounds differently.
+    """
+    return np.matmul(recover, readings[:, :, None])[:, :, 0]
+
+
+def _estimation_sweep(scenarios: Sequence[EstimationScenario]) -> list[EstimationResult]:
+    """``simulate_worst_case_mse`` of every scenario, drawing each noise table once.
+
+    A table depends only on its ``_trial_noise`` key (seed,), the trial
+    count and the row width K, so scenarios that share all three share it.
+    """
+    tables: dict = {}
+    results = []
+    for scenario in scenarios:
+        report = worst_subset(scenario.angles, scenario.k)
+        sel = report.worst_subset
+        recover, _ = _recovery(scenario.angles, sel)
+        x = np.asarray(scenario.signal, dtype=float)
+        clean = angles_to_matrix(scenario.angles)[:, list(sel.indices)].T @ x
+        noise = _shared_noise(tables, (scenario.seed,), scenario.trials, sel.k)
+        x_hat = _estimates(recover, clean + scenario.noise_std * noise)
+        mse, se = _mean_and_se(np.sum((x_hat - x) ** 2, axis=1))
+        results.append(
+            EstimationResult(
+                mse=mse,
+                std_error=se,
+                expected_mse=_expected_mse(report, scenario.noise_std),
+                report=report,
+                trials=scenario.trials,
+                seed=scenario.seed,
+            )
+        )
+    return results
+
+
 def simulate_worst_case_mse(scenario: EstimationScenario) -> EstimationResult:
     """Average squared recovery error on the worst-conditioned subset."""
-    report = worst_subset(scenario.angles, scenario.k)
-    sel = report.worst_subset
-    recover, _ = _recovery(scenario.angles, sel)
-    x = np.asarray(scenario.signal, dtype=float)
-    clean = angles_to_matrix(scenario.angles)[:, list(sel.indices)].T @ x
-    readings = clean + scenario.noise_std * _trial_noise((scenario.seed,), scenario.trials, sel.k)
-    # one product per row: a single (trials, K) @ (K, 2) product rounds differently
-    x_hat = np.array([recover @ y for y in readings])
-    mse, se = _mean_and_se(np.sum((x_hat - x) ** 2, axis=1))
-    return EstimationResult(
-        mse=mse,
-        std_error=se,
-        expected_mse=_expected_mse(report, scenario.noise_std),
-        report=report,
-        trials=scenario.trials,
-        seed=scenario.seed,
-    )
+    return _estimation_sweep([scenario])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +653,18 @@ def simulate_monitoring(
     distance), P_s degenerates; the reference power falls back to 1 and the
     metadata says so.
     """
-    if trials is None:
-        trials = scenario.trials
+    return _monitoring_sweep([scenario], snr_grid_db, scenario.trials if trials is None else trials)[0]
+
+
+def _monitoring_sweep(
+    scenarios: Sequence[RssScenario], snr_grid_db: Sequence[float], trials: int
+) -> list[MonitoringResult]:
+    """``simulate_monitoring`` of every scenario at ``trials`` trials, drawing each noise table once.
+
+    The table of SNR point pi depends only on its ``_trial_noise`` key
+    (seed, pi), the trial count and the sensor count n, so scenarios that
+    share all three share it.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
     snrs = [float(s) for s in snr_grid_db]
@@ -626,52 +672,58 @@ def simulate_monitoring(
         raise ValueError("snr_grid_db must be nonempty")
     if not all(map(math.isfinite, snrs)):
         raise ValueError(f"SNR values must be finite, got {snrs}")
+    tables: dict = {}
+    results = []
+    for scenario in scenarios:
+        clean = _rss_mean(scenario)
+        signal_power = float(np.mean(clean**2))
+        if signal_power > 1e-30:
+            reference = "mean_squared_noiseless_log_rss"
+            p_ref = signal_power
+        else:
+            reference = "unit_log_power"
+            p_ref = 1.0
+        try:  # every noise level before the first solve; a too-low SNR overflows
+            sigmas = [math.sqrt(p_ref * 10.0 ** (-snr / 10.0)) for snr in snrs]
+        except OverflowError:
+            sigmas = [math.inf]
+        if not all(map(math.isfinite, sigmas)):
+            raise ValueError(f"noise levels must be finite, but SNR values {snrs} dB are too low")
 
-    clean = _rss_mean(scenario)
-    signal_power = float(np.mean(clean**2))
-    if signal_power > 1e-30:
-        reference = "mean_squared_noiseless_log_rss"
-        p_ref = signal_power
-    else:
-        reference = "unit_log_power"
-        p_ref = 1.0
-    try:  # every noise level before the first solve; a too-low SNR overflows
-        sigmas = [math.sqrt(p_ref * 10.0 ** (-snr / 10.0)) for snr in snrs]
-    except OverflowError:
-        sigmas = [math.inf]
-    if not all(map(math.isfinite, sigmas)):
-        raise ValueError(f"noise levels must be finite, but SNR values {snrs} dB are too low")
-
-    sel, _ = worst_fim_subset(scenario, k=3)
-    table = _start_table(scenario, sel)  # shared by every SNR point and trial
-    active = list(sel.indices)
-    z = np.asarray(scenario.source, dtype=float)
-    # every point's trials in one batch; row pi * trials + t is trial t of point pi
-    readings = np.concatenate(
-        [clean + s * _trial_noise((scenario.seed, pi), trials, scenario.n) for pi, s in enumerate(sigmas)]
-    )
-    est = _locate(table, readings[:, active])[0]
-    sq = (est[:, 0] - z[0]) ** 2 + (est[:, 1] - z[1]) ** 2
-    points = []
-    for pi, (snr, sigma) in enumerate(zip(snrs, sigmas)):
-        mse, se = _mean_and_se(sq[pi * trials : (pi + 1) * trials])
-        mse_db = 10.0 * math.log10(mse) if mse > 0 else -math.inf
-        points.append(
-            MonitoringPoint(
-                snr_db=snr,
-                noise_std=sigma,
-                mse=mse,
-                std_error=se,
-                mse_db=mse_db,
-                worst_subset=sel.indices,
-            )
+        sel, _ = worst_fim_subset(scenario, k=3)
+        table = _start_table(scenario, sel)  # shared by every SNR point and trial
+        active = list(sel.indices)
+        z = np.asarray(scenario.source, dtype=float)
+        # every point's trials in one batch; row pi * trials + t is trial t of point pi
+        readings = np.concatenate(
+            [
+                clean + s * _shared_noise(tables, (scenario.seed, pi), trials, scenario.n)
+                for pi, s in enumerate(sigmas)
+            ]
         )
-    metadata = {
-        "snr_definition": "snr_db = 10*log10(reference_power / sigma^2)",
-        "snr_reference": reference,
-        "reference_power": p_ref,
-        "noise_generator": "numpy PCG64 via SeedSequence((seed, point_index, trial_index))",
-        "active_subset": list(sel.indices),
-        "trials": trials,
-    }
-    return MonitoringResult(points=tuple(points), metadata=metadata)
+        est = _locate(table, readings[:, active])[0]
+        sq = (est[:, 0] - z[0]) ** 2 + (est[:, 1] - z[1]) ** 2
+        points = []
+        for pi, (snr, sigma) in enumerate(zip(snrs, sigmas)):
+            mse, se = _mean_and_se(sq[pi * trials : (pi + 1) * trials])
+            mse_db = 10.0 * math.log10(mse) if mse > 0 else -math.inf
+            points.append(
+                MonitoringPoint(
+                    snr_db=snr,
+                    noise_std=sigma,
+                    mse=mse,
+                    std_error=se,
+                    mse_db=mse_db,
+                    worst_subset=sel.indices,
+                )
+            )
+        metadata = {
+            "snr_definition": "snr_db = 10*log10(reference_power / sigma^2)",
+            "snr_reference": reference,
+            "reference_power": p_ref,
+            "noise_generator": "numpy PCG64 via SeedSequence((seed, point_index, trial_index))",
+            "active_subset": list(sel.indices),
+            "trials": trials,
+        }
+        results.append(MonitoringResult(points=tuple(points), metadata=metadata))
+    return results

@@ -208,6 +208,28 @@ class TestSimulateMonitoring:
         assert run(tmp_path, "simulate-monitoring", "--n", 2) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, draws",
+    [
+        # 26 rows share the key (seed,), 50 trials and K = 3
+        (["simulate-estimation", "--n-min", 3, "--n-max", 15, "--trials", 50], 1),
+        # both designs share the keys (seed, point) of the three SNR points, 5 trials and n = 6
+        (["simulate-monitoring", "--n", 6, "--snr", "0,10,20", "--trials", 5], 3),
+    ],
+)
+def test_each_noise_table_drawn_once_per_command(tmp_path, monkeypatch, argv, draws):
+    calls = []
+    draw = sensedesign.simulate._trial_noise
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(sensedesign.simulate, "_trial_noise", counting)
+    assert run(tmp_path, *argv, "--output", tmp_path / "out.csv") == 0
+    assert len(calls) == draws, calls
+
+
 class TestWorstSubsetReexport:
     def test_consistency_with_cli_report(self):
         report = worst_subset(design_optimal(7))

@@ -291,6 +291,37 @@ class TestWorstCaseMse:
         assert len(calls) == 1
         assert result.expected_mse == expected_worst_case_mse(design_optimal(7), 3, 1.0)
 
+    def test_batched_recovery_matches_per_row(self):
+        # the sweep's one-product-a-row recovery gives each row the bits of least_squares_estimate alone
+        sim = sensedesign.simulate
+        checked = 0
+        for n, k in ((n, k) for n in range(3, 16) for k in range(2, min(n, 5) + 1)):
+            for angles in (design_optimal(n), baseline_semicircle(n)):
+                sel = worst_subset(angles, k).worst_subset
+                try:
+                    recover, _ = sim._recovery(angles, sel)
+                except SingularSubsetError:
+                    continue
+                clean = [9.0 * (math.cos(angles.angles[i]) + math.sin(angles.angles[i])) for i in sel.indices]
+                readings = clean + sim._trial_noise((n, k), 200, k)
+                want = np.array([least_squares_estimate(angles, sel, y) for y in readings])
+                assert sim._estimates(recover, readings).tobytes() == want.tobytes(), (n, k, angles.raw)
+                checked += 1
+        assert checked == 87  # of 98: design_optimal's worst pair is singular for every n >= 4 but 5
+
+    def test_sweep_matches_single_scenarios(self):
+        # neighbours that differ only in seed, trials or K must not share a noise table
+        cases = itertools.product((1, 2), (30, 50), (2, 3, 4), (0.5, 1.5))
+        designs = (design_optimal(5), baseline_semicircle(6))
+        scenarios = [
+            EstimationScenario(angles=designs[i % 2], k=k, noise_std=s, trials=t, seed=seed)
+            for i, (seed, t, k, s) in enumerate(cases)
+        ]
+        results = sensedesign.simulate._estimation_sweep(scenarios)
+        assert len(results) == len(scenarios) == 24
+        for scenario, result in zip(scenarios, results):
+            assert result == simulate_worst_case_mse(scenario), scenario
+
     def test_singular_worst_subset_raises(self):
         with pytest.raises(SingularSubsetError):
             simulate_worst_case_mse(
@@ -687,6 +718,19 @@ class TestMonitoring:
         assert point.mse > 0
         assert point.mse_db == pytest.approx(10 * math.log10(point.mse), abs=1e-12)
         assert len(point.worst_subset) == 3
+
+    def test_sweep_matches_single_scenarios(self):
+        # designs that differ in seed or n must not share a noise table; the two n = 6 seed-4 designs do
+        scenarios = [
+            ring_scenario(n=6, amplitude=3.0, seed=4),
+            ring_scenario(n=6, amplitude=3.0, seed=5),
+            ring_scenario(n=7, amplitude=3.0, seed=4),
+            RssScenario(sensor_positions=ring_positions(baseline_semicircle(6)), amplitude=3.0, seed=4),
+        ]
+        results = sensedesign.simulate._monitoring_sweep(scenarios, [5.0, 15.0], 6)
+        assert len(results) == len(scenarios)
+        for scenario, result in zip(scenarios, results):
+            assert result == simulate_monitoring(scenario, [5.0, 15.0], trials=6), scenario
 
     def test_sweep_work_memory_is_bounded(self):
         # the start grid has 7,839 nodes: scoring all 2,800 rows at once would take 176 MB
