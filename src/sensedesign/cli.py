@@ -7,8 +7,8 @@ records the command, the seed, the tool version, a UTC timestamp and a
 Data files contain no timestamp, so a re-run with the same arguments
 reproduces them byte for byte; the sidecar is the only thing that differs.
 
-Exit codes: 0 success, 2 usage error (printed as ``error: ...``), 3 input
-parse error, 4 resource limit exceeded.
+Exit codes: 0 success, 2 usage error or unwritable output (printed as
+``error: ...``), 3 input parse error, 4 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import io
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -43,12 +43,11 @@ class InputParseError(Exception):
 
 
 def fmt_cell(value) -> str:
-    """CSV cell rendering; floats keep full round-trip precision."""
+    """CSV cell rendering; floats keep full round-trip precision, infinities read as in JSON."""
+    value = sanitize_json(value)
     if isinstance(value, float):
-        if math.isinf(value):
-            return "+inf" if value > 0 else "-inf"
         return repr(value)
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, list):
         return ";".join(str(v) for v in value)
     return str(value)
 
@@ -66,17 +65,25 @@ def sanitize_json(value):
 
 
 def write_atomic(path: str, data: str) -> None:
+    """Write ``data`` to a new temporary file beside ``path``, then rename it over ``path``.
+
+    The file is created with mode 0o666, so it ends up with the permissions
+    the umask allows, like any new file.  A path that cannot be written
+    raises ValueError and leaves no temporary file behind.
+    """
     parent = os.path.dirname(path) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(parent, f".tmp-{secrets.token_hex(8)}-{os.path.basename(path)}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        os.makedirs(parent, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_manifest(output_path: str, command: str, config: dict, seed: int | None) -> None:
@@ -90,10 +97,11 @@ def write_manifest(output_path: str, command: str, config: dict, seed: int | Non
     write_atomic(output_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def emit(args, name: str, header, rows, doc, seed: int | None = None, **extra_config) -> str:
+def emit(args, name: str, header, rows, doc=None, seed: int | None = None, **extra_config) -> str:
     """Write a command's data file and its manifest; returns the path written.
 
-    CSV renders ``header`` and ``rows``, JSON renders ``doc``.  The path is
+    CSV renders ``header`` and ``rows``, JSON renders ``doc``: by default the
+    command, ``extra_config`` and the rows as header-keyed objects.  The path is
     ``--output`` or ``<name>.<format>`` under $SENSEDESIGN_OUTPUT_DIR.  The
     manifest config is every parsed option, the resolved ``output`` and
     ``extra_config``.
@@ -105,6 +113,8 @@ def emit(args, name: str, header, rows, doc, seed: int | None = None, **extra_co
         writer.writerows([fmt_cell(v) for v in row] for row in rows)
         payload = buf.getvalue()
     else:
+        if doc is None:
+            doc = {"command": args.subcommand, **extra_config, "rows": [dict(zip(header, r)) for r in rows]}
         payload = json.dumps(sanitize_json(doc), indent=2, allow_nan=False) + "\n"
     path = args.output or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), f"{name}.{args.format}")
     write_atomic(path, payload)
@@ -113,15 +123,10 @@ def emit(args, name: str, header, rows, doc, seed: int | None = None, **extra_co
     return path
 
 
-def _table_doc(args, header, rows, **extra) -> dict:
-    """JSON document of a row table: the command, any ``extra`` keys, then the rows."""
-    return {"command": args.subcommand, **extra, "rows": [dict(zip(header, r)) for r in rows]}
-
-
 def read_angle_file(path: str) -> AngleSet:
     """Angle list from a CSV file with an ``angle_rad`` column."""
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise InputParseError(path, 0, f"cannot open file: {exc}") from exc
     with fh:
@@ -260,7 +265,7 @@ def cmd_verify(args) -> int:
             row += ["", ""]
         rows.append(row)
         print(f"n={n}: optimal objective {optimal:.6f}")
-    path = emit(args, f"verify_n{args.n_min}-{args.n_max}", header, rows, _table_doc(args, header, rows))
+    path = emit(args, f"verify_n{args.n_min}-{args.n_max}", header, rows)
     print(f"wrote {path}")
     return 0
 
@@ -284,8 +289,7 @@ def cmd_simulate_estimation(args) -> int:
         [n, label, r.report.worst_subset.indices, r.mse, r.std_error, r.expected_mse]
         for (n, label), r in zip(cases, _estimation_sweep(scenarios))
     ]
-    doc = _table_doc(args, header, rows)
-    path = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows, doc, seed=args.seed)
+    path = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows, seed=args.seed)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -307,7 +311,7 @@ def cmd_simulate_monitoring(args) -> int:
         )
         for label in labels
     ]
-    results = _monitoring_sweep(scenarios, args.snr, args.trials)
+    results = _monitoring_sweep(scenarios, args.snr)
     metadata = {label: result.metadata for label, result in zip(labels, results)}
     rows = [
         [pt.snr_db, label, pt.noise_std, pt.mse, pt.std_error, pt.mse_db, pt.worst_subset]
@@ -315,8 +319,7 @@ def cmd_simulate_monitoring(args) -> int:
         for pt in result.points
     ]
     rows.sort(key=lambda r: (r[0], r[1]))
-    doc = _table_doc(args, header, rows, metadata=metadata)
-    path = emit(args, f"monitoring_n{args.n}", header, rows, doc, seed=args.seed, metadata=metadata)
+    path = emit(args, f"monitoring_n{args.n}", header, rows, seed=args.seed, metadata=metadata)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

@@ -14,11 +14,11 @@ PCG64 stream, seeded by the sweep's key (the seed, plus the SNR point for
 monitoring) and the trial index, so runs are reproducible and neither
 trial order nor trial count changes the draws of a trial.  The private
 sweeps ``_estimation_sweep`` and ``_monitoring_sweep`` take every design of
-one command and draw each table once: a table is fixed by its key, the
-trial count and its row width (K, or n for monitoring), and every design
-and row with the same three shares it.  The tables live only for the
-sweep call; ``simulate_worst_case_mse`` and ``simulate_monitoring`` are
-sweeps of one design.
+one command and draw each distinct table once, up front: a table is fixed
+by its key, the scenario's trial count and its row width (K, or n for
+monitoring), and every design and row with the same three shares it.  The
+tables live only for the sweep call; ``simulate_worst_case_mse`` and
+``simulate_monitoring`` are sweeps of one design.
 
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which takes all readings of a design at once, one trial per
@@ -94,13 +94,6 @@ class EstimationScenario:
 def _trial_noise(key: tuple[int, ...], trials: int, size: int) -> np.ndarray:
     """Standard normal (trials, size) table; row t comes from stream SeedSequence((*key, t))."""
     return np.array([default_rng(SeedSequence((*key, t))).standard_normal(size) for t in range(trials)])
-
-
-def _shared_noise(tables: dict, key: tuple[int, ...], trials: int, size: int) -> np.ndarray:
-    """``_trial_noise(key, trials, size)``, drawn on its first use in a sweep and kept in its ``tables``."""
-    if (key, trials, size) not in tables:
-        tables[key, trials, size] = _trial_noise(key, trials, size)
-    return tables[key, trials, size]
 
 
 def _recovery(angles: AngleSet, sel: SubsetSelection) -> tuple[np.ndarray, float]:
@@ -186,7 +179,7 @@ def _estimation_sweep(scenarios: Sequence[EstimationScenario]) -> list[Estimatio
     A table depends only on its ``_trial_noise`` key (seed,), the trial
     count and the row width K, so scenarios that share all three share it.
     """
-    tables: dict = {}
+    tables = {key: _trial_noise(*key) for key in {((s.seed,), s.trials, s.k) for s in scenarios}}
     results = []
     for scenario in scenarios:
         report = worst_subset(scenario.angles, scenario.k)
@@ -194,7 +187,7 @@ def _estimation_sweep(scenarios: Sequence[EstimationScenario]) -> list[Estimatio
         recover, _ = _recovery(scenario.angles, sel)
         x = np.asarray(scenario.signal, dtype=float)
         clean = angles_to_matrix(scenario.angles)[:, list(sel.indices)].T @ x
-        noise = _shared_noise(tables, (scenario.seed,), scenario.trials, sel.k)
+        noise = tables[(scenario.seed,), scenario.trials, scenario.k]
         x_hat = _estimates(recover, clean + scenario.noise_std * noise)
         mse, se = _mean_and_se(np.sum((x_hat - x) ** 2, axis=1))
         results.append(
@@ -640,12 +633,8 @@ class MonitoringResult:
     metadata: dict
 
 
-def simulate_monitoring(
-    scenario: RssScenario,
-    snr_grid_db: Sequence[float],
-    trials: int | None = None,
-) -> MonitoringResult:
-    """Localization MSE versus SNR with the worst FIM triple active.
+def simulate_monitoring(scenario: RssScenario, snr_grid_db: Sequence[float]) -> MonitoringResult:
+    """Localization MSE versus SNR with the worst FIM triple active, over ``scenario.trials`` trials.
 
     The noise level for each point is set from SNR = 10 log10(P_s / sigma^2)
     where P_s is the mean squared noiseless log-RSS over the ring.  When the
@@ -653,28 +642,28 @@ def simulate_monitoring(
     distance), P_s degenerates; the reference power falls back to 1 and the
     metadata says so.
     """
-    return _monitoring_sweep([scenario], snr_grid_db, scenario.trials if trials is None else trials)[0]
+    return _monitoring_sweep([scenario], snr_grid_db)[0]
 
 
 def _monitoring_sweep(
-    scenarios: Sequence[RssScenario], snr_grid_db: Sequence[float], trials: int
+    scenarios: Sequence[RssScenario], snr_grid_db: Sequence[float]
 ) -> list[MonitoringResult]:
-    """``simulate_monitoring`` of every scenario at ``trials`` trials, drawing each noise table once.
+    """``simulate_monitoring`` of every scenario, drawing each noise table once.
 
     The table of SNR point pi depends only on its ``_trial_noise`` key
-    (seed, pi), the trial count and the sensor count n, so scenarios that
-    share all three share it.
+    (seed, pi), the scenario's trial count and its sensor count n, so
+    scenarios that share all three share it.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     snrs = [float(s) for s in snr_grid_db]
     if not snrs:
         raise ValueError("snr_grid_db must be nonempty")
     if not all(map(math.isfinite, snrs)):
         raise ValueError(f"SNR values must be finite, got {snrs}")
-    tables: dict = {}
+    keys = {((s.seed, pi), s.trials, s.n) for s in scenarios for pi in range(len(snrs))}
+    tables = {key: _trial_noise(*key) for key in keys}
     results = []
     for scenario in scenarios:
+        trials = scenario.trials
         clean = _rss_mean(scenario)
         signal_power = float(np.mean(clean**2))
         if signal_power > 1e-30:
@@ -696,10 +685,7 @@ def _monitoring_sweep(
         z = np.asarray(scenario.source, dtype=float)
         # every point's trials in one batch; row pi * trials + t is trial t of point pi
         readings = np.concatenate(
-            [
-                clean + s * _shared_noise(tables, (scenario.seed, pi), trials, scenario.n)
-                for pi, s in enumerate(sigmas)
-            ]
+            [clean + s * tables[(scenario.seed, pi), trials, scenario.n] for pi, s in enumerate(sigmas)]
         )
         est = _locate(table, readings[:, active])[0]
         sq = (est[:, 0] - z[0]) ** 2 + (est[:, 1] - z[1]) ** 2

@@ -173,7 +173,7 @@ def test_criterion_7_monitoring_mse_ordering_over_snr():
             trials=500,
             seed=31,
         )
-        curves[label] = simulate_monitoring(scenario, snr_points, trials=500).points
+        curves[label] = simulate_monitoring(scenario, snr_points).points
     for p_opt, p_semi in zip(curves["optimal"], curves["semicircle"]):
         band = 3 * math.hypot(p_opt.std_error, p_semi.std_error)
         assert p_opt.mse <= p_semi.mse + band, (

@@ -60,6 +60,27 @@ class TestDesign:
         assert run(tmp_path, "design", "--n", 5) == 0
         assert (tmp_path / "design_n5_optimal_auto.csv").exists()
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "d.csv"
+        previous = os.umask(umask)
+        try:
+            assert run(tmp_path, "design", "--n", 4, "--output", out) == 0
+        finally:
+            os.umask(previous)
+        for path in (out, tmp_path / "d.csv.manifest.json"):
+            assert path.stat().st_mode & 0o777 == mode, path
+
+    @pytest.mark.parametrize("target", ["under_a_file", "a_directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / "file" / "x.csv" if target == "under_a_file" else tmp_path / "dir"
+        assert run(tmp_path, "design", "--n", 4, "--output", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
 
 class TestEvaluate:
     def test_round_trip_matches_in_process(self, tmp_path):
@@ -96,6 +117,19 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "line 3" in err
         assert "banana" in err
+
+    def test_byte_order_mark_is_read(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading BOM
+        docs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            src = tmp_path / f"{name}.csv"
+            src.write_bytes(prefix + b"angle_rad\n0.2\n0.4\n0.9\n1.7\n")
+            out = tmp_path / f"{name}.json"
+            assert run(tmp_path, "evaluate", "--angles-file", src, "--output", out) == 0
+            doc = json.loads(out.read_text())
+            assert doc.pop("input") == str(src)
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
     def test_missing_column_exits_3(self, tmp_path, capsys):
         src = tmp_path / "angles.csv"

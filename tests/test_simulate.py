@@ -371,7 +371,7 @@ class TestRssModel:
 
     def test_sweep_rejects_non_finite_snr(self):
         with pytest.raises(ValueError, match="must be finite"):
-            simulate_monitoring(ring_scenario(n=6), [10.0, math.nan], trials=2)
+            simulate_monitoring(ring_scenario(n=6, trials=2), [10.0, math.nan])
 
     # -4000 dB overflows 10 ** (-snr / 10); at -3080 dB the power is finite but P_ref * power is not
     @pytest.mark.parametrize("snr", [-4000.0, -3080.0])
@@ -381,7 +381,7 @@ class TestRssModel:
 
         monkeypatch.setattr(sensedesign.simulate, "_locate", no_solve)
         with pytest.raises(ValueError, match="must be finite"):
-            simulate_monitoring(ring_scenario(n=6, amplitude=10.0), [10.0, snr], trials=2)
+            simulate_monitoring(ring_scenario(n=6, amplitude=10.0, trials=2), [10.0, snr])
 
     def test_ring_positions_use_raw_angles(self):
         d = design_optimal(10)
@@ -682,27 +682,27 @@ class TestMlLocate:
 class TestMonitoring:
     def test_metadata_unit_fallback(self):
         scn = ring_scenario(n=6, trials=4, seed=1)  # amplitude 1 at distance 1
-        result = simulate_monitoring(scn, [10.0, 20.0], trials=4)
+        result = simulate_monitoring(scn, [10.0, 20.0])
         assert result.metadata["snr_reference"] == "unit_log_power"
         assert result.metadata["reference_power"] == 1.0
         assert result.points[0].noise_std == pytest.approx(10 ** (-0.5), abs=1e-12)
 
     def test_metadata_signal_power(self):
         scn = ring_scenario(n=6, amplitude=10.0, trials=4, seed=1)
-        result = simulate_monitoring(scn, [10.0], trials=4)
+        result = simulate_monitoring(scn, [10.0])
         assert result.metadata["snr_reference"] == "mean_squared_noiseless_log_rss"
         assert result.metadata["reference_power"] == pytest.approx(math.log(10.0) ** 2, abs=1e-12)
 
     def test_deterministic(self):
         scn = ring_scenario(n=6, trials=5, seed=9)
-        a = simulate_monitoring(scn, [15.0], trials=5)
-        b = simulate_monitoring(scn, [15.0], trials=5)
+        a = simulate_monitoring(scn, [15.0])
+        b = simulate_monitoring(scn, [15.0])
         assert a.points[0].mse == b.points[0].mse
 
     def test_point_rebuilt_from_trial_streams(self):
         # trial t of point p draws its readings from SeedSequence((seed, p, t)) alone
-        scn = ring_scenario(n=6, amplitude=3.0, seed=4)
-        point = simulate_monitoring(scn, [5.0, 15.0], trials=3).points[1]
+        scn = ring_scenario(n=6, amplitude=3.0, trials=3, seed=4)
+        point = simulate_monitoring(scn, [5.0, 15.0]).points[1]
         noisy = replace(scn, shadow_std=point.noise_std)
         sq = []
         for t in range(3):
@@ -713,31 +713,42 @@ class TestMonitoring:
 
     def test_point_fields(self):
         scn = ring_scenario(n=6, trials=5, seed=9)
-        point = simulate_monitoring(scn, [18.0], trials=5).points[0]
+        point = simulate_monitoring(scn, [18.0]).points[0]
         assert point.snr_db == 18.0
         assert point.mse > 0
         assert point.mse_db == pytest.approx(10 * math.log10(point.mse), abs=1e-12)
         assert len(point.worst_subset) == 3
 
-    def test_sweep_matches_single_scenarios(self):
-        # designs that differ in seed or n must not share a noise table; the two n = 6 seed-4 designs do
+    def test_sweep_matches_single_scenarios(self, monkeypatch):
+        # designs that differ in seed, n or trials must not share a noise table; the n = 6 seed-4 designs
+        # with 6 trials do
         scenarios = [
-            ring_scenario(n=6, amplitude=3.0, seed=4),
-            ring_scenario(n=6, amplitude=3.0, seed=5),
-            ring_scenario(n=7, amplitude=3.0, seed=4),
-            RssScenario(sensor_positions=ring_positions(baseline_semicircle(6)), amplitude=3.0, seed=4),
+            ring_scenario(n=6, amplitude=3.0, trials=6, seed=4),
+            ring_scenario(n=6, amplitude=3.0, trials=6, seed=5),
+            ring_scenario(n=7, amplitude=3.0, trials=6, seed=4),
+            RssScenario(
+                sensor_positions=ring_positions(baseline_semicircle(6)), amplitude=3.0, trials=6, seed=4
+            ),
+            ring_scenario(n=6, amplitude=3.0, trials=4, seed=4),
         ]
-        results = sensedesign.simulate._monitoring_sweep(scenarios, [5.0, 15.0], 6)
+        calls = []
+        draw = sensedesign.simulate._trial_noise
+        monkeypatch.setattr(sensedesign.simulate, "_trial_noise", lambda *a: calls.append(a) or draw(*a))
+        results = sensedesign.simulate._monitoring_sweep(scenarios, [5.0, 15.0])
+        assert len(calls) == 2 * 4, calls  # four distinct (seed, trials, n) of the five designs
+        monkeypatch.undo()
         assert len(results) == len(scenarios)
         for scenario, result in zip(scenarios, results):
-            assert result == simulate_monitoring(scenario, [5.0, 15.0], trials=6), scenario
+            assert result == simulate_monitoring(scenario, [5.0, 15.0]), scenario
 
     def test_sweep_work_memory_is_bounded(self):
         # the start grid has 7,839 nodes: scoring all 2,800 rows at once would take 176 MB
-        scn = RssScenario(sensor_positions=ring_positions(baseline_semicircle(10)), sensor_radius=1.0)
+        scn = RssScenario(
+            sensor_positions=ring_positions(baseline_semicircle(10)), sensor_radius=1.0, trials=400
+        )
         tracemalloc.start()
         try:
-            simulate_monitoring(scn, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], trials=400)
+            simulate_monitoring(scn, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
