@@ -27,7 +27,7 @@ from typing import Sequence
 from . import __version__
 from .core import AngleSet
 from .designs import SCHEME_ALIASES, SCHEMES, build_design
-from .search import MinimaxSearchConfig, ResourceLimitError, minimax_grid_search, worst_subset
+from .search import MinimaxSearchConfig, ResourceLimitError, _check_budget, minimax_grid_search, worst_subset
 from .simulate import EstimationScenario, RssScenario, _estimation_sweep, _monitoring_sweep, ring_positions
 
 OUTPUT_DIR_ENV = "SENSEDESIGN_OUTPUT_DIR"
@@ -245,6 +245,17 @@ def cmd_verify(args) -> int:
     for scheme in schemes:
         header += [f"{scheme}_objective", f"{scheme}_gram_condition"]
     header += ["grid_objective", "grid_minus_optimal"]
+    configs = {
+        n: MinimaxSearchConfig(
+            n=n,
+            k=args.k,
+            grid_points_per_angle=args.grid_points,
+            refine_iterations=args.refine_iterations,
+        )
+        for n in range(args.n_min, min(args.n_max, args.grid_max_n) + 1)
+    }
+    for config in configs.values():  # refuse an over-budget n before any search runs
+        _check_budget(config)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         reports = [worst_subset(build_design(n, scheme), args.k) for scheme in schemes]
@@ -252,14 +263,8 @@ def cmd_verify(args) -> int:
         for report in reports:
             row += [report.objective, report.summary.gram_condition]
         optimal = reports[0].objective
-        if n <= args.grid_max_n:
-            config = MinimaxSearchConfig(
-                n=n,
-                k=args.k,
-                grid_points_per_angle=args.grid_points,
-                refine_iterations=args.refine_iterations,
-            )
-            _, grid_report = minimax_grid_search(config)
+        if n in configs:
+            _, grid_report = minimax_grid_search(configs[n])
             row += [grid_report.objective, grid_report.objective - optimal]
         else:
             row += ["", ""]

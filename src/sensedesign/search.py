@@ -29,14 +29,28 @@ objective is invariant under a common rotation and under relabeling, so the
 first angle is pinned at 0 and the remaining n-1 angles are enumerated as
 non-decreasing tuples on a uniform grid over [0, pi).  The non-decreasing
 restriction is lossless and cuts the grid by about (n-1)!, which is what
-makes n = 5 at the default density feasible.  The last two angles are
-evaluated as one vectorized block per outer tuple, over the n windows of
+makes n = 5 at the default density feasible.  The last two angles u <= v
+are evaluated as one vectorized block per outer tuple, over the n windows of
 each sorted configuration rather than all C(n, K) of its subsets.  Each
 window is scored from resultants, like the scan: ``_pair_sum`` of its fixed
 members' resultant r, plus Re(conj(r) P) for each free angle's phasor P it
-holds, plus the u-v term when it holds both.  The coarse pick follows the
-same tie rule: the first configuration in enumeration order whose worst S
-is within TIE_TOL of the minimum (``_tie_floor``).
+holds, plus the u-v term when it holds both.
+
+The windows holding both u and v make a block's u-v table, and they read
+few fixed positions (at K = 3 only the pinned 0 and the last fixed angle),
+so the blocks that agree there and in the last fixed angle, where u and v
+start, share one table.  Each such group builds its
+table once and scores its blocks in chunks of about _CHUNK_ELEMENTS values:
+the worst S at (u, v) is the largest of the table entry, the block's u row
+(its u-only and constant windows) and its v column (its v-only window).
+Max and min only select, so the minimum over u first, then v, is the same
+number.  Rows and columns stay one Python complex resultant per block times
+the phasor array: a group-wide array-by-array complex product rounds
+differently and would move the minima by bits.  When every fixed position
+is shared (K = 4 at n = 5), each group holds one block.  The minima go
+back into enumeration order, and the coarse pick follows the same tie rule:
+the first configuration in enumeration order whose worst S is within
+TIE_TOL of the minimum (``_tie_floor``).
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,6 +74,8 @@ LINE_TOL = 1e-12
 TIE_TOL = 1e-12
 # local refinement halves its step after a sweep without improvement
 REFINE_SHRINK = 0.5
+# the grid search scores a group's blocks in chunks of about this many values
+_CHUNK_ELEMENTS = 1 << 16
 EPS = sys.float_info.epsilon
 
 
@@ -182,27 +198,31 @@ def grid_evaluations(config: MinimaxSearchConfig) -> int:
     return math.comb(g + config.n - 2, config.n - 1)
 
 
-def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCaseReport]:
-    """Exhaustive minimax over the gauge-fixed, sorted angle grid.
-
-    Returns the refined configuration and its worst-subset report.  The
-    coarse configuration is the first in enumeration order (lexicographic
-    over sorted tuples, row-major within each block) whose worst S lies
-    within TIE_TOL of the minimum, so ties do not hinge on rounding.
-    """
-    n, k, g = config.n, config.k, config.grid_points_per_angle
+def _check_budget(config: MinimaxSearchConfig) -> None:
+    """Raise ResourceLimitError when the grid search of ``config`` exceeds EVALUATION_GUARD."""
     total = grid_evaluations(config)
     if total > EVALUATION_GUARD:
         raise ResourceLimitError(
-            f"grid search for n={n} at {g} points/angle needs {total} "
-            f"evaluations (budget {EVALUATION_GUARD}); lower the density or n"
+            f"grid search for n={config.n} at {config.grid_points_per_angle} points/angle "
+            f"needs {total} evaluations (budget {EVALUATION_GUARD}); lower the density or n"
         )
 
-    grid = np.arange(g) * (math.pi / g)
-    phasor = np.exp(2j * grid)
+
+def _window_blocks(n: int, k: int, g: int):
+    """(key positions, scorer) of the grid search's blocks; see the module notes.
+
+    A block is every (*fixed, u, v) with fixed = (0, *outer) and grid points
+    fixed[-1] <= u, v < g.  Blocks whose fixed tuples agree at the key
+    positions share one u-v table.  ``score(group)`` takes the fixed tuples
+    of one such group and yields, for chunks of at most about _CHUNK_ELEMENTS
+    values, their v columns (blocks, v) and the table under their u rows
+    (blocks, u, v): a block's worst window S at (u, v) is the larger of the
+    two, +inf where v < u.  Each chunk reuses the previous one's memory.
+    """
+    phasor = np.exp(2j * (np.arange(g) * (math.pi / g)))
     ph = phasor.tolist()
     # u-v term Re(P_u conj P_v) of every free pair, +inf below the diagonal (v < u)
-    cross = (phasor[:, None] * phasor.conj()).real
+    cross = (phasor[:, None] * phasor.conj()).real.copy()  # contiguous, the product freed
     cross[np.tril_indices(g, -1)] = math.inf
 
     # Sorted, the n-2 fixed angles (pinned 0, then the outer tuple) come first
@@ -212,38 +232,100 @@ def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCas
     m = n - 2
     windows = sorted({tuple(sorted((p + j) % n for j in range(k))) for p in range(n)})
     split = [([q for q in w if q < m], m in w, m + 1 in w) for w in windows]
+    pair = [own for own, has_u, has_v in split if has_u and has_v]
+    # the other windows by fixed members, and whether they hold u or v: at
+    # K = n-1 the u-only and the v-only window hold the same ones
+    side = {}
+    for own, has_u, has_v in split:
+        if not (has_u and has_v):
+            held_u, held_v = side.get(tuple(own), (False, False))
+            side[tuple(own)] = (held_u or has_u, held_v or has_v)
+    keys = sorted({m - 1, *(q for own in pair for q in own)})
 
-    def block(fixed: tuple[int, ...]) -> np.ndarray:
-        """Worst window S of (*fixed, u, v) for grid points fixed[-1] <= u <= v; +inf where v < u."""
+    def uv_table(fixed: list) -> np.ndarray:
+        """Largest S of the windows holding both u and v, for fixed[-1] <= u, v < g; +inf where v < u."""
         r0 = fixed[-1]
         free = phasor[r0:]
-        both, rows, cols = -math.inf, np.full(g - r0, -math.inf), np.full(g - r0, -math.inf)
-        for own, has_u, has_v in split:
+        table = None
+        for own in pair:
             r = sum(ph[fixed[q]] for q in own)
-            s = _pair_sum(len(own), r)
-            if not (has_u or has_v):  # a constant; folding it into the u rows is exact
-                np.maximum(rows, s, out=rows)
-                continue
             a = (r.conjugate() * free).real  # Re(conj(r) P) for each free angle P
-            if has_u and has_v:
-                both = np.maximum(both, (s + a)[:, None] + a)
-            else:
-                side = rows if has_u else cols
-                np.maximum(side, s + a, out=side)
-        out = both + cross[r0:, r0:]
-        np.maximum(out, rows[:, None], out=out)
-        return np.maximum(out, cols, out=out)
+            both = (_pair_sum(len(own), r) + a)[:, None] + a
+            table = both if table is None else np.maximum(table, both, out=table)
+        table += cross[r0:, r0:]
+        return table
 
-    def fixed_tuples():
-        return ((0, *outer) for outer in itertools.combinations_with_replacement(range(g), n - 3))
+    def score(group: list) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        table = uv_table(group[0])
+        r0 = group[0][-1]
+        free = phasor[r0:]
+        # the u rows and v columns of each block, from scalar resultants
+        rows, cols = np.full((2, len(group), g - r0), -math.inf)
+        for fixed, row, col in zip(group, rows, cols):
+            for own, (has_u, has_v) in side.items():
+                r = sum(ph[fixed[q]] for q in own)
+                s = _pair_sum(len(own), r)
+                if not (has_u or has_v):  # a constant; folding it into the u rows is exact
+                    np.maximum(row, s, out=row)
+                    continue
+                line = s + (r.conjugate() * free).real
+                if has_u:
+                    np.maximum(row, line, out=row)
+                if has_v:
+                    np.maximum(col, line, out=col)
+        step = max(1, _CHUNK_ELEMENTS // table.size)
+        out = np.empty((min(step, len(group)), *table.shape))
+        for lo in range(0, len(group), step):
+            under = np.maximum(table, rows[lo : lo + step, :, None], out=out[: len(group) - lo])
+            yield cols[lo : lo + step], under
+
+    return keys, score
+
+
+def _grid_minima(n: int, k: int, g: int) -> np.ndarray:
+    """Smallest worst-window S of every block, in enumeration order of its fixed tuple."""
+    keys, score = _window_blocks(n, k, g)
+    count = math.comb(g + n - 4, n - 3)
+    fixed = np.zeros((count, n - 2), dtype=np.intp)
+    outer = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), n - 3))
+    fixed[:, 1:] = np.fromiter(outer, np.intp, count * (n - 3)).reshape(count, -1)
+    # sorted by their values at the key positions, the blocks of each group (one
+    # u-v table) form a run; score the runs, then put the minima back in order
+    order = np.lexsort(fixed[:, keys].T)
+    fixed = fixed[order]
+    starts = np.flatnonzero((fixed[1:, keys] != fixed[:-1, keys]).any(axis=1)) + 1
+    bounds = [0, *starts.tolist(), count]
+    runs = np.empty(count)
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunks = score(fixed[lo:hi].tolist())
+        # min over u of the rows under the table, then the v columns, then min over v
+        runs[lo:hi] = np.concatenate([np.maximum(c, under.min(axis=1)).min(axis=1) for c, under in chunks])
+    minima = np.empty(count)
+    minima[order] = runs
+    return minima
+
+
+def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCaseReport]:
+    """Exhaustive minimax over the gauge-fixed, sorted angle grid.
+
+    Returns the refined configuration and its worst-subset report.  The
+    coarse configuration is the first in enumeration order (lexicographic
+    over sorted tuples, row-major within each block) whose worst S lies
+    within TIE_TOL of the minimum, so ties do not hinge on rounding.
+    """
+    n, k, g = config.n, config.k, config.grid_points_per_angle
+    _check_budget(config)
 
     # tie rule: the first block, in enumeration order, whose minimum is tied
     # with the smallest, then its first row-major entry at or below the ceiling
-    minima = np.fromiter((block(fixed).min() for fixed in fixed_tuples()), float)
-    fixed = next(itertools.islice(fixed_tuples(), _first_tied(-minima), None))
+    minima = _grid_minima(n, k, g)
+    outer = itertools.combinations_with_replacement(range(g), n - 3)
+    fixed = (0, *next(itertools.islice(outer, _first_tied(-minima), None)))
     ceiling = -_tie_floor(-float(minima.min()))
-    u, v = divmod(int(np.argmax(block(fixed) <= ceiling)), g - fixed[-1])
-    coarse = AngleSet(grid[[*fixed, fixed[-1] + u, fixed[-1] + v]])
+    _, score = _window_blocks(n, k, g)
+    cols, under = next(score([fixed]))
+    u, v = divmod(int(np.argmax(np.maximum(under[0], cols[0]) <= ceiling)), g - fixed[-1])
+    coarse = AngleSet(np.array([*fixed, fixed[-1] + u, fixed[-1] + v]) * (math.pi / g))
     refined = local_refine(
         coarse,
         k,

@@ -3,12 +3,17 @@
 The library evaluates every 2x2 spectrum through one resultant kernel.
 These oracles take the long way round (pairwise cosines, assembled
 matrices, trace and half-gap eigenvalues) so tests can compare the two.
+The grid search's per-block evaluator is kept here too, as the reference
+its grouped tables must match bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from sensedesign.core import _pair_sum
+from sensedesign.search import _first_tied, _tie_floor
 
 TIE_TOL = 1e-12
 RANK_TOL_SCALE = 1e-12
@@ -65,3 +70,59 @@ def worst_fim_direct(scenario, k) -> tuple[tuple[int, ...], float]:
     top = max(c for c, _ in scored)
     floor = top if math.isinf(top) else top - TIE_TOL * max(1.0, abs(top))
     return next((idx, c) for c, idx in scored if c >= floor)
+
+
+def grid_block_search(n, k, g):
+    """(per-block minima, coarse fixed-plus-free tuple) of the grid search, one block per outer tuple.
+
+    The reference evaluator: every outer tuple rebuilds its whole u-v table
+    from the windows that hold both free angles, then takes the row and
+    column windows.  ``sensedesign.search`` must reproduce its minima bit
+    for bit and its tie-rule pick.
+    """
+    grid = np.arange(g) * (math.pi / g)
+    phasor = np.exp(2j * grid)
+    ph = phasor.tolist()
+    # u-v term Re(P_u conj P_v) of every free pair, +inf below the diagonal (v < u)
+    cross = (phasor[:, None] * phasor.conj()).real
+    cross[np.tril_indices(g, -1)] = math.inf
+
+    # Sorted, the n-2 fixed angles (pinned 0, then the outer tuple) come first
+    # and the free pair u <= v last; by the arc argument the worst subset is one
+    # of the n circular windows.  Each window keeps its fixed positions and
+    # whether it holds u (position n-2) and v (position n-1).
+    m = n - 2
+    windows = sorted({tuple(sorted((p + j) % n for j in range(k))) for p in range(n)})
+    split = [([q for q in w if q < m], m in w, m + 1 in w) for w in windows]
+
+    def block(fixed: tuple[int, ...]) -> np.ndarray:
+        """Worst window S of (*fixed, u, v) for grid points fixed[-1] <= u <= v; +inf where v < u."""
+        r0 = fixed[-1]
+        free = phasor[r0:]
+        both, rows, cols = -math.inf, np.full(g - r0, -math.inf), np.full(g - r0, -math.inf)
+        for own, has_u, has_v in split:
+            r = sum(ph[fixed[q]] for q in own)
+            s = _pair_sum(len(own), r)
+            if not (has_u or has_v):  # a constant; folding it into the u rows is exact
+                np.maximum(rows, s, out=rows)
+                continue
+            a = (r.conjugate() * free).real  # Re(conj(r) P) for each free angle P
+            if has_u and has_v:
+                both = np.maximum(both, (s + a)[:, None] + a)
+            else:
+                side = rows if has_u else cols
+                np.maximum(side, s + a, out=side)
+        out = both + cross[r0:, r0:]
+        np.maximum(out, rows[:, None], out=out)
+        return np.maximum(out, cols, out=out)
+
+    def fixed_tuples():
+        return ((0, *outer) for outer in itertools.combinations_with_replacement(range(g), n - 3))
+
+    # tie rule: the first block, in enumeration order, whose minimum is tied
+    # with the smallest, then its first row-major entry at or below the ceiling
+    minima = np.fromiter((block(fixed).min() for fixed in fixed_tuples()), float)
+    fixed = next(itertools.islice(fixed_tuples(), _first_tied(-minima), None))
+    ceiling = -_tie_floor(-float(minima.min()))
+    u, v = divmod(int(np.argmax(block(fixed) <= ceiling)), g - fixed[-1])
+    return minima, (*fixed, fixed[-1] + u, fixed[-1] + v)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,18 @@ class TestVerify:
         )
         assert code == 4
         assert "resource limit" in capsys.readouterr().err
+
+    def test_resource_guard_checked_before_any_search(self, tmp_path, capsys):
+        # n = 3..5 would search for over a second before n = 6 trips the guard
+        out = tmp_path / "verify.csv"
+        start = time.perf_counter()
+        code = run(tmp_path, "verify", "--n-min", 3, "--n-max", 6, "--grid-max-n", 6, "--output", out)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "resource limit" in captured.err and "n=6" in captured.err
+        assert captured.out == ""
 
     def test_bad_range_exits_2(self, tmp_path):
         assert run(tmp_path, "verify", "--n-min", 5, "--n-max", 4) == 2

@@ -2,10 +2,11 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import TIE_TOL, pair_cosine_sum_loop
+from oracles import TIE_TOL, grid_block_search, pair_cosine_sum_loop
 
 from sensedesign import (
     AngleSet,
@@ -23,6 +24,7 @@ from sensedesign import (
     worst_subset,
 )
 from sensedesign.cli import main
+from sensedesign.search import _grid_minima, _window_blocks
 
 
 def brute_worst(angles: AngleSet, k: int):
@@ -183,6 +185,51 @@ class TestGridSearch:
         # tie rule: the first tuple in enumeration order within TIE_TOL of the minimum
         first = next(t for t, w in zip(tuples, worst) if w <= best + 1e-12 * max(1.0, abs(best)))
         assert angles.angles == pytest.approx([grid[t] for t in (0, *first)], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "n, k, g",
+        [(3, 3, 180), (4, 3, 180), (5, 3, 60), (5, 2, 60), (5, 4, 60), (5, 5, 20), (4, 4, 30), (6, 3, 40),
+         (6, 4, 30), (5, 3, 7)],
+    )
+    def test_grouped_tables_match_per_block_oracle(self, n, k, g):
+        # one u-v table per group must give the per-block evaluator's minima bit for bit
+        minima, pick = grid_block_search(n, k, g)
+        assert np.array_equal(_grid_minima(n, k, g), minima)
+        config = MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g, refine_iterations=0)
+        angles, _ = minimax_grid_search(config)
+        grid = np.arange(g) * (math.pi / g)
+        assert angles.angles == AngleSet(grid[list(pick)]).angles
+
+    def test_tie_across_groups_goes_to_first_in_enumeration_order(self):
+        # At n=6, K=4, g=11 the tied blocks fall in several groups, and the one
+        # with the smallest last fixed angle, whose group is scored first, is
+        # not the first tied block in enumeration order.
+        n, k, g = 6, 4, 11
+        config = MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g, refine_iterations=0)
+        angles, report = minimax_grid_search(config)
+        grid = [i * math.pi / g for i in range(g)]
+        tuples = list(itertools.combinations_with_replacement(range(g), n - 1))
+        worst = [brute_worst(AngleSet([0.0] + [grid[t] for t in tup]), k)[0] for tup in tuples]
+        best = min(worst)
+        ceiling = best + TIE_TOL * max(1.0, abs(best))
+        tied_blocks = list(dict.fromkeys((0, *t[: n - 3]) for t, w in zip(tuples, worst) if w <= ceiling))
+        keys, _ = _window_blocks(n, k, g)
+        assert len({tuple(block[q] for q in keys) for block in tied_blocks}) >= 2
+        assert min(tied_blocks, key=lambda block: block[-1]) != tied_blocks[0]
+        # the pick is still the first tied configuration in enumeration order
+        assert report.objective == pytest.approx(best, abs=1e-12)
+        first = next(t for t, w in zip(tuples, worst) if w <= ceiling)
+        assert angles.angles == pytest.approx([grid[t] for t in (0, *first)], abs=1e-15)
+
+    def test_grid_search_memory_is_bounded(self):
+        # blocks grouped through one sorted index array, then one table and chunk at a time
+        tracemalloc.start()
+        try:
+            minimax_grid_search(MinimaxSearchConfig(n=5, refine_iterations=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
 
     def test_gauge_fixing_lossless(self):
         angles, report = minimax_grid_search(MinimaxSearchConfig(n=4, grid_points_per_angle=30))
