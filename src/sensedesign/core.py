@@ -119,7 +119,13 @@ def _resultant(
 
 
 def _pair_sum(k, resultant):
-    """S = sum over pairs of cos 2(t_l - t_j) of K unit columns, (|R|^2 - K) / 2."""
+    """S = sum over pairs of cos 2(t_l - t_j) of K unit columns, (|R|^2 - K) / 2.
+
+    Takes a scalar R and rounds through Python's ``abs`` (libm ``hypot``) and
+    then ``** 2`` (libm ``pow``); ``np.abs`` and ``x * x`` round differently.
+    A caller holding an array of resultants calls it once per scalar, so that
+    every caller gets the same bits.
+    """
     return 0.5 * (abs(resultant) ** 2 - k)
 
 

@@ -44,11 +44,16 @@ table once and scores its blocks in chunks of about _CHUNK_ELEMENTS values:
 the worst S at (u, v) is the largest of the table entry, the block's u row
 (its u-only and constant windows) and its v column (its v-only window).
 Max and min only select, so the minimum over u first, then v, is the same
-number.  Rows and columns stay one Python complex resultant per block times
-the phasor array: a group-wide array-by-array complex product rounds
-differently and would move the minima by bits.  When every fixed position
-is shared (K = 4 at n = 5), each group holds one block.  The minima go
-back into enumeration order, and the coarse pick follows the same tie rule:
+number.  The rows and columns of a whole group are built in one pass per
+window that holds u or v but not both: the block resultants are summed from
+the gathered member phasors one member at a time, in window order (Python's
+``sum`` order), and Re(conj(r) P) is one (blocks, 1) by (free,) complex
+product, which gives the same bits as a scalar resultant times the phasor
+array.  S stays one ``_pair_sum`` call per block: it rounds through Python's
+``abs`` (libm ``hypot``) and ``** 2`` (libm ``pow``), while ``np.abs`` and
+``x * x`` round differently and move the minima by bits.  When every fixed
+position is shared (K = 4 at n = 5), each group holds one block.  The minima
+go back into enumeration order, and the coarse pick follows the same tie rule:
 the first configuration in enumeration order whose worst S is within
 TIE_TOL of the minimum (``_tie_floor``).
 """
@@ -214,10 +219,11 @@ def _window_blocks(n: int, k: int, g: int):
     A block is every (*fixed, u, v) with fixed = (0, *outer) and grid points
     fixed[-1] <= u, v < g.  Blocks whose fixed tuples agree at the key
     positions share one u-v table.  ``score(group)`` takes the fixed tuples
-    of one such group and yields, for chunks of at most about _CHUNK_ELEMENTS
-    values, their v columns (blocks, v) and the table under their u rows
-    (blocks, u, v): a block's worst window S at (u, v) is the larger of the
-    two, +inf where v < u.  Each chunk reuses the previous one's memory.
+    of one such group as a (blocks, n-2) int array and yields, for chunks of
+    at most about _CHUNK_ELEMENTS values, their v columns (blocks, v) and the
+    table under their u rows (blocks, u, v): a block's worst window S at
+    (u, v) is the larger of the two, +inf where v < u.  Each chunk reuses the
+    previous one's memory.
     """
     phasor = np.exp(2j * (np.arange(g) * (math.pi / g)))
     ph = phasor.tolist()
@@ -255,24 +261,28 @@ def _window_blocks(n: int, k: int, g: int):
         table += cross[r0:, r0:]
         return table
 
-    def score(group: list) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        table = uv_table(group[0])
-        r0 = group[0][-1]
+    def score(group: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        table = uv_table(group[0].tolist())
+        r0 = int(group[0, -1])
         free = phasor[r0:]
-        # the u rows and v columns of each block, from scalar resultants
+        # the u rows and v columns of all blocks, one pass per side window: the
+        # resultants summed member by member in window order (Python's sum) and
+        # S from one _pair_sum call per block, so the bits match block by block
         rows, cols = np.full((2, len(group), g - r0), -math.inf)
-        for fixed, row, col in zip(group, rows, cols):
-            for own, (has_u, has_v) in side.items():
-                r = sum(ph[fixed[q]] for q in own)
-                s = _pair_sum(len(own), r)
-                if not (has_u or has_v):  # a constant; folding it into the u rows is exact
-                    np.maximum(row, s, out=row)
-                    continue
-                line = s + (r.conjugate() * free).real
-                if has_u:
-                    np.maximum(row, line, out=row)
-                if has_v:
-                    np.maximum(col, line, out=col)
+        members = phasor[group.T]  # (position, block)
+        for own, (has_u, has_v) in side.items():
+            r = members[own[0]]
+            for q in own[1:]:
+                r = r + members[q]
+            s = np.array([_pair_sum(len(own), x) for x in r.tolist()])[:, None]
+            if not (has_u or has_v):  # a constant; folding it into the u rows is exact
+                np.maximum(rows, s, out=rows)
+                continue
+            line = s + (r.conj()[:, None] * free).real
+            if has_u:
+                np.maximum(rows, line, out=rows)
+            if has_v:
+                np.maximum(cols, line, out=cols)
         step = max(1, _CHUNK_ELEMENTS // table.size)
         out = np.empty((min(step, len(group)), *table.shape))
         for lo in range(0, len(group), step):
@@ -297,7 +307,7 @@ def _grid_minima(n: int, k: int, g: int) -> np.ndarray:
     bounds = [0, *starts.tolist(), count]
     runs = np.empty(count)
     for lo, hi in zip(bounds, bounds[1:]):
-        chunks = score(fixed[lo:hi].tolist())
+        chunks = score(fixed[lo:hi])
         # min over u of the rows under the table, then the v columns, then min over v
         runs[lo:hi] = np.concatenate([np.maximum(c, under.min(axis=1)).min(axis=1) for c, under in chunks])
     minima = np.empty(count)
@@ -323,7 +333,7 @@ def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCas
     fixed = (0, *next(itertools.islice(outer, _first_tied(-minima), None)))
     ceiling = -_tie_floor(-float(minima.min()))
     _, score = _window_blocks(n, k, g)
-    cols, under = next(score([fixed]))
+    cols, under = next(score(np.array([fixed])))
     u, v = divmod(int(np.argmax(np.maximum(under[0], cols[0]) <= ceiling)), g - fixed[-1])
     coarse = AngleSet(np.array([*fixed, fixed[-1] + u, fixed[-1] + v]) * (math.pi / g))
     refined = local_refine(
