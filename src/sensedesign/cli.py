@@ -245,6 +245,8 @@ def cmd_verify(args) -> int:
     for scheme in schemes:
         header += [f"{scheme}_objective", f"{scheme}_gram_condition"]
     header += ["grid_objective", "grid_minus_optimal"]
+    # every row's config, so the grid options are checked even when no row is
+    # searched, and an over-budget n is refused before any search runs
     configs = {
         n: MinimaxSearchConfig(
             n=n,
@@ -252,19 +254,20 @@ def cmd_verify(args) -> int:
             grid_points_per_angle=args.grid_points,
             refine_iterations=args.refine_iterations,
         )
-        for n in range(args.n_min, min(args.n_max, args.grid_max_n) + 1)
+        for n in range(args.n_min, args.n_max + 1)
     }
-    for config in configs.values():  # refuse an over-budget n before any search runs
-        _check_budget(config)
+    searched = range(args.n_min, min(args.n_max, args.grid_max_n) + 1)
+    for n in searched:
+        _check_budget(configs[n])
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
+    for n, config in configs.items():
         reports = [worst_subset(build_design(n, scheme), args.k) for scheme in schemes]
         row = [n]
         for report in reports:
             row += [report.objective, report.summary.gram_condition]
         optimal = reports[0].objective
-        if n in configs:
-            _, grid_report = minimax_grid_search(configs[n])
+        if n in searched:
+            _, grid_report = minimax_grid_search(config)
             row += [grid_report.objective, grid_report.objective - optimal]
         else:
             row += ["", ""]

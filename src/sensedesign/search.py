@@ -29,33 +29,46 @@ objective is invariant under a common rotation and under relabeling, so the
 first angle is pinned at 0 and the remaining n-1 angles are enumerated as
 non-decreasing tuples on a uniform grid over [0, pi).  The non-decreasing
 restriction is lossless and cuts the grid by about (n-1)!, which is what
-makes n = 5 at the default density feasible.  The last two angles u <= v
-are evaluated as one vectorized block per outer tuple, over the n windows of
-each sorted configuration rather than all C(n, K) of its subsets.  Each
-window is scored from resultants, like the scan: ``_pair_sum`` of its fixed
-members' resultant r, plus Re(conj(r) P) for each free angle's phasor P it
-holds, plus the u-v term when it holds both.
+makes n = 5 at the default density feasible.
 
-The windows holding both u and v make a block's u-v table, and they read
-few fixed positions (at K = 3 only the pinned 0 and the last fixed angle),
-so the blocks that agree there and in the last fixed angle, where u and v
-start, share one table.  Each such group builds its
-table once and scores its blocks in chunks of about _CHUNK_ELEMENTS values:
-the worst S at (u, v) is the largest of the table entry, the block's u row
-(its u-only and constant windows) and its v column (its v-only window).
-Max and min only select, so the minimum over u first, then v, is the same
-number.  The rows and columns of a whole group are built in one pass per
-window that holds u or v but not both: the block resultants are summed from
+``_grid_search`` is the whole search.  It enumerates the fixed tuples (the
+pinned 0, then the outer angles) once; each heads a block, every (u, v) on
+the grid with fixed[-1] <= u <= v, scored over the n windows of each sorted
+configuration rather than all C(n, K) of its subsets.  Each window is scored
+from resultants, like the scan: ``_pair_sum`` of its fixed members'
+resultant r, plus Re(conj(r) P) for each free angle's phasor P it holds,
+plus the u-v term when it holds both.  ``_window_split`` sorts the windows
+by what they hold, a function of (n, K) alone.
+
+The windows holding both u and v (pair windows) make a block's u-v table,
+and they read few fixed positions (at K = 3 only the pinned 0 and the last
+fixed angle), so the blocks that agree there and in the last fixed angle,
+where u and v start (the key positions), share one table.  Sorted by their
+key values, each group of blocks is one run; it builds its table once and
+scores its blocks in chunks of about _CHUNK_ELEMENTS values.  The worst S
+at (u, v) is the largest of the table entry, the block's u row (its u-only
+and constant windows) and its v column (its v-only windows).  Max and min
+only select, so the minimum over u first, then v, is the same number, and
+the order in which the windows are folded in moves no bit.  The table is a
+full square over the free grid points so that the u rows and v columns
+broadcast against it.  Its v < u triangle holds configurations outside the
+sorted enumeration (the block already has each as (v, u)), so it is +inf,
+and neither the minimum nor the pick can land there.
+
+The rows and columns of a whole group are built in one pass per side window
+(one that holds u or v but not both): the block resultants are summed from
 the gathered member phasors one member at a time, in window order (Python's
 ``sum`` order), and Re(conj(r) P) is one (blocks, 1) by (free,) complex
-product, which gives the same bits as a scalar resultant times the phasor
-array.  S stays one ``_pair_sum`` call per block: it rounds through Python's
-``abs`` (libm ``hypot``) and ``** 2`` (libm ``pow``), while ``np.abs`` and
-``x * x`` round differently and move the minima by bits.  When every fixed
-position is shared (K = 4 at n = 5), each group holds one block.  The minima
-go back into enumeration order, and the coarse pick follows the same tie rule:
-the first configuration in enumeration order whose worst S is within
-TIE_TOL of the minimum (``_tie_floor``).
+product.  That product is not always bit-equal to a scalar resultant times
+the phasor array: numpy may evaluate one with a fused multiply-add and the
+other without.  S stays one ``_pair_sum`` call per block: it rounds through
+Python's ``abs`` (libm ``hypot``) and ``** 2`` (libm ``pow``), while
+``np.abs`` and ``x * x`` round differently and move the minima by bits.
+When every fixed position is a key (K = 4 at n = 5), each group holds one
+block.  The minima are written back in enumeration order, and the coarse
+pick follows the same tie rule: the first block in enumeration order whose
+minimum is within TIE_TOL of the smallest (``_tie_floor``), re-scored by the
+same scorer, then its first row-major (u, v) at or below that ceiling.
 """
 
 from __future__ import annotations
@@ -213,64 +226,56 @@ def _check_budget(config: MinimaxSearchConfig) -> None:
         )
 
 
-def _window_blocks(n: int, k: int, g: int):
-    """(key positions, scorer) of the grid search's blocks; see the module notes.
+def _window_split(n: int, k: int) -> tuple[list, list, list]:
+    """(pair windows, side windows, key positions) of the grid search's blocks; see the module notes.
+
+    Sorted, the n-2 fixed angles (pinned 0, then the outer tuple) come first
+    and the free pair u <= v last; by the arc argument the worst subset is
+    one of the n circular windows.  A pair window holds both u (position
+    n-2) and v (position n-1) and is listed by its fixed positions; a side
+    window holds at most one of them and is listed as (fixed positions,
+    holds u, holds v).  The key positions are the fixed positions the pair
+    windows read, plus the last fixed angle, where u and v start.
+    """
+    m = n - 2
+    windows = sorted({tuple(sorted((p + j) % n for j in range(k))) for p in range(n)})
+    split = [([q for q in w if q < m], m in w, m + 1 in w) for w in windows]
+    pair = [own for own, has_u, has_v in split if has_u and has_v]
+    side = [(own, has_u, has_v) for own, has_u, has_v in split if not (has_u and has_v)]
+    keys = sorted({m - 1, *(q for own in pair for q in own)})
+    return pair, side, keys
+
+
+def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """(coarse grid tuple, smallest worst-window S of every block in enumeration order); see the module notes.
 
     A block is every (*fixed, u, v) with fixed = (0, *outer) and grid points
-    fixed[-1] <= u, v < g.  Blocks whose fixed tuples agree at the key
-    positions share one u-v table.  ``score(group)`` takes the fixed tuples
-    of one such group as a (blocks, n-2) int array and yields, for chunks of
-    at most about _CHUNK_ELEMENTS values, their v columns (blocks, v) and the
-    table under their u rows (blocks, u, v): a block's worst window S at
-    (u, v) is the larger of the two, +inf where v < u.  Each chunk reuses the
-    previous one's memory.
+    fixed[-1] <= u <= v < g.  The coarse tuple is the first configuration in
+    enumeration order whose worst S is tied with the smallest (``_tie_floor``).
     """
+    pair, side, keys = _window_split(n, k)
     phasor = np.exp(2j * (np.arange(g) * (math.pi / g)))
     ph = phasor.tolist()
     # u-v term Re(P_u conj P_v) of every free pair, +inf below the diagonal (v < u)
     cross = (phasor[:, None] * phasor.conj()).real.copy()  # contiguous, the product freed
     cross[np.tril_indices(g, -1)] = math.inf
 
-    # Sorted, the n-2 fixed angles (pinned 0, then the outer tuple) come first
-    # and the free pair u <= v last; by the arc argument the worst subset is one
-    # of the n circular windows.  Each window keeps its fixed positions and
-    # whether it holds u (position n-2) and v (position n-1).
-    m = n - 2
-    windows = sorted({tuple(sorted((p + j) % n for j in range(k))) for p in range(n)})
-    split = [([q for q in w if q < m], m in w, m + 1 in w) for w in windows]
-    pair = [own for own, has_u, has_v in split if has_u and has_v]
-    # the other windows by fixed members, and whether they hold u or v: at
-    # K = n-1 the u-only and the v-only window hold the same ones
-    side = {}
-    for own, has_u, has_v in split:
-        if not (has_u and has_v):
-            held_u, held_v = side.get(tuple(own), (False, False))
-            side[tuple(own)] = (held_u or has_u, held_v or has_v)
-    keys = sorted({m - 1, *(q for own in pair for q in own)})
-
-    def uv_table(fixed: list) -> np.ndarray:
-        """Largest S of the windows holding both u and v, for fixed[-1] <= u, v < g; +inf where v < u."""
-        r0 = fixed[-1]
-        free = phasor[r0:]
-        table = None
-        for own in pair:
-            r = sum(ph[fixed[q]] for q in own)
-            a = (r.conjugate() * free).real  # Re(conj(r) P) for each free angle P
-            both = (_pair_sum(len(own), r) + a)[:, None] + a
-            table = both if table is None else np.maximum(table, both, out=table)
-        table += cross[r0:, r0:]
-        return table
-
     def score(group: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        table = uv_table(group[0].tolist())
+        """v columns (blocks, v) and the u-v table under the u rows (blocks, u, v) of one group, in chunks."""
         r0 = int(group[0, -1])
         free = phasor[r0:]
+        table = np.full((g - r0, g - r0), -math.inf)
+        for own in pair:
+            r = sum(ph[group[0, q]] for q in own)
+            a = (r.conjugate() * free).real  # Re(conj(r) P) for each free angle P
+            np.maximum(table, (_pair_sum(len(own), r) + a)[:, None] + a, out=table)
+        table += cross[r0:, r0:]
         # the u rows and v columns of all blocks, one pass per side window: the
         # resultants summed member by member in window order (Python's sum) and
         # S from one _pair_sum call per block, so the bits match block by block
         rows, cols = np.full((2, len(group), g - r0), -math.inf)
         members = phasor[group.T]  # (position, block)
-        for own, (has_u, has_v) in side.items():
+        for own, has_u, has_v in side:
             r = members[own[0]]
             for q in own[1:]:
                 r = r + members[q]
@@ -278,41 +283,38 @@ def _window_blocks(n: int, k: int, g: int):
             if not (has_u or has_v):  # a constant; folding it into the u rows is exact
                 np.maximum(rows, s, out=rows)
                 continue
-            line = s + (r.conj()[:, None] * free).real
-            if has_u:
-                np.maximum(rows, line, out=rows)
-            if has_v:
-                np.maximum(cols, line, out=cols)
+            target = rows if has_u else cols
+            np.maximum(target, s + (r.conj()[:, None] * free).real, out=target)
         step = max(1, _CHUNK_ELEMENTS // table.size)
         out = np.empty((min(step, len(group)), *table.shape))
         for lo in range(0, len(group), step):
             under = np.maximum(table, rows[lo : lo + step, :, None], out=out[: len(group) - lo])
             yield cols[lo : lo + step], under
 
-    return keys, score
-
-
-def _grid_minima(n: int, k: int, g: int) -> np.ndarray:
-    """Smallest worst-window S of every block, in enumeration order of its fixed tuple."""
-    keys, score = _window_blocks(n, k, g)
     count = math.comb(g + n - 4, n - 3)
     fixed = np.zeros((count, n - 2), dtype=np.intp)
     outer = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), n - 3))
     fixed[:, 1:] = np.fromiter(outer, np.intp, count * (n - 3)).reshape(count, -1)
     # sorted by their values at the key positions, the blocks of each group (one
-    # u-v table) form a run; score the runs, then put the minima back in order
+    # u-v table) form a run; each run is gathered through order, so fixed stays
+    # the only full copy of the blocks
     order = np.lexsort(fixed[:, keys].T)
-    fixed = fixed[order]
-    starts = np.flatnonzero((fixed[1:, keys] != fixed[:-1, keys]).any(axis=1)) + 1
+    starts = np.flatnonzero(np.diff(fixed[:, keys][order], axis=0).any(axis=1)) + 1
     bounds = [0, *starts.tolist(), count]
-    runs = np.empty(count)
-    for lo, hi in zip(bounds, bounds[1:]):
-        chunks = score(fixed[lo:hi])
-        # min over u of the rows under the table, then the v columns, then min over v
-        runs[lo:hi] = np.concatenate([np.maximum(c, under.min(axis=1)).min(axis=1) for c, under in chunks])
     minima = np.empty(count)
-    minima[order] = runs
-    return minima
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = order[lo:hi]
+        chunks = score(fixed[run])
+        # min over u of the rows under the table, then the v columns, then min over v
+        minima[run] = np.concatenate([np.maximum(c, under.min(axis=1)).min(axis=1) for c, under in chunks])
+
+    # tie rule: the first block, in enumeration order, whose minimum is tied
+    # with the smallest, then its first row-major entry at or below the ceiling
+    block = fixed[_first_tied(-minima)].tolist()
+    ceiling = -_tie_floor(-float(minima.min()))
+    cols, under = next(score(np.array([block])))
+    u, v = divmod(int(np.argmax(np.maximum(under[0], cols[0]) <= ceiling)), g - block[-1])
+    return (*block, block[-1] + u, block[-1] + v), minima
 
 
 def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCaseReport]:
@@ -323,26 +325,16 @@ def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCas
     over sorted tuples, row-major within each block) whose worst S lies
     within TIE_TOL of the minimum, so ties do not hinge on rounding.
     """
-    n, k, g = config.n, config.k, config.grid_points_per_angle
     _check_budget(config)
-
-    # tie rule: the first block, in enumeration order, whose minimum is tied
-    # with the smallest, then its first row-major entry at or below the ceiling
-    minima = _grid_minima(n, k, g)
-    outer = itertools.combinations_with_replacement(range(g), n - 3)
-    fixed = (0, *next(itertools.islice(outer, _first_tied(-minima), None)))
-    ceiling = -_tie_floor(-float(minima.min()))
-    _, score = _window_blocks(n, k, g)
-    cols, under = next(score(np.array([fixed])))
-    u, v = divmod(int(np.argmax(np.maximum(under[0], cols[0]) <= ceiling)), g - fixed[-1])
-    coarse = AngleSet(np.array([*fixed, fixed[-1] + u, fixed[-1] + v]) * (math.pi / g))
+    g = config.grid_points_per_angle
+    grid, _ = _grid_search(config.n, config.k, g)
     refined = local_refine(
-        coarse,
-        k,
+        AngleSet(np.array(grid) * (math.pi / g)),
+        config.k,
         iterations=config.refine_iterations,
         initial_step=math.pi / g,
     )
-    return refined, worst_subset(refined, k)
+    return refined, worst_subset(refined, config.k)
 
 
 def local_refine(

@@ -210,6 +210,22 @@ class TestVerify:
     def test_bad_range_exits_2(self, tmp_path):
         assert run(tmp_path, "verify", "--n-min", 5, "--n-max", 4) == 2
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--grid-points", 1, "grid_points_per_angle must be at least 2"),
+            ("--k", 1, "need 2 <= k <= n"),
+            ("--refine-iterations", -1, "refine_iterations must be nonnegative"),
+        ],
+        ids=["grid-points", "k", "refine-iterations"],
+    )
+    def test_grid_options_checked_when_no_row_is_searched(self, tmp_path, capsys, option, value, message):
+        # every n is above --grid-max-n, so no search would reach the bad value
+        out = tmp_path / "verify.csv"
+        assert run(tmp_path, "verify", "--n-min", 6, "--n-max", 7, option, value, "--output", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateEstimation:
     def test_reruns_are_byte_identical(self, tmp_path):

@@ -24,7 +24,7 @@ from sensedesign import (
     worst_subset,
 )
 from sensedesign.cli import main
-from sensedesign.search import _grid_minima, _window_blocks
+from sensedesign.search import _grid_search, _window_split
 
 
 def brute_worst(angles: AngleSet, k: int):
@@ -194,7 +194,7 @@ class TestGridSearch:
     def test_grouped_tables_match_per_block_oracle(self, n, k, g):
         # one u-v table per group must give the per-block evaluator's minima bit for bit
         minima, pick = grid_block_search(n, k, g)
-        assert np.array_equal(_grid_minima(n, k, g), minima)
+        assert np.array_equal(_grid_search(n, k, g)[1], minima)
         config = MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g, refine_iterations=0)
         angles, _ = minimax_grid_search(config)
         grid = np.arange(g) * (math.pi / g)
@@ -213,7 +213,7 @@ class TestGridSearch:
         best = min(worst)
         ceiling = best + TIE_TOL * max(1.0, abs(best))
         tied_blocks = list(dict.fromkeys((0, *t[: n - 3]) for t, w in zip(tuples, worst) if w <= ceiling))
-        keys, _ = _window_blocks(n, k, g)
+        keys = _window_split(n, k)[2]
         assert len({tuple(block[q] for q in keys) for block in tied_blocks}) >= 2
         assert min(tied_blocks, key=lambda block: block[-1]) != tied_blocks[0]
         # the pick is still the first tied configuration in enumeration order
@@ -230,6 +230,18 @@ class TestGridSearch:
         finally:
             tracemalloc.stop()
         assert peak < 3e6, peak
+
+    def test_grid_is_enumerated_once(self, monkeypatch):
+        calls = []
+        enumerate_tuples = itertools.combinations_with_replacement
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_tuples(*args)
+
+        monkeypatch.setattr(itertools, "combinations_with_replacement", counted)
+        minimax_grid_search(MinimaxSearchConfig(n=5, grid_points_per_angle=30, refine_iterations=0))
+        assert len(calls) == 1
 
     def test_gauge_fixing_lossless(self):
         angles, report = minimax_grid_search(MinimaxSearchConfig(n=4, grid_points_per_angle=30))
