@@ -4,13 +4,15 @@ The library evaluates every 2x2 spectrum through one resultant kernel.
 These oracles take the long way round (pairwise cosines, assembled
 matrices, trace and half-gap eigenvalues) so tests can compare the two.
 The grid search's per-block evaluator is kept here too, as the reference
-its grouped tables must match bit for bit.
+its grouped tables must match bit for bit, and so is the per-row
+SeedSequence construction that the vectorized noise tables must match.
 """
 
 import itertools
 import math
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from sensedesign.core import _pair_sum
 from sensedesign.search import _first_tied, _tie_floor
@@ -126,3 +128,8 @@ def grid_block_search(n, k, g):
     ceiling = -_tie_floor(-float(minima.min()))
     u, v = divmod(int(np.argmax(block(fixed) <= ceiling)), g - fixed[-1])
     return minima, (*fixed, fixed[-1] + u, fixed[-1] + v)
+
+
+def trial_noise(key, trials, size) -> np.ndarray:
+    """Standard normal (trials, size) table, row t drawn from default_rng(SeedSequence((*key, t)))."""
+    return np.array([default_rng(SeedSequence((*key, t))).standard_normal(size) for t in range(trials)])

@@ -293,6 +293,14 @@ def test_each_noise_table_drawn_once_per_command(tmp_path, monkeypatch, argv, dr
     assert len(calls) == draws, calls
 
 
+@pytest.mark.parametrize("command", ["simulate-estimation", "simulate-monitoring"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert run(tmp_path, command, "--trials", 2, "--seed", -1, "--output", out) == 2
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestWorstSubsetReexport:
     def test_consistency_with_cli_report(self):
         report = worst_subset(design_optimal(7))

@@ -9,8 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
-from oracles import fim_matrix_direct, worst_fim_direct
+from oracles import fim_matrix_direct, trial_noise, worst_fim_direct
 from scipy.optimize import least_squares, minimize
 
 import sensedesign.simulate
@@ -169,6 +171,43 @@ def sweep_draws(per_point):
     rows += [rss_sample(scn, default_rng(SeedSequence((5, 3, t)))) for t in range(per_point)]
     cases.append((scn, SubsetSelection([0, 1, 2]), np.array(rows)))
     return cases
+
+
+class TestTrialNoise:
+    @pytest.mark.parametrize("size", [1, 3, 10])
+    @pytest.mark.parametrize("trials", [1, 2000])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (0,),
+            (7, 3),
+            (2**32 + 5,),  # a seed of two 32-bit words
+            (2**96 + 2**64 * 3 + 12345, 6),  # four seed words and an SNR index: the words past the pool
+        ],
+    )
+    def test_matches_per_row_seed_sequences(self, key, trials, size):
+        table = sensedesign.simulate._trial_noise(key, trials, size)
+        assert np.array_equal(table, trial_noise(key, trials, size))
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        key=st.lists(st.integers(min_value=0, max_value=2**130 - 1), min_size=1, max_size=3).map(tuple),
+        trials=st.integers(min_value=1, max_value=40),
+        size=st.integers(min_value=1, max_value=12),
+    )
+    def test_matches_per_row_seed_sequences_for_any_key(self, key, trials, size):
+        table = sensedesign.simulate._trial_noise(key, trials, size)
+        assert np.array_equal(table, trial_noise(key, trials, size))
+
+    def test_sweeps_build_no_seed_sequence(self, monkeypatch):
+        # the tables' seed words come from one hash pass, not from a SeedSequence per row
+        made = []
+        monkeypatch.setattr(
+            sensedesign.simulate, "SeedSequence", lambda *a, **kw: made.append(a) or SeedSequence(*a, **kw)
+        )
+        sensedesign.simulate._estimation_sweep([EstimationScenario(angles=design_optimal(7), trials=2000)])
+        sensedesign.simulate._monitoring_sweep([ring_scenario(n=6, amplitude=3.0, trials=20)], [5.0, 15.0])
+        assert made == []
 
 
 class TestLeastSquares:
@@ -336,6 +375,12 @@ class TestWorstCaseMse:
         with pytest.raises(ValueError):
             EstimationScenario(angles=TIGHT_FRAME, trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            EstimationScenario(angles=TIGHT_FRAME, seed=seed)
+        assert EstimationScenario(angles=TIGHT_FRAME, seed=np.int64(3)).seed == 3
+
     @pytest.mark.parametrize(
         "kw", [{"noise_std": math.nan}, {"noise_std": math.inf}, {"signal": (math.nan, 1.0)}]
     )
@@ -368,6 +413,12 @@ class TestRssModel:
     def test_scenario_rejects_non_finite(self, kw):
         with pytest.raises(ValueError, match="must be finite"):
             RssScenario(**{"sensor_positions": ((2.0, 0.0),), **kw})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            RssScenario(sensor_positions=((2.0, 0.0),), seed=seed)
+        assert RssScenario(sensor_positions=((2.0, 0.0),), seed=np.int64(3)).seed == 3
 
     def test_sweep_rejects_non_finite_snr(self):
         with pytest.raises(ValueError, match="must be finite"):
