@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -196,18 +197,13 @@ def cmd_design(args) -> int:
 
 def evaluation_report(angles: AngleSet, k: int, source: str) -> dict:
     report = worst_subset(angles, k)
-    s = report.summary
     return {
         "command": "evaluate",
         "input": source,
         "n": angles.n,
         "k": k,
         "worst_subset": list(report.worst_subset.indices),
-        "pair_cosine_sum": s.pair_cosine_sum,
-        "lambda_min": s.lambda_min,
-        "lambda_max": s.lambda_max,
-        "gram_condition": s.gram_condition,
-        "matrix_condition": s.matrix_condition,
+        **dataclasses.asdict(report.summary),
         "subsets_evaluated": report.subsets_evaluated,
     }
 

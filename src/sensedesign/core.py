@@ -121,12 +121,11 @@ def _resultant(
 def _pair_sum(k, resultant):
     """S = sum over pairs of cos 2(t_l - t_j) of K unit columns, (|R|^2 - K) / 2.
 
-    Takes a scalar R and rounds through Python's ``abs`` (libm ``hypot``) and
-    then ``** 2`` (libm ``pow``); ``np.abs`` and ``x * x`` round differently.
-    A caller holding an array of resultants calls it once per scalar, so that
-    every caller gets the same bits.
+    Takes a complex scalar R or an array of them.  |R|^2 is formed from real
+    products (Re R * Re R + Im R * Im R), each rounded on its own, so a
+    Python scalar and each entry of an array give the same bits.
     """
-    return 0.5 * (abs(resultant) ** 2 - k)
+    return 0.5 * (resultant.real * resultant.real + resultant.imag * resultant.imag - k)
 
 
 def _spectrum(weight: float, resultant: complex) -> tuple[float, float, float]:

@@ -58,12 +58,10 @@ and neither the minimum nor the pick can land there.
 The rows and columns of a whole group are built in one pass per side window
 (one that holds u or v but not both): the block resultants are summed from
 the gathered member phasors one member at a time, in window order (Python's
-``sum`` order), and Re(conj(r) P) is one (blocks, 1) by (free,) complex
-product.  That product is not always bit-equal to a scalar resultant times
-the phasor array: numpy may evaluate one with a fused multiply-add and the
-other without.  S stays one ``_pair_sum`` call per block: it rounds through
-Python's ``abs`` (libm ``hypot``) and ``** 2`` (libm ``pow``), while
-``np.abs`` and ``x * x`` round differently and move the minima by bits.
+``sum`` order), and S is one ``_pair_sum`` call on that (blocks, 1) array.
+Every window term, S and Re(conj(r) P) = Re r Re P + Im r Im P alike, is
+built from real products, sums and differences, each rounded on its own,
+so a batched window gives the same bits as a scalar resultant per block.
 When every fixed position is a key (K = 4 at n = 5), each group holds one
 block.  The minima are written back in enumeration order, and the coarse
 pick follows the same tie rule: the first block in enumeration order whose
@@ -267,24 +265,24 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
         table = np.full((g - r0, g - r0), -math.inf)
         for own in pair:
             r = sum(ph[group[0, q]] for q in own)
-            a = (r.conjugate() * free).real  # Re(conj(r) P) for each free angle P
+            a = r.real * free.real + r.imag * free.imag  # Re(conj(r) P) for each free angle P
             np.maximum(table, (_pair_sum(len(own), r) + a)[:, None] + a, out=table)
         table += cross[r0:, r0:]
-        # the u rows and v columns of all blocks, one pass per side window: the
-        # resultants summed member by member in window order (Python's sum) and
-        # S from one _pair_sum call per block, so the bits match block by block
+        # the u rows and v columns of all blocks, one pass per side window; the
+        # resultants are summed member by member in window order, as Python's
+        # sum does for one block, so each block gets its scalar bits
         rows, cols = np.full((2, len(group), g - r0), -math.inf)
-        members = phasor[group.T]  # (position, block)
+        members = phasor[group.T][..., None]  # (position, block, 1)
         for own, has_u, has_v in side:
             r = members[own[0]]
             for q in own[1:]:
                 r = r + members[q]
-            s = np.array([_pair_sum(len(own), x) for x in r.tolist()])[:, None]
+            s = _pair_sum(len(own), r)
             if not (has_u or has_v):  # a constant; folding it into the u rows is exact
                 np.maximum(rows, s, out=rows)
                 continue
             target = rows if has_u else cols
-            np.maximum(target, s + (r.conj()[:, None] * free).real, out=target)
+            np.maximum(target, s + (r.real * free.real + r.imag * free.imag), out=target)
         step = max(1, _CHUNK_ELEMENTS // table.size)
         out = np.empty((min(step, len(group)), *table.shape))
         for lo in range(0, len(group), step):

@@ -93,15 +93,15 @@ class EstimationScenario:
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
         if not all(map(math.isfinite, self.signal)):
             raise ValueError(f"signal must be finite, got {self.signal!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        _check_seed(self.seed)
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed, 0)
 
 
-def _check_seed(seed) -> None:
-    """A seed is a nonnegative int (numpy's too, but not a bool), as SeedSequence takes it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+def _check_int(name: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an int (numpy's too, but not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 # numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -327,9 +327,8 @@ class RssScenario:
             raise ValueError(f"path_loss must be finite and positive, got {self.path_loss!r}")
         if not 0 <= self.shadow_std < math.inf:
             raise ValueError(f"shadow_std must be finite and nonnegative, got {self.shadow_std!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        _check_seed(self.seed)
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed, 0)
         if not all(map(math.isfinite, self.source)):
             raise ValueError(f"source must be finite, got {self.source!r}")
         pos = tuple((float(p[0]), float(p[1])) for p in self.sensor_positions)

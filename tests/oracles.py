@@ -108,7 +108,7 @@ def grid_block_search(n, k, g):
             if not (has_u or has_v):  # a constant; folding it into the u rows is exact
                 np.maximum(rows, s, out=rows)
                 continue
-            a = (r.conjugate() * free).real  # Re(conj(r) P) for each free angle P
+            a = r.real * free.real + r.imag * free.imag  # Re(conj(r) P) for each free angle P
             if has_u and has_v:
                 both = np.maximum(both, (s + a)[:, None] + a)
             else:

@@ -15,6 +15,7 @@ from sensedesign import (
     pair_cosine_sum,
     spectral_summary,
 )
+from sensedesign.core import _pair_sum
 
 finite_angles = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -121,6 +122,17 @@ class TestPairCosineSum:
         s = pair_cosine_sum(a, list(range(k)))
         # K + 2S is a squared resultant, so S >= -K/2 up to rounding
         assert s >= -k / 2 - 1e-12
+
+    @given(
+        st.integers(1, 8),
+        st.lists(st.complex_numbers(min_magnitude=1e-8, max_magnitude=1e3), min_size=1, max_size=50),
+    )
+    @settings(derandomize=True)
+    def test_array_matches_scalar_bit_for_bit(self, k, resultants):
+        # the grid search scores whole arrays of resultants; each entry must
+        # round exactly as the scalar call does
+        batched = _pair_sum(k, np.array(resultants))
+        assert batched.tolist() == [_pair_sum(k, r) for r in resultants]
 
 
 class TestEigenvalues:

@@ -381,6 +381,12 @@ class TestWorstCaseMse:
             EstimationScenario(angles=TIGHT_FRAME, seed=seed)
         assert EstimationScenario(angles=TIGHT_FRAME, seed=np.int64(3)).seed == 3
 
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_trials_must_be_a_positive_int(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            EstimationScenario(angles=TIGHT_FRAME, trials=trials)
+        assert EstimationScenario(angles=TIGHT_FRAME, trials=np.int64(3)).trials == 3
+
     @pytest.mark.parametrize(
         "kw", [{"noise_std": math.nan}, {"noise_std": math.inf}, {"signal": (math.nan, 1.0)}]
     )
@@ -419,6 +425,12 @@ class TestRssModel:
         with pytest.raises(ValueError, match="seed"):
             RssScenario(sensor_positions=((2.0, 0.0),), seed=seed)
         assert RssScenario(sensor_positions=((2.0, 0.0),), seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_trials_must_be_a_positive_int(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            RssScenario(sensor_positions=((2.0, 0.0),), trials=trials)
+        assert RssScenario(sensor_positions=((2.0, 0.0),), trials=np.int64(3)).trials == 3
 
     def test_sweep_rejects_non_finite_snr(self):
         with pytest.raises(ValueError, match="must be finite"):
