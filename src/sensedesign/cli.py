@@ -2,8 +2,9 @@
 
 Every command writes one machine-readable data file (CSV or JSON) plus a
 ``<output>.manifest.json`` sidecar, both through ``emit``.  The manifest
-records the command, the seed, the tool version, a UTC timestamp and a
-``config`` holding every parsed option plus the resolved ``output`` path.
+records the command, the seed, the tool version, a UTC timestamp, the
+``runtime`` (Python and numpy versions, CPU count) and a ``config``
+holding every parsed option plus the resolved ``output`` path.
 Data files contain no timestamp, so a re-run with the same arguments
 reproduces them byte for byte; the sidecar is the only thing that differs.
 
@@ -24,6 +25,8 @@ import secrets
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .core import AngleSet
@@ -94,6 +97,11 @@ def write_manifest(output_path: str, command: str, config: dict, seed: int | Non
         "seed": seed,
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        "runtime": {
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     write_atomic(output_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

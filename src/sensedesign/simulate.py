@@ -49,7 +49,6 @@ from typing import Sequence
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
 from numpy.random.bit_generator import ISeedSequence
-from scipy.optimize import minimize  # noqa: F401  (not called; benchmarks/tracer.py wraps this binding)
 
 from .core import (
     AngleSet,
@@ -703,6 +702,13 @@ def ml_locate(
         raise ValueError(f"samples must be finite at the active sensors {sel.indices}, got {y.tolist()}")
     est, residual, on_boundary = _locate(table, y[None])
     return LocateResult(estimate=est[0], residual=float(residual[0]), on_boundary=bool(on_boundary[0]))
+
+
+def minimize(*args, **kwargs):
+    """SciPy's ``minimize``, imported on call; unused here, kept for the benchmark tracer (ROADMAP item 1)."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

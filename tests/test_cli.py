@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import sensedesign
@@ -41,7 +42,12 @@ class TestDesign:
         out = tmp_path / "d.csv"
         run(tmp_path, "design", "--n", 4, "--output", out)
         manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
-        assert set(manifest) == {"command", "config", "seed", "tool_version", "timestamp_utc"}
+        assert set(manifest) == {"command", "config", "seed", "tool_version", "timestamp_utc", "runtime"}
+        assert manifest["runtime"] == {
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        }
         assert manifest["command"] == "design"
         assert manifest["config"]["n"] == 4
 
@@ -383,3 +389,28 @@ def test_process_exit_codes(tmp_path):
         )
         assert proc.returncode == code, (argv, proc.stderr)
     assert (tmp_path / "design_n4_optimal_auto.csv").exists()
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """scipy is a test-only dependency: importing the CLI and running every command never loads it."""
+    script = """
+import sys
+from sensedesign.cli import main
+commands = [
+    ["design", "--n", "5"],
+    ["evaluate", "--n", "8"],
+    ["verify", "--n-min", "3", "--n-max", "5", "--grid-max-n", "4", "--grid-points", "24"],
+    ["simulate-estimation", "--n-min", "3", "--n-max", "5", "--trials", "20"],
+    ["simulate-monitoring", "--n", "6", "--snr", "10", "--trials", "5"],
+]
+codes = [main(argv) for argv in commands]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src_dir = os.path.dirname(os.path.dirname(sensedesign.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir, "SENSEDESIGN_OUTPUT_DIR": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+    assert len(list(tmp_path.glob("*.manifest.json"))) == 5

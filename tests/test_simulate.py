@@ -742,6 +742,38 @@ class TestMlLocate:
                 assert residual[i] <= want + 1e-12, (scn.shadow_std, i, residual[i], want)
 
 
+class TestMinimizeBinding:
+    """``simulate.minimize`` forwards to scipy and leaves scipy unloaded until it is called."""
+
+    def test_same_solution_as_scipy(self):
+        def quadratic(x):
+            return (x[0] - 1.0) ** 2 + 3.0 * (x[1] + 0.5) ** 2 + x[0] * x[1]
+
+        want = minimize(quadratic, [2.0, 2.0], method="BFGS")
+        got = sensedesign.simulate.minimize(quadratic, [2.0, 2.0], method="BFGS")
+        assert got.success and got.x.tolist() == want.x.tolist() and got.fun == want.fun
+
+    def test_scipy_loaded_by_the_call(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import sensedesign.simulate
+            def loaded():
+                return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+            before = loaded()
+            sensedesign.simulate.minimize(lambda x: (x[0] - 1.0) ** 2, [0.0])
+            print(before, loaded())
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sensedesign.simulate.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True"]
+
+
 class TestMonitoring:
     def test_metadata_unit_fallback(self):
         scn = ring_scenario(n=6, trials=4, seed=1)  # amplitude 1 at distance 1
