@@ -103,6 +103,13 @@ def _check_range(subset: SubsetSelection, n: int) -> None:
         raise IndexError(f"subset index {subset.indices[-1]} out of range for {n} items")
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an int (numpy's too, but not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def angles_to_matrix(angles: AngleSet) -> np.ndarray:
     """2xN matrix whose i-th column is (cos t_i, sin t_i)."""
     th = np.asarray(angles.angles)

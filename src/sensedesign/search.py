@@ -80,7 +80,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import AngleSet, SpectralSummary, SubsetSelection, _pair_sum, _summary
+from .core import AngleSet, SpectralSummary, SubsetSelection, _check_int, _pair_sum, _summary
 
 # hard ceiling on grid configurations actually evaluated
 EVALUATION_GUARD = 1_000_000_000
@@ -125,6 +125,11 @@ class MinimaxSearchConfig:
             raise ValueError("grid_points_per_angle must be at least 2")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be nonnegative")
+        # the range checks above come first and keep their messages; these reject non-integers
+        _check_int("n", self.n, 1)
+        _check_int("k", self.k, 1)
+        _check_int("grid_points_per_angle", self.grid_points_per_angle, 1)
+        _check_int("refine_iterations", self.refine_iterations, 0)
 
 
 def _tie_floor(top: float) -> float:
@@ -354,8 +359,8 @@ def local_refine(
     if not 1 <= k <= angles.n:
         raise ValueError(f"need 1 <= k <= {angles.n}, got k={k}")
     step = math.pi / 180.0 if initial_step is None else float(initial_step)
-    if step <= 0.0:
-        raise ValueError("initial_step must be positive")
+    if not 0.0 < step < math.inf:  # written so that NaN fails
+        raise ValueError(f"initial_step must be finite and positive, got {step!r}")
     current = list(angles.angles)
     best = _pair_sum(k, _worst_window(AngleSet(current), k)[1])
     for _ in range(iterations):

@@ -9,21 +9,20 @@ Two settings share the same geometric core:
   triple with the worst Fisher-information condition number is activated
   and the source is recovered by maximum likelihood.
 
-Randomness policy: ``_trial_noise`` draws every trial's noise from its own
-PCG64 stream, seeded by the sweep's key (the seed, plus the SNR point for
-monitoring) and the trial index, so runs are reproducible and neither
-trial order nor trial count changes the draws of a trial.  Row t is the
-stream of ``SeedSequence((*key, t))``, but no SeedSequence is built: one
-vectorized pass of SeedSequence's hash (``_seed_words``) gives the PCG64
-seed words of every row, the same bits, tested against the per-row
-construction in ``tests/oracles.py``.  Seeds are nonnegative ints.  The
-private sweeps ``_estimation_sweep`` and ``_monitoring_sweep`` take every
-design of one command and draw each distinct table once, up front: a
-table is fixed by its key, the scenario's trial count and its row width
-(K, or n for monitoring), and every design and row with the same three
-shares it.  The tables live only for the sweep call;
-``simulate_worst_case_mse`` and ``simulate_monitoring`` are sweeps of one
-design.
+Randomness policy: ``_trial_noise`` draws each noise table, one trial
+per row, in one call from a single PCG64 stream seeded by
+``SeedSequence(key)``; the key is the sweep's seed (plus the SNR point for
+monitoring).  The table is filled row-major, so row t holds the stream's
+normals t * size to (t + 1) * size - 1 and a T-row table is the first T
+rows of any longer one.  Runs are therefore reproducible, a trial's draw
+does not depend on the trial count, and trial order does not matter.
+Seeds are nonnegative ints.  The private sweeps ``_estimation_sweep`` and
+``_monitoring_sweep`` take every design of one command and draw each
+distinct table once, up front: a table is fixed by its key, the
+scenario's trial count and its row width (K, or n for monitoring), and
+every design and row with the same three shares it.  The tables live only
+for the sweep call; ``simulate_worst_case_mse`` and ``simulate_monitoring``
+are sweeps of one design.
 
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which takes all readings of a design at once, one trial per
@@ -47,12 +46,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence, default_rng
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .core import (
     AngleSet,
     SubsetSelection,
+    _check_int,
     _check_range,
     _matrix,
     _resultant,
@@ -88,103 +87,25 @@ class EstimationScenario:
     def __post_init__(self):
         if not 1 <= self.k <= self.angles.n:
             raise ValueError(f"need 1 <= k <= {self.angles.n}, got k={self.k}")
+        _check_int("k", self.k, 1)
         if not 0 <= self.noise_std < math.inf:  # written so that NaN fails
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
-        if not all(map(math.isfinite, self.signal)):
-            raise ValueError(f"signal must be finite, got {self.signal!r}")
+        _check_pair("signal", self.signal)
         _check_int("trials", self.trials, 1)
         _check_int("seed", self.seed, 0)
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """ValueError unless ``value`` is an int (numpy's too, but not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        kind = "nonnegative" if least == 0 else "positive"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-
-
-# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_steps(init: int, mult: int):
-    """SeedSequence's running hash constant as (xor, multiplier) pairs: c, c * mult, c * mult^2, ..."""
-    c = init
-    while True:
-        nxt = c * mult & _MASK32
-        yield np.uint32(c), np.uint32(nxt)
-        c = nxt
-
-
-def _hashmix(value: np.ndarray, steps) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of uint32 words, taking the next constant pair from ``steps``."""
-    xor, mult = next(steps)
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``mix`` of two uint32 word arrays."""
-    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return value ^ (value >> np.uint32(16))
-
-
-def _seed_words(key: tuple[int, ...], trials: int) -> np.ndarray:
-    """(trials, 4) uint64: row t is SeedSequence((*key, t)).generate_state(4, np.uint64).
-
-    The hash is SeedSequence's, run on every trial's entropy words at once:
-    each key int split into little-endian 32-bit words (0 is one word), then
-    t.  The constants advance with the number of hashes alone, so they are
-    the same Python ints for every row; the array arithmetic is uint32 by
-    uint32 only, so it wraps alike under numpy 1.x and 2.x casting rules.
-    """
-    if trials > 2**32:
-        raise ValueError(f"trials must be at most 2**32, got {trials}")
-    words = []
-    for k in map(int, key):  # nonnegative: the scenarios check their seeds
-        words += [(k >> s) & _MASK32 for s in range(0, max(k.bit_length(), 1), 32)]
-    entropy = [np.full(trials, w, dtype=np.uint32) for w in words] + [np.arange(trials, dtype=np.uint32)]
-    zero = np.zeros(trials, dtype=np.uint32)
-
-    steps = _hash_steps(_INIT_A, _MULT_A)
-    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, steps) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, steps))
-
-    steps = _hash_steps(_INIT_B, _MULT_B)
-    state = np.column_stack([_hashmix(pool[i % _POOL_SIZE], steps) for i in range(2 * _POOL_SIZE)])
-    # pairs of words read as little-endian uint64, as generate_state does; PCG64 reads each row's buffer
-    return np.ascontiguousarray(state.astype("<u4").view("<u8"), dtype=np.uint64)
-
-
-class _FixedState(ISeedSequence):
-    """Seed source for one PCG64, which calls ``generate_state(4, np.uint64)`` once: precomputed words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+def _check_pair(name: str, value) -> None:
+    """ValueError unless ``value`` holds exactly two finite numbers (NaN fails)."""
+    if len(value) != 2:
+        raise ValueError(f"{name} must have exactly 2 entries, got {value!r}")
+    if not all(map(math.isfinite, value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _trial_noise(key: tuple[int, ...], trials: int, size: int) -> np.ndarray:
-    """Standard normal (trials, size) table; row t comes from stream SeedSequence((*key, t)).
-
-    Row t is ``default_rng(SeedSequence((*key, t))).standard_normal(size)``
-    bit for bit (``tests/oracles.trial_noise``); the seed words of every row
-    come from one ``_seed_words`` pass instead of one SeedSequence each.
-    """
-    words = _seed_words(key, trials)
-    return np.array([Generator(PCG64(_FixedState(w))).standard_normal(size) for w in words])
+    """Standard normal (trials, size) table from the one stream SeedSequence(key), filled row by row."""
+    return default_rng(SeedSequence(key)).standard_normal((trials, size))
 
 
 def _recovery(angles: AngleSet, sel: SubsetSelection) -> tuple[np.ndarray, float]:
@@ -328,13 +249,12 @@ class RssScenario:
             raise ValueError(f"shadow_std must be finite and nonnegative, got {self.shadow_std!r}")
         _check_int("trials", self.trials, 1)
         _check_int("seed", self.seed, 0)
-        if not all(map(math.isfinite, self.source)):
-            raise ValueError(f"source must be finite, got {self.source!r}")
-        pos = tuple((float(p[0]), float(p[1])) for p in self.sensor_positions)
+        _check_pair("source", self.source)
+        pos = tuple(tuple(map(float, p)) for p in self.sensor_positions)
         if not pos:
             raise ValueError("at least one sensor position is required")
-        if not all(math.isfinite(c) for p in pos for c in p):
-            raise ValueError("sensor positions must be finite")
+        for i, p in enumerate(pos):
+            _check_pair(f"sensor position {i}", p)
         object.__setattr__(self, "sensor_positions", pos)
         for i, d in enumerate(np.sqrt(_offsets(self)[1]).tolist()):
             if d < MIN_SENSOR_DISTANCE:
@@ -413,8 +333,8 @@ def fim(
         if scenario.shadow_std == 0:
             raise ValueError("prefactor is undefined at shadow_std=0; pass it explicitly")
         prefactor = scenario.path_loss**2 / scenario.shadow_std**2
-    if prefactor <= 0:
-        raise ValueError("prefactor must be positive")
+    if not 0 < prefactor < math.inf:  # written so that NaN fails
+        raise ValueError(f"prefactor must be finite and positive, got {prefactor!r}")
     w, p = _fim_terms(scenario)
     idx = list(sel.indices)
     weight, r = prefactor * float(w[idx].sum()), prefactor * complex(p[idx].sum())
@@ -805,7 +725,7 @@ def _monitoring_sweep(
             "snr_definition": "snr_db = 10*log10(reference_power / sigma^2)",
             "snr_reference": reference,
             "reference_power": p_ref,
-            "noise_generator": "numpy PCG64 via SeedSequence((seed, point_index, trial_index))",
+            "noise_generator": "numpy PCG64 via SeedSequence((seed, point_index)), trials drawn in order",
             "active_subset": list(sel.indices),
             "trials": trials,
         }

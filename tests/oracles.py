@@ -4,8 +4,8 @@ The library evaluates every 2x2 spectrum through one resultant kernel.
 These oracles take the long way round (pairwise cosines, assembled
 matrices, trace and half-gap eigenvalues) so tests can compare the two.
 The grid search's per-block evaluator is kept here too, as the reference
-its grouped tables must match bit for bit, and so is the per-row
-SeedSequence construction that the vectorized noise tables must match.
+its grouped tables must match bit for bit, and so is a row-at-a-time
+draw of the noise tables, which the one-call tables must match.
 """
 
 import itertools
@@ -131,5 +131,6 @@ def grid_block_search(n, k, g):
 
 
 def trial_noise(key, trials, size) -> np.ndarray:
-    """Standard normal (trials, size) table, row t drawn from default_rng(SeedSequence((*key, t)))."""
-    return np.array([default_rng(SeedSequence((*key, t))).standard_normal(size) for t in range(trials)])
+    """Standard normal (trials, size) table, rows drawn one at a time from default_rng(SeedSequence(key))."""
+    rng = default_rng(SeedSequence(key))
+    return np.array([rng.standard_normal(size) for _ in range(trials)])

@@ -265,6 +265,22 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             MinimaxSearchConfig(n=4, k=5)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"n": 4.0},
+            {"n": np.float64(5.0)},
+            {"k": 3.0},
+            {"grid_points_per_angle": 12.5},
+            {"refine_iterations": 2.5},
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"{name} must be a (positive|nonnegative) integer"):
+            MinimaxSearchConfig(**{"n": 4, **kw})
+        assert MinimaxSearchConfig(n=np.int64(4), k=np.int64(3)).n == 4
+
 
 class TestLocalRefine:
     def test_never_increases(self):
@@ -310,3 +326,8 @@ class TestLocalRefine:
             local_refine(a, 4)
         with pytest.raises(ValueError):
             local_refine(a, 3, initial_step=0.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -1.0])
+    def test_initial_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="initial_step must be finite and positive"):
+            local_refine(AngleSet([0.0, 1.0, 2.0]), 3, initial_step=step)

@@ -199,15 +199,30 @@ class TestTrialNoise:
         table = sensedesign.simulate._trial_noise(key, trials, size)
         assert np.array_equal(table, trial_noise(key, trials, size))
 
-    def test_sweeps_build_no_seed_sequence(self, monkeypatch):
-        # the tables' seed words come from one hash pass, not from a SeedSequence per row
+    @settings(derandomize=True, deadline=None)
+    @given(
+        key=st.lists(st.integers(min_value=0, max_value=2**130 - 1), min_size=1, max_size=3).map(tuple),
+        trials=st.integers(min_value=1, max_value=40),
+        extra=st.integers(min_value=0, max_value=40),
+        size=st.integers(min_value=1, max_value=12),
+    )
+    def test_shorter_table_is_a_prefix_of_a_longer_one(self, key, trials, extra, size):
+        # a trial's draw does not depend on the trial count
+        short = sensedesign.simulate._trial_noise(key, trials, size)
+        long = sensedesign.simulate._trial_noise(key, trials + extra, size)
+        assert np.array_equal(short, long[:trials])
+
+    def test_sweeps_build_one_seed_sequence_per_table(self, monkeypatch):
+        # one stream per distinct table, however many rows and designs share it
         made = []
         monkeypatch.setattr(
             sensedesign.simulate, "SeedSequence", lambda *a, **kw: made.append(a) or SeedSequence(*a, **kw)
         )
-        sensedesign.simulate._estimation_sweep([EstimationScenario(angles=design_optimal(7), trials=2000)])
+        sensedesign.simulate._estimation_sweep(
+            [EstimationScenario(angles=d(7), trials=2000) for d in (design_optimal, baseline_semicircle)]
+        )
         sensedesign.simulate._monitoring_sweep([ring_scenario(n=6, amplitude=3.0, trials=20)], [5.0, 15.0])
-        assert made == []
+        assert sorted(made) == [((0,),), ((0, 0),), ((0, 1),)]
 
 
 class TestLeastSquares:
@@ -304,7 +319,7 @@ class TestWorstCaseMse:
 
     @pytest.mark.parametrize("trials", [1, 17, 40])
     def test_trial_streams_independent_of_trial_count(self, trials):
-        # trial t draws its noise from SeedSequence((seed, t)) alone
+        # trial t draws the (t+1)-th row of noise from the one stream SeedSequence((seed,))
         angles = design_optimal(7)
         result = simulate_worst_case_mse(
             EstimationScenario(angles=angles, signal=(1.5, -2.0), noise_std=0.5, trials=trials, seed=3)
@@ -313,8 +328,9 @@ class TestWorstCaseMse:
         x = np.array([1.5, -2.0])
         clean = [math.cos(angles.angles[i]) * x[0] + math.sin(angles.angles[i]) * x[1] for i in idx]
         errors = []
+        rng = default_rng(SeedSequence((3,)))
         for t in range(trials):
-            w = 0.5 * default_rng(SeedSequence((3, t))).standard_normal(len(idx))
+            w = 0.5 * rng.standard_normal(len(idx))
             errors.append(np.sum((least_squares_estimate(angles, idx, clean + w) - x) ** 2))
         assert result.mse == pytest.approx(np.mean(errors), rel=1e-12, abs=1e-12)
 
@@ -394,6 +410,17 @@ class TestWorstCaseMse:
         with pytest.raises(ValueError, match="must be finite"):
             EstimationScenario(angles=TIGHT_FRAME, **kw)
 
+    @pytest.mark.parametrize("signal", [(1.0, 2.0, 3.0), (1.0,), ()])
+    def test_signal_must_be_a_pair(self, signal):
+        with pytest.raises(ValueError, match="signal must have exactly 2 entries"):
+            EstimationScenario(angles=TIGHT_FRAME, signal=signal)
+
+    @pytest.mark.parametrize("k", [3.0, np.float64(2.0), True])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            EstimationScenario(angles=TIGHT_FRAME, k=k)
+        assert EstimationScenario(angles=TIGHT_FRAME, k=np.int64(2)).k == 2
+
 
 class TestRssModel:
     def test_scenario_rejects_inside_ring(self):
@@ -419,6 +446,16 @@ class TestRssModel:
     def test_scenario_rejects_non_finite(self, kw):
         with pytest.raises(ValueError, match="must be finite"):
             RssScenario(**{"sensor_positions": ((2.0, 0.0),), **kw})
+
+    @pytest.mark.parametrize("source", [(0.0, 0.0, 5.0), (0.0,)])
+    def test_source_must_be_a_pair(self, source):
+        with pytest.raises(ValueError, match="source must have exactly 2 entries"):
+            RssScenario(sensor_positions=((2.0, 0.0),), source=source)
+
+    @pytest.mark.parametrize("position", [(2.0, 0.0, 1.0), (2.0,)])
+    def test_sensor_positions_must_be_pairs(self, position):
+        with pytest.raises(ValueError, match="sensor position 1 must have exactly 2 entries"):
+            RssScenario(sensor_positions=((0.0, 2.0), position))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
     def test_seed_must_be_a_nonnegative_int(self, seed):
@@ -507,6 +544,11 @@ class TestFim:
         with pytest.raises(ValueError):
             fim(scn, [0, 1, 2])
         assert fim(scn, [0, 1, 2], prefactor=2.0).prefactor == 2.0
+
+    @pytest.mark.parametrize("prefactor", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_prefactor_must_be_finite_and_positive(self, prefactor):
+        with pytest.raises(ValueError, match="prefactor must be finite and positive"):
+            fim(ring_scenario(n=6), [0, 1, 2], prefactor=prefactor)
 
     def test_psd_and_symmetric(self):
         scn = ring_scenario(n=8, shadow_std=1.0)
@@ -795,13 +837,14 @@ class TestMonitoring:
         assert a.points[0].mse == b.points[0].mse
 
     def test_point_rebuilt_from_trial_streams(self):
-        # trial t of point p draws its readings from SeedSequence((seed, p, t)) alone
+        # trial t of point p draws the (t+1)-th row of readings from the one stream SeedSequence((seed, p))
         scn = ring_scenario(n=6, amplitude=3.0, trials=3, seed=4)
         point = simulate_monitoring(scn, [5.0, 15.0]).points[1]
         noisy = replace(scn, shadow_std=point.noise_std)
+        rng = default_rng(SeedSequence((4, 1)))
         sq = []
         for t in range(3):
-            samples = rss_sample(noisy, default_rng(SeedSequence((4, 1, t))))
+            samples = rss_sample(noisy, rng)
             estimate = ml_locate(noisy, samples, point.worst_subset).estimate
             sq.append(np.sum((estimate - np.asarray(scn.source)) ** 2))
         assert point.mse == float(np.mean(sq))
