@@ -103,9 +103,14 @@ def _check_range(subset: SubsetSelection, n: int) -> None:
         raise IndexError(f"subset index {subset.indices[-1]} out of range for {n} items")
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """ValueError unless ``value`` is an int (numpy's too, but not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+def _check_int(name: str, value, least: int, *, type_only: bool = False) -> None:
+    """ValueError unless ``value`` is an int (numpy's too, but not a bool) of at least ``least``.
+
+    ``type_only`` skips the bound, so a caller can reject a non-integer before its own range check
+    (comparing a string raises TypeError) and keep that check's message for integers.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or (not type_only and value < least):
         kind = "nonnegative" if least == 0 else "positive"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 

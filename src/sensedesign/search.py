@@ -117,6 +117,8 @@ class MinimaxSearchConfig:
     refine_iterations: int = 200
 
     def __post_init__(self):
+        for name, least in (("n", 1), ("k", 1), ("grid_points_per_angle", 1), ("refine_iterations", 0)):
+            _check_int(name, getattr(self, name), least, type_only=True)
         if self.n < 3:
             raise ValueError(f"search needs n >= 3, got n={self.n}")
         if not 2 <= self.k <= self.n:
@@ -125,11 +127,6 @@ class MinimaxSearchConfig:
             raise ValueError("grid_points_per_angle must be at least 2")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be nonnegative")
-        # the range checks above come first and keep their messages; these reject non-integers
-        _check_int("n", self.n, 1)
-        _check_int("k", self.k, 1)
-        _check_int("grid_points_per_angle", self.grid_points_per_angle, 1)
-        _check_int("refine_iterations", self.refine_iterations, 0)
 
 
 def _tie_floor(top: float) -> float:
@@ -146,6 +143,7 @@ def _first_tied(scores: Sequence[float]) -> int:
 def _worst_window(angles: AngleSet, k: int) -> tuple[tuple[int, ...], complex, int]:
     """(indices, resultant R, subsets scored) of the worst K-subset; see the module notes."""
     n = angles.n
+    _check_int("k", k, 1, type_only=True)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     t = angles.angles
@@ -356,6 +354,8 @@ def local_refine(
     tied plateaus (where any single-angle move leaves some maximizing
     subset untouched) are fixed points.
     """
+    _check_int("k", k, 1, type_only=True)
+    _check_int("iterations", iterations, 0, type_only=True)  # a negative count runs no sweep, as before
     if not 1 <= k <= angles.n:
         raise ValueError(f"need 1 <= k <= {angles.n}, got k={k}")
     step = math.pi / 180.0 if initial_step is None else float(initial_step)

@@ -25,17 +25,19 @@ for the sweep call; ``simulate_worst_case_mse`` and ``simulate_monitoring``
 are sweeps of one design.
 
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
-``_locate``, which takes all readings of a design at once, one trial per
-row.  Each row starts at its best coarse-grid node and is refined by
-Levenberg-Marquardt run on every row together: closed-form damped 2x2
-normal equations, Nielsen's damping update, and MINPACK's xtol, ftol and
-gtol stopping tests, all at ``LM_TOL``.  A solution outside the search disc
-is solved again over the rim angle, from its exit direction.  This loop is
-the only solver; no row goes to scipy.  A row still running after
-``_LM_ITERATIONS`` steps keeps its last accepted iterate, and a row whose
-residual ends non-finite, or above its grid node's, keeps the grid node.
-A row's arithmetic does not depend on the rows batched with it, so a trial
-gives the same bits in a sweep and in ``ml_locate``.
+``_locate``, which solves the readings of every design of a sweep, one
+trial per row, as one batch (``_LM_ROWS`` rows at a time).  Each row starts
+at its design's best coarse-grid node and is refined by Levenberg-Marquardt
+run on every row together: closed-form damped 2x2 normal equations,
+Nielsen's damping update, and MINPACK's xtol, ftol and gtol stopping tests,
+all at ``LM_TOL``.  A solution outside the search disc is solved again over
+the rim angle, from its exit direction; no row goes to scipy.  A row still
+running after ``_LM_ITERATIONS`` steps keeps its last accepted iterate, and
+a row whose residual ends non-finite, or above its grid node's, keeps the
+grid node.  Each row carries its own sensor positions, path loss, centre
+and radius; operations are elementwise and sums over sensors add rows left
+to right (``.sum(axis=0)`` goes pairwise from K = 8 on a one-row batch),
+so a row's bits do not depend on the rows or designs batched with it.
 """
 
 from __future__ import annotations
@@ -379,6 +381,7 @@ LM_TOL = 1e-15
 _LM_ITERATIONS = 200
 _LM_TAU = 1e-3  # first damping: tau times the largest diagonal entry of J^T J (Nielsen)
 _START_ROWS = 8  # rows scored against the grid at a time: two 8 x nodes buffers of work memory
+_LM_ROWS = 4096  # rows in one Levenberg-Marquardt batch: bounds its work memory at paper scale
 
 
 @dataclass(frozen=True)
@@ -443,8 +446,8 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     )
 
 
-def _sum(terms: Sequence[np.ndarray]) -> np.ndarray:
-    """Left-to-right sum of per-sensor (or per-parameter) arrays: no reduction across the batch."""
+def _sum(terms: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Left-to-right sum of per-sensor (or per-parameter) arrays, or of a 2-D array's rows."""
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -472,121 +475,145 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
     return best
 
 
-def _disc_model(x: np.ndarray, table: _StartTable, y: np.ndarray):
-    """Residuals r_i = y_i - ln A + path_loss ln d_i at the points x = (px, py), and their gradients."""
-    px, py = x
-    r, jx, jy = [], [], []
-    for (sx, sy), yi in zip(table.pos.tolist(), y.T):
-        dx, dy = px - sx, py - sy
-        q = dx * dx + dy * dy
-        r.append(yi - table.log_amplitude + table.path_loss * np.log(np.sqrt(q)))
-        jx.append(table.path_loss * dx / q)
-        jy.append(table.path_loss * dy / q)
-    return r, (jx, jy)
+def _disc_model(x, d: np.ndarray, jacobian: bool = True):
+    """Residuals r_i = y_i - ln A + path_loss ln d_i (K, rows) at the points x = (px, py), and gradients.
+
+    Each column of d is one row's data: path loss, centre x and y, radius, then sensor x, sensor y and
+    y_i - ln A, K entries each.
+    """
+    beta, (sx, sy, c) = d[0], d[4:].reshape(3, -1, d.shape[1])
+    dx, dy = x[0] - sx, x[1] - sy
+    q = dx * dx + dy * dy
+    r = c + beta * np.log(np.sqrt(q))
+    return r, (beta * dx / q, beta * dy / q) if jacobian else None
 
 
-def _rim_points(table: _StartTable, phi: np.ndarray) -> np.ndarray:
-    cx, cy = table.center
-    return np.array([cx + table.radius * np.cos(phi), cy + table.radius * np.sin(phi)])
+def _rim_points(d: np.ndarray, phi: np.ndarray):
+    """Points (px, py) of each row's search circle at the angles phi, and R cos phi, R sin phi."""
+    rc, rs = d[3] * np.cos(phi), d[3] * np.sin(phi)
+    return (d[1] + rc, d[2] + rs), rc, rs
 
 
-def _rim_model(x: np.ndarray, table: _StartTable, y: np.ndarray):
+def _rim_model(x, d: np.ndarray, jacobian: bool = True):
     """The same residuals at the rim angles x = (phi,), and dr_i/dphi."""
-    (phi,) = x
-    tx, ty = -table.radius * np.sin(phi), table.radius * np.cos(phi)
-    r, (jx, jy) = _disc_model(_rim_points(table, phi), table, y)
-    return r, ([a * tx + b * ty for a, b in zip(jx, jy)],)
+    points, rc, rs = _rim_points(d, x[0])
+    r, jac = _disc_model(points, d, jacobian)
+    return r, (jac[1] * rc - jac[0] * rs,) if jacobian else None
 
 
-def _gradient_small(s: np.ndarray, a, g) -> np.ndarray:
+def _gradient_small(s: np.ndarray, diag, g) -> np.ndarray:
     """MINPACK's gtol test, max_j |J_j^T r| / (||J_j|| ||r||) <= LM_TOL; zero columns are skipped."""
     small = np.ones(len(s), dtype=bool)
-    for j, gj in enumerate(g):
-        col = np.sqrt(a[j][j])
+    for aj, gj in zip(diag, g):
+        col = np.sqrt(aj)
         small &= (col == 0.0) | (np.abs(gj) / (col * np.sqrt(s)) <= LM_TOL)
     return small | (s == 0.0)
 
 
-def _damped_step(a, g, mu: np.ndarray) -> np.ndarray:
+def _damped_step(diag, cross, g, mu: np.ndarray) -> np.ndarray:
     """h solving (J^T J + mu I) h = -J^T r for one or two parameters, by Cramer's rule."""
     if len(g) == 1:
-        return np.array([-g[0] / (a[0][0] + mu)])
-    d0, d1, off = a[0][0] + mu, a[1][1] + mu, a[0][1]
-    det = d0 * d1 - off * off
-    return np.array([(off * g[1] - d1 * g[0]) / det, (off * g[0] - d0 * g[1]) / det])
+        return np.array([-g[0] / (diag[0] + mu)])
+    d0, d1 = diag[0] + mu, diag[1] + mu
+    det = d0 * d1 - cross * cross
+    return np.array([(cross * g[1] - d1 * g[0]) / det, (cross * g[0] - d0 * g[1]) / det])
 
 
-def _lm_rows(model, x: np.ndarray, table: _StartTable, y: np.ndarray):
-    """Levenberg-Marquardt on every row at once: x (p, rows) with p = 1 or 2, readings y (rows, k).
+def _lm_step(model, state: np.ndarray, d: np.ndarray, step: int) -> np.ndarray:
+    """Step ``step`` of ``_lm_rows`` on every row of state, updated in place; returns the rows that stop."""
+    x, rss, mu, nu = state[:-3], state[-3], state[-2], state[-1]
+    r, jac = model(x, d)
+    s = _sum(r * r)
+    diag = [_sum(j * j) for j in jac]
+    cross = _sum(jac[0] * jac[1]) if len(jac) == 2 else None
+    g = [_sum(j * r) for j in jac]
+    if step == 0:
+        rss[:], mu[:], nu[:] = s, _LM_TAU * np.maximum(diag[0], diag[-1]), 2.0
+    stop = _gradient_small(s, diag, g)
+    if step < _LM_ITERATIONS:
+        h = _damped_step(diag, cross, g, mu)
+        hh = _sum(h * h)
+        jh = _sum([j * hj for j, hj in zip(jac, h)])
+        pred = _sum(jh * jh) + 2.0 * mu * hh
+        del r, jac, jh  # (K, rows) arrays: freed before the trial point's
+        xn = x + h
+        rn = model(xn, d, False)[0]
+        sn = _sum(rn * rn)
+        rho = (s - sn) / pred
+        actual = np.where(sn < 100.0 * s, 1.0 - sn / s, -1.0)
+        accept = (rho > 0.0) & ~stop
+        stop |= np.sqrt(hh) <= LM_TOL * (np.sqrt(_sum(x * x)) + LM_TOL)
+        stop |= (np.abs(actual) <= LM_TOL) & (pred / s <= LM_TOL) & (rho <= 2.0)
+        np.copyto(x, xn, where=accept)
+        np.copyto(rss, sn, where=accept)
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        mu[:] = np.where(accept, mu * shrink, mu * nu)
+        nu[:] = np.where(accept, 2.0, 2.0 * nu)
+    return stop
+
+
+def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt on every row at once: x (p, rows) with p = 1 or 2, per-row data d (F, rows).
 
     Damping starts at ``_LM_TAU`` times the largest diagonal entry of J^T J
     and follows Nielsen's rule per row: an accepted step (gain ratio
     rho > 0) scales it by max(1/3, 1 - (2 rho - 1)^3), a rejected one by nu,
     which then doubles.  Rows stop at the tests of ``LM_TOL`` or after
-    ``_LM_ITERATIONS`` steps.  Returns the last accepted x and its squared
-    residual norm.  Every sum over sensors or parameters is written out, so
+    ``_LM_ITERATIONS`` steps, and leave the batch when they stop.  Returns
+    the last accepted x and its squared residual norm.  Every operation is
+    elementwise and every sum over sensors or parameters is written out, so
     a row's arithmetic is the same in any batch.
     """
-    x = x.copy()
-    rss = np.full(x.shape[1], np.nan)
-    mu = np.empty(x.shape[1])
-    nu = np.full(x.shape[1], 2.0)
-    stopped = np.zeros(x.shape[1], dtype=bool)
+    state = np.concatenate([x, np.empty((3, x.shape[1]))])  # x, squared residual norm, damping mu and nu
+    out, rows = np.empty((len(x) + 1, x.shape[1])), np.arange(x.shape[1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(_LM_ITERATIONS + 1):
-            live = np.flatnonzero(~stopped)
-            if not live.size:
-                break
-            xi, yi = x[:, live], y[live]
-            r, jac = model(xi, table, yi)
-            s = _sum([v * v for v in r])
-            a = [[_sum([u * v for u, v in zip(jj, jl)]) for jl in jac] for jj in jac]
-            g = [_sum([u * v for u, v in zip(jj, r)]) for jj in jac]
-            if step == 0:
-                mu[:] = _LM_TAU * np.maximum(a[0][0], a[-1][-1])
-            rss[live] = s
-            stop = _gradient_small(s, a, g)
-            if step < _LM_ITERATIONS:
-                mui, nui = mu[live], nu[live]
-                h = _damped_step(a, g, mui)
-                xn = xi + h
-                sn = _sum([v * v for v in model(xn, table, yi)[0]])
-                hh = _sum([v * v for v in h])
-                jh = [_sum([jj[i] * hj for jj, hj in zip(jac, h)]) for i in range(len(r))]
-                pred = _sum([v * v for v in jh]) + 2.0 * mui * hh
-                rho = (s - sn) / pred
-                actual = np.where(sn < 100.0 * s, 1.0 - sn / s, -1.0)
-                accept = (rho > 0.0) & ~stop
-                stop |= np.sqrt(hh) <= LM_TOL * (np.sqrt(_sum([v * v for v in xi])) + LM_TOL)
-                stop |= (np.abs(actual) <= LM_TOL) & (pred / s <= LM_TOL) & (rho <= 2.0)
-                x[:, live[accept]] = xn[:, accept]
-                rss[live[accept]] = sn[accept]
-                shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                mu[live] = np.where(accept, mui * shrink, mui * nui)
-                nu[live] = np.where(accept, 2.0, 2.0 * nui)
-            stopped[live[stop]] = True
-    return x, rss
+            stop = _lm_step(model, state, d, step)
+            if stop.any():
+                out[:, rows[stop]] = state[:-2, stop]
+                keep = np.flatnonzero(~stop)
+                state, d, rows = state.take(keep, axis=1), d.take(keep, axis=1), rows[keep]
+                if not rows.size:
+                    break
+    out[:, rows] = state[:-2]
+    return out[:-1], out[-1]
 
 
-def _locate(table: _StartTable, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Estimates (rows, 2), residuals and on_boundary flags for the readings y (rows, k); see ml_locate."""
-    best = _start(table, y)
-    start = table.nodes[best]
-    grid_residual = _sum([(y[:, i] - table.mu[i, best]) ** 2 for i in range(y.shape[1])])
+def _locate(designs: Sequence[tuple[_StartTable, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimates (rows, 2), residuals and on_boundary flags for the readings y (rows, k) of each (table, y).
 
-    est, residual = _lm_rows(_disc_model, start.T, table, y)
-    off = est - table.center[:, None]
-    rim = np.flatnonzero(off[0] * off[0] + off[1] * off[1] > table.radius**2)
-    if rim.size:  # the constrained optimum lies on the rim: minimise over it, from the exit direction
-        exit_angle = np.arctan2(off[1:, rim], off[:1, rim])
-        phi, residual[rim] = _lm_rows(_rim_model, exit_angle, table, y[rim])
-        est[:, rim] = _rim_points(table, phi[0])
-    est = est.T.copy()
-    keep = ~(residual <= grid_residual)  # no progress (or a non-finite step): keep the grid node
-    est[keep], residual[keep] = start[keep], grid_residual[keep]
-    cell = 2.0 * table.radius / (GRID_POINTS_PER_AXIS - 1)
-    off = est - table.center
-    return est, residual, np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]) >= table.radius - cell
+    The designs' rows are stacked in order and solved together, at most
+    ``_LM_ROWS`` at a time, each with its own design's data; see ml_locate.
+    """
+    best = [_start(t, y) for t, y in designs]
+    start = np.concatenate([t.nodes[b] for (t, _), b in zip(designs, best)]).T
+    grid = [_sum([(yi - mu[b]) ** 2 for yi, mu in zip(y.T, t.mu)]) for (t, y), b in zip(designs, best)]
+    grid, c = np.concatenate(grid), np.concatenate([y.T - t.log_amplitude for t, y in designs], axis=1)
+    # per design: the rows of _disc_model's data that do not depend on the readings
+    geo = np.array([[t.path_loss, *t.center, t.radius, *t.pos.T.ravel()] for t, _ in designs]).T
+    r2 = np.array([t.radius**2 for t, _ in designs])
+    edge = np.array([t.radius - 2.0 * t.radius / (GRID_POINTS_PER_AXIS - 1) for t, _ in designs])
+    which = np.repeat(np.arange(len(designs)), [len(y) for _, y in designs])
+
+    def data(rows):  # _disc_model's data of the given rows
+        return np.concatenate([geo[:, which[rows]], c[:, rows]])
+    est, residual, on_boundary = np.empty((len(grid), 2)), np.empty_like(grid), np.empty(len(grid), bool)
+    for lo in range(0, len(grid), _LM_ROWS):
+        rows = slice(lo, lo + _LM_ROWS)
+        w = which[rows]
+        e, res = _lm_rows(_disc_model, start[:, rows], data(rows))
+        off = e - geo[1:3, w]
+        rim = np.flatnonzero(off[0] * off[0] + off[1] * off[1] > r2[w])
+        if rim.size:  # the constrained optimum lies on the rim: minimise over it, from the exit direction
+            d = data(lo + rim)
+            phi, res[rim] = _lm_rows(_rim_model, np.arctan2(off[1:, rim], off[:1, rim]), d)
+            e[:, rim] = _rim_points(d, phi[0])[0]
+        keep = ~(res <= grid[rows])  # no progress (or a non-finite step): keep the grid node
+        e[:, keep], res[keep] = start[:, rows][:, keep], grid[rows][keep]
+        off = e - geo[1:3, w]
+        est[rows], residual[rows] = e.T, res
+        on_boundary[rows] = np.sqrt(off[0] * off[0] + off[1] * off[1]) >= edge[w]
+    return est, residual, on_boundary
 
 
 def ml_locate(
@@ -620,7 +647,7 @@ def ml_locate(
     y = obs[list(sel.indices)]
     if not np.all(np.isfinite(y)):
         raise ValueError(f"samples must be finite at the active sensors {sel.indices}, got {y.tolist()}")
-    est, residual, on_boundary = _locate(table, y[None])
+    est, residual, on_boundary = _locate([(table, y[None])])
     return LocateResult(estimate=est[0], residual=float(residual[0]), on_boundary=bool(on_boundary[0]))
 
 
@@ -679,9 +706,8 @@ def _monitoring_sweep(
         raise ValueError(f"SNR values must be finite, got {snrs}")
     keys = {((s.seed, pi), s.trials, s.n) for s in scenarios for pi in range(len(snrs))}
     tables = {key: _trial_noise(*key) for key in keys}
-    results = []
+    designs, studies = [], []
     for scenario in scenarios:
-        trials = scenario.trials
         clean = _rss_mean(scenario)
         signal_power = float(np.mean(clean**2))
         if signal_power > 1e-30:
@@ -698,15 +724,19 @@ def _monitoring_sweep(
             raise ValueError(f"noise levels must be finite, but SNR values {snrs} dB are too low")
 
         sel, _ = worst_fim_subset(scenario, k=3)
-        table = _start_table(scenario, sel)  # shared by every SNR point and trial
         active = list(sel.indices)
+        # every point's trials of the active sensors; row pi * trials + t is trial t of point pi
+        drawn = [tables[(scenario.seed, pi), scenario.trials, scenario.n] for pi in range(len(snrs))]
+        readings = np.concatenate([clean[active] + s * table[:, active] for s, table in zip(sigmas, drawn)])
+        designs.append((_start_table(scenario, sel), readings))  # one start table for every point and trial
+        studies.append((scenario, sigmas, sel, reference, p_ref))
+    # every design's rows in one batch: a row's solve does not depend on the rows batched with it
+    est = np.split(_locate(designs)[0], np.cumsum([len(y) for _, y in designs])[:-1])
+    results = []
+    for (scenario, sigmas, sel, reference, p_ref), e in zip(studies, est):
+        trials = scenario.trials
         z = np.asarray(scenario.source, dtype=float)
-        # every point's trials in one batch; row pi * trials + t is trial t of point pi
-        readings = np.concatenate(
-            [clean + s * tables[(scenario.seed, pi), trials, scenario.n] for pi, s in enumerate(sigmas)]
-        )
-        est = _locate(table, readings[:, active])[0]
-        sq = (est[:, 0] - z[0]) ** 2 + (est[:, 1] - z[1]) ** 2
+        sq = (e[:, 0] - z[0]) ** 2 + (e[:, 1] - z[1]) ** 2
         points = []
         for pi, (snr, sigma) in enumerate(zip(snrs, sigmas)):
             mse, se = _mean_and_se(sq[pi * trials : (pi + 1) * trials])

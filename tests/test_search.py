@@ -331,3 +331,44 @@ class TestLocalRefine:
     def test_initial_step_must_be_finite_and_positive(self, step):
         with pytest.raises(ValueError, match="initial_step must be finite and positive"):
             local_refine(AngleSet([0.0, 1.0, 2.0]), 3, initial_step=step)
+
+
+FOUR = AngleSet([0.0, 1.0, 2.0, 2.5])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: worst_subset(FOUR, k=2.0), "k"),
+        (lambda: worst_subset(FOUR, k="2"), "k"),
+        (lambda: local_refine(FOUR, 2.0), "k"),
+        (lambda: local_refine(FOUR, 3, iterations=2.5), "iterations"),
+        (lambda: local_refine(FOUR, 3, iterations="2"), "iterations"),
+        (lambda: MinimaxSearchConfig(n="4"), "n"),
+        (lambda: MinimaxSearchConfig(n=4, k="3"), "k"),
+        (lambda: MinimaxSearchConfig(n=4, refine_iterations="2"), "refine_iterations"),
+    ],
+    ids=["subset-float", "subset-str", "refine-k", "refine-float", "refine-str", "cfg-n", "cfg-k", "cfg-it"],
+)
+def test_non_integer_counts_are_rejected_before_the_range_checks(call, name):
+    # a string used to reach a range comparison, and a float a range() or slice: both raised TypeError
+    with pytest.raises(ValueError, match=f"{name} must be a (positive|nonnegative) integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: worst_subset(FOUR, 0), "need 1 <= k <= 4, got k=0"),
+        (lambda: local_refine(FOUR, 5), "need 1 <= k <= 4, got k=5"),
+        (lambda: MinimaxSearchConfig(n=0), "search needs n >= 3, got n=0"),
+        (lambda: MinimaxSearchConfig(n=4, k=1), "need 2 <= k <= n, got k=1, n=4"),
+        (lambda: MinimaxSearchConfig(4, grid_points_per_angle=1), "grid_points_per_angle must be at least 2"),
+        (lambda: MinimaxSearchConfig(n=4, refine_iterations=-1), "refine_iterations must be nonnegative"),
+    ],
+    ids=["subset", "refine", "cfg-n", "cfg-k", "cfg-grid", "cfg-it"],
+)
+def test_integer_counts_keep_their_range_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -39,6 +39,7 @@ from sensedesign import (
     worst_fim_subset,
     worst_subset,
 )
+from sensedesign.cli import main
 
 TIGHT_FRAME = AngleSet([0.0, math.pi / 3, 2 * math.pi / 3])
 
@@ -153,9 +154,11 @@ def grid_node_scenario():
 def sweep_draws(per_point):
     """Seeded cases (scenario, active triple, readings stacked one trial per row).
 
-    Both n=10 designs at 0, 10 and 30 dB, drawn as the monitoring sweep draws
-    them (unit amplitude at unit distance, so sigma^2 = 10^(-snr/10)), and
-    the sensors-on-grid-nodes geometry: its four sign patterns and seeded draws.
+    Both n=10 designs at 0, 10 and 30 dB (unit amplitude at unit distance, so
+    sigma^2 = 10^(-snr/10)), each trial drawn from its own SeedSequence((5, point, t))
+    stream (the sweep draws one stream per table; these tests only need seeded
+    readings), and the sensors-on-grid-nodes geometry: its four sign patterns and
+    seeded draws.
     """
     cases = []
     for design in (design_optimal(10), baseline_semicircle(10)):
@@ -698,8 +701,8 @@ class TestMlLocate:
         assert result.residual <= res.min() + 1e-12
 
     def test_never_worse_than_nelder_mead(self):
-        # seeded draws as the monitoring sweep makes them: n=10 ring, worst triple active,
-        # unit amplitude at unit distance so sigma^2 = 10^(-snr/10)
+        # n=10 ring, worst triple active, unit amplitude at unit distance so sigma^2 = 10^(-snr/10);
+        # one SeedSequence((3, point, t)) stream per trial, not the sweep's one stream per table
         semicircle_rim_draws = 0
         for name, design in (("optimal", design_optimal(10)), ("semicircle", baseline_semicircle(10))):
             base = RssScenario(sensor_positions=ring_positions(design), sensor_radius=1.0)
@@ -719,7 +722,8 @@ class TestMlLocate:
         interior = rim = 0
         for scn, active, rows in sweep_draws(50):
             table = sensedesign.simulate._start_table(scn, active)
-            est, residual, on_boundary = sensedesign.simulate._locate(table, rows[:, list(active.indices)])
+            y = rows[:, list(active.indices)]
+            est, residual, on_boundary = sensedesign.simulate._locate([(table, y)])
             for i, samples in enumerate(rows):
                 alone = ml_locate(scn, samples, active)
                 assert est[i].tolist() == alone.estimate.tolist(), (scn.shadow_std, i)
@@ -761,7 +765,7 @@ class TestMlLocate:
         monkeypatch.setattr(sim, "_LM_ITERATIONS", cap)
         for scn, active, rows in sweep_draws(20):
             table = sim._start_table(scn, active)
-            est, residual, on_boundary = sim._locate(table, rows[:, list(active.indices)])
+            est, residual, on_boundary = sim._locate([(table, rows[:, list(active.indices)])])
             assert np.all(np.linalg.norm(est - table.center, axis=1) <= table.radius), scn.shadow_std
             for i, samples in enumerate(rows):
                 _, grid = grid_residuals(scn, samples, active.indices)
@@ -779,7 +783,7 @@ class TestMlLocate:
             y = rows[:, list(active.indices)]
             nodes = sim._start(table, y)
             oracle = [scipy_locate(table, yi, node) for yi, node in zip(y, nodes)]
-            _, residual, _ = sim._locate(table, y)
+            _, residual, _ = sim._locate([(table, y)])
             for i, want in enumerate(oracle):
                 assert residual[i] <= want + 1e-12, (scn.shadow_std, i, residual[i], want)
 
@@ -878,6 +882,50 @@ class TestMonitoring:
         assert len(results) == len(scenarios)
         for scenario, result in zip(scenarios, results):
             assert result == simulate_monitoring(scenario, [5.0, 15.0]), scenario
+
+    def test_one_batch_over_differing_scenarios(self):
+        # the rows of designs that differ in ring, n, amplitude, path loss, radius and source share one
+        # batch, and each design's result is, bit for bit, what it gets alone
+        def ring(build, n, radius=1.0, source=(0.0, 0.0), **kw):
+            return RssScenario(
+                sensor_positions=ring_positions(build(n), radius, source),
+                source=source,
+                sensor_radius=radius,
+                trials=6,
+                seed=4,
+                **kw,
+            )
+
+        scenarios = [
+            ring(design_optimal, 6, amplitude=3.0),
+            ring(baseline_semicircle, 6, amplitude=3.0),
+            ring(design_optimal, 7, amplitude=5.0, path_loss=3.5),
+            ring(baseline_semicircle, 9, radius=2.5, source=(1.5, -2.0), path_loss=2.7),
+            ring(design_optimal, 8, radius=0.6, source=(-0.3, 0.4), amplitude=0.5),
+        ]
+        sim = sensedesign.simulate
+        calls, solve = [], sim._lm_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_lm_rows", lambda model, *a: calls.append(model.__name__) or solve(model, *a))
+            results = sim._monitoring_sweep(scenarios, [-5.0, 10.0, 40.0])
+        assert calls[0] == "_disc_model" and calls[1:] in ([], ["_rim_model"]), calls
+        for scenario, result in zip(scenarios, results):
+            assert result == simulate_monitoring(scenario, [-5.0, 10.0, 40.0]), scenario
+
+    def test_benchmark_size_command_is_one_batch(self, monkeypatch, tmp_path):
+        # 2 designs x 7 SNR points x 40 trials = 560 rows: one disc solve, and at most one rim solve
+        sim = sensedesign.simulate
+        assert 560 <= sim._LM_ROWS
+        calls, solve = [], sim._lm_rows
+
+        def counted(model, x, d):
+            calls.append((model.__name__, x.shape[1]))
+            return solve(model, x, d)
+
+        monkeypatch.setattr(sim, "_lm_rows", counted)
+        argv = ["simulate-monitoring", "--n", "10", "--snr", "0,5,10,15,20,25,30", "--trials", "40"]
+        assert main([*argv, "--seed", "7", "--output", str(tmp_path / "m.csv")]) == 0
+        assert calls[0] == ("_disc_model", 560) and [c[0] for c in calls[1:]] in ([], ["_rim_model"]), calls
 
     def test_sweep_work_memory_is_bounded(self):
         # the start grid has 7,839 nodes: scoring all 2,800 rows at once would take 176 MB
