@@ -27,17 +27,25 @@ are sweeps of one design.
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which solves the readings of every design of a sweep, one
 trial per row, as one batch (``_LM_ROWS`` rows at a time).  Each row starts
-at its design's best coarse-grid node and is refined by Levenberg-Marquardt
-run on every row together: closed-form damped 2x2 normal equations,
-Nielsen's damping update, and MINPACK's xtol, ftol and gtol stopping tests,
-all at ``LM_TOL``.  A solution outside the search disc is solved again over
-the rim angle, from its exit direction; no row goes to scipy.  A row still
-running after ``_LM_ITERATIONS`` steps keeps its last accepted iterate, and
-a row whose residual ends non-finite, or above its grid node's, keeps the
-grid node.  Each row carries its own sensor positions, path loss, centre
-and radius; operations are elementwise and sums over sensors add rows left
-to right (``.sum(axis=0)`` goes pairwise from K = 8 on a one-row batch),
-so a row's bits do not depend on the rows or designs batched with it.
+at its design's best coarse-grid node, the nearest in reading space.  The
+search for it is pruned but exact: the nodes are grouped into tiles, a
+row's squared distance to a tile's box of predicted readings bounds every
+node of the tile from below, and only the tiles whose bound comes within
+the best score of the row's nearest tile, plus a rounding slack derived
+from the unit roundoff (``_START_SLACK``), are scored, with the operations
+of a scan of every node.  The least score wins, and the smallest node
+index among equal ones, so the node is the one a scan of every node picks.
+The row is then refined by Levenberg-Marquardt run on every row together:
+closed-form damped 2x2 normal equations, Nielsen's damping update, and
+MINPACK's xtol, ftol and gtol stopping tests, all at ``LM_TOL``.  A
+solution outside the search disc is solved again over the rim angle, from
+its exit direction; no row goes to scipy.  A row still running after
+``_LM_ITERATIONS`` steps keeps its last accepted iterate, and a row whose
+residual ends non-finite, or above its grid node's, keeps the grid node.
+Each row carries its own sensor positions, path loss, centre and radius;
+operations are elementwise and sums over sensors add rows left to right
+(``.sum(axis=0)`` goes pairwise from K = 8 on a one-row batch), so a row's
+bits do not depend on the rows or designs batched with it.
 """
 
 from __future__ import annotations
@@ -87,9 +95,9 @@ class EstimationScenario:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int("k", self.k, 1, type_only=True)
         if not 1 <= self.k <= self.angles.n:
             raise ValueError(f"need 1 <= k <= {self.angles.n}, got k={self.k}")
-        _check_int("k", self.k, 1)
         if not 0 <= self.noise_std < math.inf:  # written so that NaN fails
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
         _check_pair("signal", self.signal)
@@ -355,6 +363,7 @@ def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection
     them is reported; when some subset is rank deficient, the smallest such
     tuple is.
     """
+    _check_int("k", k, 2, type_only=True)
     if not 2 <= k <= scenario.n:
         raise ValueError(f"need 2 <= k <= {scenario.n}, got k={k}")
     w, p = (a.tolist() for a in _fim_terms(scenario))
@@ -380,7 +389,19 @@ LM_TOL = 1e-15
 # linearly; a row still running then keeps its last accepted iterate, whose residual only went down.
 _LM_ITERATIONS = 200
 _LM_TAU = 1e-3  # first damping: tau times the largest diagonal entry of J^T J (Nielsen)
-_START_ROWS = 8  # rows scored against the grid at a time: two 8 x nodes buffers of work memory
+_START_TILE = 6  # grid nodes per side of a start tile: 6 x 6 nodes share one reading-space box
+_START_ROWS = 64  # rows bounded against every tile at a time: a few 64 x tiles arrays of work memory
+_START_PAIRS = 1024  # (row, tile) pairs scored at a time: a few 1024 x 36 arrays of work memory
+# Pruning slack of _start, per row a multiple of M + |y|^2, M the largest mu_sq of the table.  With
+# u = 2^-53 and K active sensors: a node's float score mu_sq - 2 y.mu differs from its exact value
+# |mu - y|^2 - |y|^2 by at most (2K + 2) u (M + |y|^2) (mu_sq and y.mu are K-term sums, and
+# 2 |y.mu| <= M + |y|^2); a tile's float bound differs from its exact value, at most
+# 2 (M + |y|^2), by at most (K + 2) u times that; |y|^2 and the sum upper + |y|^2 + slack add
+# K u |y|^2 and 6 u (M + |y|^2).  So a tile holding a node whose float score is at most the upper
+# bound passes once the slack exceeds (5K + 12) u (M + |y|^2), below 1e-12 (M + |y|^2) for K < 1700.
+# 1e-9 leaves a wide margin and costs almost no pruning: in the paper-scale monitoring run it adds
+# one scored (row, tile) pair to the 228,671 that a zero slack scores.
+_START_SLACK = 1e-9
 _LM_ROWS = 4096  # rows in one Levenberg-Marquardt batch: bounds its work memory at paper scale
 
 
@@ -399,7 +420,12 @@ class _StartTable:
     MIN_SENSOR_DISTANCE from every active sensor, ``mu`` their predicted
     readings ln A - path_loss * ln d (one column per node) and ``mu_sq`` the
     squared column norms, so the best node for readings y minimises
-    ``mu_sq - 2 y @ mu``.
+    ``mu_sq - 2 y @ mu``.  The nodes are also grouped into tiles of
+    ``_START_TILE`` x ``_START_TILE`` grid cells: ``tiles`` (tiles, slots)
+    lists each tile's node indices cell by cell, so in ascending order, with
+    the tile's first node in the cells that hold none; ``tile_mu`` (k, tiles,
+    slots) and ``tile_mu_sq`` hold their ``mu`` and ``mu_sq``, and ``lo``,
+    ``hi`` (k, tiles) the box of the tile's predictions per sensor.
     """
 
     pos: np.ndarray
@@ -410,6 +436,11 @@ class _StartTable:
     nodes: np.ndarray
     mu: np.ndarray
     mu_sq: np.ndarray
+    tiles: np.ndarray
+    tile_mu: np.ndarray
+    tile_mu_sq: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
@@ -428,12 +459,24 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()]) + z
     off = points - z
-    points = points[np.einsum("ij,ij->i", off, off) <= radius**2]
+    inside = np.flatnonzero(np.einsum("ij,ij->i", off, off) <= radius**2)
+    points = points[inside]
     d = np.hypot(pos[:, :1] - points[:, 0], pos[:, 1:] - points[:, 1])
     # a node on a sensor predicts an infinite reading; its score would be inf - inf
     keep = d.min(axis=0) >= MIN_SENSOR_DISTANCE
     log_amplitude = math.log(scenario.amplitude)
     mu = log_amplitude - scenario.path_loss * np.log(d[:, keep])
+    mu_sq = np.einsum("ij,ij->j", mu, mu)
+    # each node's index at its grid cell, and the cells cut into tiles of _START_TILE x _START_TILE
+    n, side = len(mu_sq), -(-GRID_POINTS_PER_AXIS // _START_TILE)
+    cell = np.full((side * _START_TILE) ** 2, n)
+    row, col = np.divmod(inside[keep], GRID_POINTS_PER_AXIS)
+    cell[row * side * _START_TILE + col] = np.arange(n)
+    cell = cell.reshape(side, _START_TILE, side, _START_TILE).swapaxes(1, 2).reshape(side * side, -1)
+    first = cell.min(axis=1)
+    tiles = np.where(cell < n, cell, first[:, None])[first < n]  # empty cells hold the tile's first node
+    tile_mu = mu.take(tiles, axis=1)
+    by_slot = mu.take(tiles.T, axis=1)  # (k, slots, tiles): each box is a reduction along contiguous tiles
     return _StartTable(
         pos=pos,
         center=z,
@@ -442,7 +485,12 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
         path_loss=scenario.path_loss,
         nodes=points[keep],
         mu=mu,
-        mu_sq=np.einsum("ij,ij->j", mu, mu),
+        mu_sq=mu_sq,
+        tiles=tiles,
+        tile_mu=tile_mu,
+        tile_mu_sq=mu_sq.take(tiles),
+        lo=by_slot.min(axis=1),
+        hi=by_slot.max(axis=1),
     )
 
 
@@ -454,24 +502,76 @@ def _sum(terms: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     return total
 
 
-def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
-    """Best grid node of every row of y (rows, k): the argmin of mu_sq - 2 sum_i y_i mu_i.
+def _tile_bounds(table: _StartTable, y: np.ndarray) -> np.ndarray:
+    """Squared distance from every row of y (rows, k) to every tile's box (rows, tiles), summed over sensors.
 
-    Rows are scored ``_START_ROWS`` at a time, elementwise, so the node of a
-    row does not depend on the rows scored with it.
+    No node of a tile lies nearer to y in reading space: the bound is at most |mu - y|^2 of each.
     """
-    score = np.empty((min(len(y), _START_ROWS), len(table.nodes)))
+    bound = np.zeros((len(y), len(table.tiles)))
+    for yi, a, b in zip(y.T, table.lo, table.hi):
+        gap = np.maximum(a - yi[:, None], yi[:, None] - b)
+        np.maximum(gap, 0.0, out=gap)
+        bound += np.multiply(gap, gap, out=gap)
+    return bound
+
+
+def _tile_scores(table: _StartTable, y: np.ndarray, rows: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+    """Score mu_sq - 2 sum_i y_i mu_i of every slot of tile tiles[p] for row rows[p] of y: (pairs, slots).
+
+    The ufuncs run in the exhaustive scan's order, y_0 mu_0, += y_i mu_i, *= -2, += mu_sq, elementwise.
+    """
+    score = table.tile_mu[0].take(tiles, axis=0)
+    np.multiply(y[rows, :1], score, out=score)
     term = np.empty_like(score)
-    best = np.empty(len(y), dtype=np.intp)
+    for i in range(1, y.shape[1]):
+        # the indices are in range; with the default mode="raise", take(out=...) copies through a buffer
+        table.tile_mu[i].take(tiles, axis=0, out=term, mode="clip")
+        score += np.multiply(y[rows, i : i + 1], term, out=term)
+    score *= -2.0
+    score += table.tile_mu_sq.take(tiles, axis=0, out=term, mode="clip")
+    return score
+
+
+def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
+    """Best grid node of every row of y (rows, k): the first argmin of mu_sq - 2 sum_i y_i mu_i.
+
+    The score is |mu - y|^2 - |y|^2, so the best node is the nearest in
+    reading space.  For each block of ``_START_ROWS`` rows, the squared
+    distance from y to a tile's box (summed over sensors) bounds the
+    distance of its nodes from below; the nodes of each row's tile of least
+    bound give an upper bound on the best score.  Only the tiles whose bound
+    is within the upper bound plus ``_START_SLACK`` * (M + |y|^2), M the
+    largest ``mu_sq``, are scored (see ``_START_SLACK``), ``_START_PAIRS``
+    (row, tile) pairs at a time; the others hold no node as good as the upper
+    bound, so no minimum or tie is lost.  Among the scored nodes the least
+    float score wins, and among equal ones the smallest node index: the node
+    ``argmin`` picks from all the scores.  Every score is computed
+    elementwise, so a row's node does not depend on the rows scored with it.
+    """
+    best, n_tiles = np.empty(len(y), dtype=np.intp), len(table.tiles)
+    mu_sq_max = float(table.mu_sq.max())
     for lo in range(0, len(y), _START_ROWS):
         block = y[lo : lo + _START_ROWS]
-        s, t = score[: len(block)], term[: len(block)]
-        np.multiply(block[:, :1], table.mu[0], out=s)
-        for i in range(1, block.shape[1]):
-            s += np.multiply(block[:, i : i + 1], table.mu[i], out=t)
-        s *= -2.0
-        s += table.mu_sq
-        best[lo : lo + len(block)] = np.argmin(s, axis=1)
+        rows = np.arange(len(block))
+        bound = _tile_bounds(table, block)
+        near = np.argmin(bound, axis=1)
+        upper = _tile_scores(table, block, rows, near).min(axis=1)
+        y_sq = _sum(block.T * block.T)
+        bound[rows, near] = 0.0  # the tile that gave the upper bound is always scored
+        live = bound <= (upper + y_sq + _START_SLACK * (mu_sq_max + y_sq))[:, None]
+        count, pairs = live.sum(axis=1), np.flatnonzero(live)  # every row has a live tile
+        del bound, live  # (rows, tiles) arrays: freed before the pairs are scored
+        low, arg = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.intp)
+        for p in range(0, len(pairs), _START_PAIRS):
+            r, t = np.divmod(pairs[p : p + _START_PAIRS], n_tiles)
+            score = _tile_scores(table, block, r, t)
+            slot = np.argmin(score, axis=1)  # first minimum: the tile's smallest tied index
+            low[p : p + len(slot)] = score[np.arange(len(slot)), slot]
+            arg[p : p + len(slot)] = table.tiles[t, slot]
+        starts = np.cumsum(count) - count
+        least = np.repeat(np.minimum.reduceat(low, starts), count)
+        tied = np.where(low == least, arg, len(table.nodes))  # the row's minimum, else past every node
+        best[lo : lo + len(block)] = np.minimum.reduceat(tied, starts)
     return best
 
 

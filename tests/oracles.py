@@ -5,7 +5,9 @@ These oracles take the long way round (pairwise cosines, assembled
 matrices, trace and half-gap eigenvalues) so tests can compare the two.
 The grid search's per-block evaluator is kept here too, as the reference
 its grouped tables must match bit for bit, and so is a row-at-a-time
-draw of the noise tables, which the one-call tables must match.
+draw of the noise tables, which the one-call tables must match, and the
+exhaustive scan of the localization grid start, which the pruned scan must
+match node for node.
 """
 
 import itertools
@@ -134,3 +136,24 @@ def trial_noise(key, trials, size) -> np.ndarray:
     """Standard normal (trials, size) table, rows drawn one at a time from default_rng(SeedSequence(key))."""
     rng = default_rng(SeedSequence(key))
     return np.array([rng.standard_normal(size) for _ in range(trials)])
+
+
+def grid_start(table, y) -> np.ndarray:
+    """Best grid node of every row of y by scoring every node, eight rows at a time.
+
+    The score is mu_sq - 2 sum_i y_i mu_i, computed elementwise as y_0 mu_0,
+    += y_i mu_i, *= -2, += mu_sq, and ``argmin`` takes the first minimum.
+    """
+    score = np.empty((min(len(y), 8), len(table.nodes)))
+    term = np.empty_like(score)
+    best = np.empty(len(y), dtype=np.intp)
+    for lo in range(0, len(y), 8):
+        block = y[lo : lo + 8]
+        s, t = score[: len(block)], term[: len(block)]
+        np.multiply(block[:, :1], table.mu[0], out=s)
+        for i in range(1, block.shape[1]):
+            s += np.multiply(block[:, i : i + 1], table.mu[i], out=t)
+        s *= -2.0
+        s += table.mu_sq
+        best[lo : lo + len(block)] = np.argmin(s, axis=1)
+    return best

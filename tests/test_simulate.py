@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
-from oracles import fim_matrix_direct, trial_noise, worst_fim_direct
+from oracles import fim_matrix_direct, grid_start, trial_noise, worst_fim_direct
 from scipy.optimize import least_squares, minimize
 
 import sensedesign.simulate
@@ -627,6 +627,37 @@ class TestWorstFimSubset:
         assert cond == pytest.approx(gram, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: EstimationScenario(angles=TIGHT_FRAME, k="2"),
+        lambda: worst_fim_subset(ring_scenario(n=6), k="3"),
+        lambda: worst_fim_subset(ring_scenario(n=6), k=3.0),
+    ],
+    ids=["scenario-str", "fim-str", "fim-float"],
+)
+def test_non_integer_k_is_rejected_before_the_range_check(call):
+    # a string used to reach a range comparison, and a float itertools.combinations: both raised TypeError
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EstimationScenario(angles=TIGHT_FRAME, k=0), "need 1 <= k <= 3, got k=0"),
+        (lambda: EstimationScenario(angles=TIGHT_FRAME, k=4), "need 1 <= k <= 3, got k=4"),
+        (lambda: worst_fim_subset(ring_scenario(n=6), k=1), "need 2 <= k <= 6, got k=1"),
+        (lambda: worst_fim_subset(ring_scenario(n=6), k=7), "need 2 <= k <= 6, got k=7"),
+    ],
+    ids=["scenario-low", "scenario-high", "fim-low", "fim-high"],
+)
+def test_integer_k_keeps_its_range_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 class TestMlLocate:
     def test_noiseless_recovery(self):
         scn = ring_scenario(n=10, shadow_std=0.0)
@@ -756,6 +787,54 @@ class TestMlLocate:
         stacked = sim._start(table, y)
         alone = [int(sim._start(table, row[None])[0]) for row in y]
         assert stacked.tolist() == alone == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(3, 9),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        jitter=st.lists(st.floats(-0.3, 0.3), min_size=9, max_size=9),
+        spread=st.lists(st.floats(1.0, 1.8), min_size=9, max_size=9),
+        source=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        radius=st.floats(0.2, 4.0),
+        amplitude=st.floats(0.05, 20.0),
+        path_loss=st.floats(0.5, 6.0),
+        sigma=st.sampled_from([0.0, 1e-6, 1e-2, 1.0, 30.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_start_matches_the_exhaustive_scan(
+        self, k, phase, jitter, spread, source, radius, amplitude, path_loss, sigma, seed
+    ):
+        # the pruned scan picks the node of the exhaustive scan, the first minimum of the documented
+        # score: for noisy readings, readings at node predictions and readings tying adjacent nodes
+        sim = sensedesign.simulate
+        angles = [phase + 2.0 * math.pi * (i + jitter[i]) / k for i in range(k)]
+        positions = [
+            (source[0] + radius * r * math.cos(a), source[1] + radius * r * math.sin(a))
+            for a, r in zip(angles, spread)
+        ]
+        scn = RssScenario(
+            sensor_positions=positions,
+            source=source,
+            sensor_radius=radius,
+            amplitude=amplitude,
+            path_loss=path_loss,
+            shadow_std=0.0,
+        )
+        table = sim._start_table(scn, SubsetSelection(range(k)))
+        rng = default_rng(seed)
+        a = rng.choice(len(table.nodes) - 1, size=40)
+        y = np.concatenate(
+            [
+                rss_sample(scn) + sigma * rng.standard_normal((120, k)),
+                table.mu[:, a].T,
+                0.5 * (table.mu[:, a] + table.mu[:, a + 1]).T,
+            ]
+        )
+        assert sim._start(table, y).tolist() == grid_start(table, y).tolist()
+        # each tile's bound is at most the float distance |mu - y|^2 of every node in it
+        sample = y[::8]
+        dist = sum((table.tile_mu[i] - sample[:, i, None, None]) ** 2 for i in range(k))
+        assert np.all(sim._tile_bounds(table, sample) <= dist.min(axis=2))
 
     @pytest.mark.parametrize("cap", [0, 1, 3, 10])
     def test_rows_at_the_step_cap(self, monkeypatch, cap):
@@ -939,6 +1018,63 @@ class TestMonitoring:
         finally:
             tracemalloc.stop()
         assert peak < 3e6, peak
+
+    def test_start_with_every_tile_live(self, monkeypatch):
+        # at a path loss of 1e-12 all nodes predict nearly the same readings, so no tile's bound clears
+        # the upper bound and every tile of every row is scored: the nodes still match the exhaustive
+        # scan, and the work memory stays within the bound above
+        sim = sensedesign.simulate
+        scn = RssScenario(
+            sensor_positions=ring_positions(baseline_semicircle(10)),
+            sensor_radius=1.0,
+            trials=400,
+            amplitude=math.e,
+            path_loss=1e-12,
+        )
+        calls, scored, start, scores = [], [], sim._start, sim._tile_scores
+
+        def recorded(table, y):
+            calls.append((table, y))
+            return start(table, y)
+
+        def counted(table, y, rows, tiles):
+            scored.append(len(rows))
+            return scores(table, y, rows, tiles)
+
+        monkeypatch.setattr(sim, "_start", recorded)
+        monkeypatch.setattr(sim, "_tile_scores", counted)
+        tracemalloc.start()
+        try:
+            simulate_monitoring(scn, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
+        [(table, y)] = calls
+        assert sum(scored) == len(y) * (len(table.tiles) + 1)  # each row's upper-bound tile, then all
+        assert start(table, y).tolist() == grid_start(table, y).tolist()
+
+    def test_benchmark_size_start_scores_few_nodes(self, monkeypatch, tmp_path):
+        # the exhaustive scan scores 2 designs x 280 rows x 7,839 or 7,840 nodes; the tile bounds leave
+        # under 20% of those (row, node) pairs
+        sim = sensedesign.simulate
+        exhaustive, scored, start, scores = [], [], sim._start, sim._tile_scores
+
+        def recorded(table, y):
+            exhaustive.append(len(y) * len(table.nodes))
+            return start(table, y)
+
+        def counted(*args):
+            score = scores(*args)
+            scored.append(score.size)
+            return score
+
+        monkeypatch.setattr(sim, "_start", recorded)
+        monkeypatch.setattr(sim, "_tile_scores", counted)
+        argv = ["simulate-monitoring", "--n", "10", "--snr", "0,5,10,15,20,25,30", "--trials", "40"]
+        assert main([*argv, "--seed", "7", "--output", str(tmp_path / "m.csv")]) == 0
+        assert exhaustive == [280 * 7839, 280 * 7840]  # nodes on active sensors: 2 (optimal), 1 (semicircle)
+        assert sum(scored) < 0.2 * sum(exhaustive), sum(scored)
 
     def test_empty_grid_rejected(self):
         scn = ring_scenario(n=6)
