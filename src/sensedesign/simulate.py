@@ -42,6 +42,8 @@ solution outside the search disc is solved again over the rim angle, from
 its exit direction; no row goes to scipy.  A row still running after
 ``_LM_ITERATIONS`` steps keeps its last accepted iterate, and a row whose
 residual ends non-finite, or above its grid node's, keeps the grid node.
+Every residual reported, the grid node's included, is the one formula
+``_disc_model``'s at the reported point, read once after the solves.
 Each row carries its own sensor positions, path loss, centre and radius;
 operations are elementwise and sums over sensors add rows left to right
 (``.sum(axis=0)`` goes pairwise from K = 8 on a one-row batch), so a row's
@@ -448,9 +450,10 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
         raise ValueError(f"need at least 3 active sensors, got {sel.k}")
     _check_range(sel, scenario.n)
     pos = np.asarray(scenario.sensor_positions, dtype=float)[list(sel.indices)]
-    spread = pos - pos.mean(axis=0)
-    svals = np.linalg.svd(spread, compute_uv=False)
-    if svals[-1] <= 1e-9 * svals[0]:
+    # the centred positions z_i as complex numbers: sum_i z_i z_i^T has the spectrum of
+    # (W, R) = (sum |z_i|^2, sum z_i^2), so the package's one rank rule decides collinearity
+    spread = (pos - pos.mean(axis=0)) @ np.array([1.0, 1j])
+    if _spectrum(float(np.vdot(spread, spread).real), complex(np.sum(spread * spread)))[2] == math.inf:
         raise DegenerateGeometryError(f"active sensors {sel.indices} are collinear")
 
     z = np.asarray(scenario.source, dtype=float)
@@ -539,14 +542,16 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
     reading space.  For each block of ``_START_ROWS`` rows, the squared
     distance from y to a tile's box (summed over sensors) bounds the
     distance of its nodes from below; the nodes of each row's tile of least
-    bound give an upper bound on the best score.  Only the tiles whose bound
-    is within the upper bound plus ``_START_SLACK`` * (M + |y|^2), M the
-    largest ``mu_sq``, are scored (see ``_START_SLACK``), ``_START_PAIRS``
-    (row, tile) pairs at a time; the others hold no node as good as the upper
-    bound, so no minimum or tie is lost.  Among the scored nodes the least
-    float score wins, and among equal ones the smallest node index: the node
-    ``argmin`` picks from all the scores.  Every score is computed
-    elementwise, so a row's node does not depend on the rows scored with it.
+    bound give an upper bound on the best score, and that tile's least score
+    and first node are the row's first candidate.  Of the other tiles, only
+    those whose bound is within the upper bound plus ``_START_SLACK`` *
+    (M + |y|^2), M the largest ``mu_sq``, are scored (see ``_START_SLACK``),
+    ``_START_PAIRS`` (row, tile) pairs at a time, so no tile is scored twice;
+    the rest hold no node as good as the upper bound, so no minimum or tie
+    is lost.  Among the scored nodes the least float score wins, and among
+    equal ones the smallest node index: the node ``argmin`` picks from all
+    the scores.  Every score is computed elementwise, so a row's node does
+    not depend on the rows scored with it.
     """
     best, n_tiles = np.empty(len(y), dtype=np.intp), len(table.tiles)
     mu_sq_max = float(table.mu_sq.max())
@@ -555,11 +560,13 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
         rows = np.arange(len(block))
         bound = _tile_bounds(table, block)
         near = np.argmin(bound, axis=1)
-        upper = _tile_scores(table, block, rows, near).min(axis=1)
+        score = _tile_scores(table, block, rows, near)
+        slot = np.argmin(score, axis=1)  # first minimum: the tile's smallest tied index
+        upper, first = score[rows, slot], table.tiles[near, slot]
         y_sq = _sum(block.T * block.T)
-        bound[rows, near] = 0.0  # the tile that gave the upper bound is always scored
+        bound[rows, near] = np.inf  # the tile that gave the upper bound is scored already
         live = bound <= (upper + y_sq + _START_SLACK * (mu_sq_max + y_sq))[:, None]
-        count, pairs = live.sum(axis=1), np.flatnonzero(live)  # every row has a live tile
+        count, pairs = live.sum(axis=1), np.flatnonzero(live)
         del bound, live  # (rows, tiles) arrays: freed before the pairs are scored
         low, arg = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.intp)
         for p in range(0, len(pairs), _START_PAIRS):
@@ -568,7 +575,10 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
             slot = np.argmin(score, axis=1)  # first minimum: the tile's smallest tied index
             low[p : p + len(slot)] = score[np.arange(len(slot)), slot]
             arg[p : p + len(slot)] = table.tiles[t, slot]
-        starts = np.cumsum(count) - count
+        # each row's segment: its upper-bound tile's result, then its live pairs'
+        heads = np.cumsum(count) - count
+        low, arg, count = np.insert(low, heads, upper), np.insert(arg, heads, first), count + 1
+        starts = heads + rows  # the heads' places after the insertions
         least = np.repeat(np.minimum.reduceat(low, starts), count)
         tied = np.where(low == least, arg, len(table.nodes))  # the row's minimum, else past every node
         best[lo : lo + len(block)] = np.minimum.reduceat(tied, starts)
@@ -619,97 +629,92 @@ def _damped_step(diag, cross, g, mu: np.ndarray) -> np.ndarray:
     return np.array([(cross * g[1] - d1 * g[0]) / det, (cross * g[0] - d0 * g[1]) / det])
 
 
-def _lm_step(model, state: np.ndarray, d: np.ndarray, step: int) -> np.ndarray:
-    """Step ``step`` of ``_lm_rows`` on every row of state, updated in place; returns the rows that stop."""
-    x, rss, mu, nu = state[:-3], state[-3], state[-2], state[-1]
-    r, jac = model(x, d)
-    s = _sum(r * r)
-    diag = [_sum(j * j) for j in jac]
-    cross = _sum(jac[0] * jac[1]) if len(jac) == 2 else None
-    g = [_sum(j * r) for j in jac]
-    if step == 0:
-        rss[:], mu[:], nu[:] = s, _LM_TAU * np.maximum(diag[0], diag[-1]), 2.0
-    stop = _gradient_small(s, diag, g)
-    if step < _LM_ITERATIONS:
-        h = _damped_step(diag, cross, g, mu)
-        hh = _sum(h * h)
-        jh = _sum([j * hj for j, hj in zip(jac, h)])
-        pred = _sum(jh * jh) + 2.0 * mu * hh
-        del r, jac, jh  # (K, rows) arrays: freed before the trial point's
-        xn = x + h
-        rn = model(xn, d, False)[0]
-        sn = _sum(rn * rn)
-        rho = (s - sn) / pred
-        actual = np.where(sn < 100.0 * s, 1.0 - sn / s, -1.0)
-        accept = (rho > 0.0) & ~stop
-        stop |= np.sqrt(hh) <= LM_TOL * (np.sqrt(_sum(x * x)) + LM_TOL)
-        stop |= (np.abs(actual) <= LM_TOL) & (pred / s <= LM_TOL) & (rho <= 2.0)
-        np.copyto(x, xn, where=accept)
-        np.copyto(rss, sn, where=accept)
-        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-        mu[:] = np.where(accept, mu * shrink, mu * nu)
-        nu[:] = np.where(accept, 2.0, 2.0 * nu)
-    return stop
-
-
-def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Levenberg-Marquardt on every row at once: x (p, rows) with p = 1 or 2, per-row data d (F, rows).
 
     Damping starts at ``_LM_TAU`` times the largest diagonal entry of J^T J
     and follows Nielsen's rule per row: an accepted step (gain ratio
-    rho > 0) scales it by max(1/3, 1 - (2 rho - 1)^3), a rejected one by nu,
-    which then doubles.  Rows stop at the tests of ``LM_TOL`` or after
-    ``_LM_ITERATIONS`` steps, and leave the batch when they stop.  Returns
-    the last accepted x and its squared residual norm.  Every operation is
-    elementwise and every sum over sensors or parameters is written out, so
-    a row's arithmetic is the same in any batch.
+    rho > 0, so a lower residual) scales it by max(1/3, 1 - (2 rho - 1)^3),
+    a rejected one by nu, which then doubles.  Rows stop at the tests of
+    ``LM_TOL`` or after ``_LM_ITERATIONS`` steps, and leave the batch when
+    they stop.  Returns the last accepted x; its residual is the model's
+    there, for the caller to read.  Every operation is elementwise and every
+    sum over sensors or parameters is written out, so a row's arithmetic is
+    the same in any batch.
     """
-    state = np.concatenate([x, np.empty((3, x.shape[1]))])  # x, squared residual norm, damping mu and nu
-    out, rows = np.empty((len(x) + 1, x.shape[1])), np.arange(x.shape[1])
+    out, rows, nu = np.empty_like(x), np.arange(x.shape[1]), np.full(x.shape[1], 2.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(_LM_ITERATIONS + 1):
-            stop = _lm_step(model, state, d, step)
+        for step in range(_LM_ITERATIONS):
+            r, jac = model(x, d)
+            s = _sum(r * r)
+            diag = [_sum(j * j) for j in jac]
+            cross = _sum(jac[0] * jac[1]) if len(jac) == 2 else None
+            g = [_sum(j * r) for j in jac]
+            if step == 0:
+                mu = _LM_TAU * np.maximum(diag[0], diag[-1])
+            stop = _gradient_small(s, diag, g)
+            h = _damped_step(diag, cross, g, mu)
+            hh = _sum(h * h)
+            jh = _sum([j * hj for j, hj in zip(jac, h)])
+            pred = _sum(jh * jh) + 2.0 * mu * hh
+            del r, jac, jh  # (K, rows) arrays: freed before the trial point's
+            xn = x + h
+            sn = _sum(np.square(model(xn, d, False)[0]))
+            rho = (s - sn) / pred
+            actual = np.where(sn < 100.0 * s, 1.0 - sn / s, -1.0)
+            accept = (rho > 0.0) & ~stop
+            stop |= np.sqrt(hh) <= LM_TOL * (np.sqrt(_sum(x * x)) + LM_TOL)
+            stop |= (np.abs(actual) <= LM_TOL) & (pred / s <= LM_TOL) & (rho <= 2.0)
+            x = np.where(accept, xn, x)
+            mu = np.where(accept, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), mu * nu)
+            nu = np.where(accept, 2.0, 2.0 * nu)
             if stop.any():
-                out[:, rows[stop]] = state[:-2, stop]
-                keep = np.flatnonzero(~stop)
-                state, d, rows = state.take(keep, axis=1), d.take(keep, axis=1), rows[keep]
+                out[:, rows[stop]] = x[:, stop]
+                go = np.flatnonzero(~stop)
+                x, d, rows, mu, nu = x.take(go, axis=1), d.take(go, axis=1), rows[go], mu[go], nu[go]
                 if not rows.size:
                     break
-    out[:, rows] = state[:-2]
-    return out[:-1], out[-1]
+    out[:, rows] = x
+    return out
 
 
 def _locate(designs: Sequence[tuple[_StartTable, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Estimates (rows, 2), residuals and on_boundary flags for the readings y (rows, k) of each (table, y).
 
     The designs' rows are stacked in order and solved together, at most
-    ``_LM_ROWS`` at a time, each with its own design's data; see ml_locate.
+    ``_LM_ROWS`` at a time, each with its own design's data; every design in
+    one call has the same active count k, so that their data stack.  Every
+    residual, the grid node's included, is the squared norm of
+    ``_disc_model`` at the returned estimate; see ml_locate.
     """
-    best = [_start(t, y) for t, y in designs]
-    start = np.concatenate([t.nodes[b] for (t, _), b in zip(designs, best)]).T
-    grid = [_sum([(yi - mu[b]) ** 2 for yi, mu in zip(y.T, t.mu)]) for (t, y), b in zip(designs, best)]
-    grid, c = np.concatenate(grid), np.concatenate([y.T - t.log_amplitude for t, y in designs], axis=1)
+    start = np.concatenate([t.nodes[_start(t, y)] for t, y in designs]).T
+    c = np.concatenate([y.T - t.log_amplitude for t, y in designs], axis=1)
     # per design: the rows of _disc_model's data that do not depend on the readings
     geo = np.array([[t.path_loss, *t.center, t.radius, *t.pos.T.ravel()] for t, _ in designs]).T
     r2 = np.array([t.radius**2 for t, _ in designs])
     edge = np.array([t.radius - 2.0 * t.radius / (GRID_POINTS_PER_AXIS - 1) for t, _ in designs])
     which = np.repeat(np.arange(len(designs)), [len(y) for _, y in designs])
 
-    def data(rows):  # _disc_model's data of the given rows
+    def data(rows):  # _disc_model's data of the given rows, gathered for each use
         return np.concatenate([geo[:, which[rows]], c[:, rows]])
-    est, residual, on_boundary = np.empty((len(grid), 2)), np.empty_like(grid), np.empty(len(grid), bool)
-    for lo in range(0, len(grid), _LM_ROWS):
+
+    def rss(x, rows):  # squared residual norm of _disc_model at the points x of the given rows
+        return _sum(np.square(_disc_model(x, data(rows), False)[0]))
+
+    est, residual, on_boundary = np.empty((len(which), 2)), np.empty(len(which)), np.empty(len(which), bool)
+    for lo in range(0, len(which), _LM_ROWS):
         rows = slice(lo, lo + _LM_ROWS)
-        w = which[rows]
-        e, res = _lm_rows(_disc_model, start[:, rows], data(rows))
+        node, w = start[:, rows], which[rows]
+        e = _lm_rows(_disc_model, node, data(rows))
         off = e - geo[1:3, w]
         rim = np.flatnonzero(off[0] * off[0] + off[1] * off[1] > r2[w])
         if rim.size:  # the constrained optimum lies on the rim: minimise over it, from the exit direction
             d = data(lo + rim)
-            phi, res[rim] = _lm_rows(_rim_model, np.arctan2(off[1:, rim], off[:1, rim]), d)
+            phi = _lm_rows(_rim_model, np.arctan2(off[1:, rim], off[:1, rim]), d)
             e[:, rim] = _rim_points(d, phi[0])[0]
-        keep = ~(res <= grid[rows])  # no progress (or a non-finite step): keep the grid node
-        e[:, keep], res[keep] = start[:, rows][:, keep], grid[rows][keep]
+        res, grid = rss(e, rows), rss(node, rows)
+        keep = ~(res <= grid)  # a rim solution worse than the node, or a non-finite one: keep the node
+        e[:, keep], res[keep] = node[:, keep], grid[keep]
         off = e - geo[1:3, w]
         est[rows], residual[rows] = e.T, res
         on_boundary[rows] = np.sqrt(off[0] * off[0] + off[1] * off[1]) >= edge[w]
@@ -734,10 +739,12 @@ def ml_locate(
     is no scipy path), and stop at MINPACK's xtol, ftol or gtol test
     (``LM_TOL``) or after ``_LM_ITERATIONS`` = 200 steps, MINPACK's budget
     for two parameters; a solve still running then returns its last
-    accepted iterate.  The refined residual never exceeds the best grid
-    residual: when it would, or when it is non-finite, the grid node is
-    returned.  ``on_boundary`` flags estimates within one grid cell of the
-    rim.  Readings of the active sensors must be finite.
+    accepted iterate.  The returned residual is the model's at the returned
+    estimate, the grid node included, and never exceeds the grid node's:
+    a disc solve only accepts steps that lower it, and a rim solution that
+    is worse, or a non-finite one, returns the grid node.  ``on_boundary``
+    flags estimates within one grid cell of the rim.  Readings of the
+    active sensors must be finite.
     """
     sel = SubsetSelection(active)
     table = _start_table(scenario, sel)

@@ -176,6 +176,18 @@ def sweep_draws(per_point):
     return cases
 
 
+def disc_data(table, y):
+    """_disc_model's data (F, rows) for the readings y (rows, k) of the start table's design."""
+    geo = np.array([table.path_loss, *table.center, table.radius, *table.pos.T.ravel()])
+    return np.concatenate([np.repeat(geo[:, None], len(y), axis=1), y.T - table.log_amplitude])
+
+
+def disc_rss(table, y, points):
+    """Squared norm of _disc_model's residuals at points (2, rows) for the readings y (rows, k), per row."""
+    r = sensedesign.simulate._disc_model(points, disc_data(table, y), False)[0]
+    return sensedesign.simulate._sum(r * r)
+
+
 class TestTrialNoise:
     @pytest.mark.parametrize("size", [1, 3, 10])
     @pytest.mark.parametrize("trials", [1, 2000])
@@ -683,6 +695,20 @@ class TestMlLocate:
         with pytest.raises(DegenerateGeometryError):
             ml_locate(scn, rss_sample(scn), [0, 1, 2])
 
+    @pytest.mark.parametrize("bend, rejected", [(1e-8, True), (1e-5, False)])
+    def test_near_collinear_sensors_follow_the_rank_rule(self, bend, rejected):
+        # the centred positions' lambda_min <= RANK_TOL_SCALE * W: a 1e-8 bend (lambda_min ~ 7e-17,
+        # W ~ 2) is collinear, a 1e-5 bend (lambda_min ~ 7e-11) is not
+        scn = RssScenario(
+            sensor_positions=((1.0, 0.0), (2.0, bend), (3.0, 0.0)), sensor_radius=1.0, shadow_std=0.0
+        )
+        if rejected:
+            with pytest.raises(DegenerateGeometryError, match="collinear"):
+                sensedesign.simulate._start_table(scn, SubsetSelection([0, 1, 2]))
+        else:
+            table = sensedesign.simulate._start_table(scn, SubsetSelection([0, 1, 2]))
+            assert len(table.nodes) > 0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_reading_rejected(self, bad):
         scn = ring_scenario(n=6, shadow_std=0.5)
@@ -853,6 +879,52 @@ class TestMlLocate:
                 assert est[i].tolist() == alone.estimate.tolist(), (scn.shadow_std, i)
                 assert residual[i] == alone.residual, (scn.shadow_std, i)
                 assert on_boundary[i] == alone.on_boundary, (scn.shadow_std, i)
+
+    def test_every_residual_is_the_model_at_the_estimate(self, monkeypatch):
+        # the stress setting's optimal design has rows at the step cap, rim rows and rows that keep their
+        # grid node; every residual, the kept nodes' included, is _disc_model's at the returned estimate
+        sim = sensedesign.simulate
+        calls, locate = [], sim._locate
+        monkeypatch.setattr(sim, "_locate", lambda designs: calls.append(designs) or locate(designs))
+        scn = RssScenario(
+            sensor_positions=ring_positions(design_optimal(12)),
+            sensor_radius=1.0,
+            amplitude=5.0,
+            trials=300,
+            seed=3,
+        )
+        simulate_monitoring(scn, [-20.0, -5.0, 60.0, 120.0])
+        [[(table, y)]] = calls
+        est, residual, _ = locate([(table, y)])
+        assert residual.tolist() == disc_rss(table, y, est.T).tolist()
+        kept = np.flatnonzero(np.all(est == table.nodes[sim._start(table, y)], axis=1))
+        assert kept.size >= 10, kept.size
+        active = list(worst_fim_subset(scn)[0].indices)
+        for i in [*kept, *range(0, len(y), 97)]:
+            samples = np.zeros(scn.n)
+            samples[active] = y[i]
+            result = ml_locate(scn, samples, active)
+            assert result.residual == disc_rss(table, y[i : i + 1], result.estimate[:, None])[0], i
+
+    def test_lm_makes_no_model_call_after_the_cap(self, monkeypatch):
+        # with a cap of 3 steps, rows still running at the cap cost 3 Jacobian evaluations, one per step
+        sim = sensedesign.simulate
+        monkeypatch.setattr(sim, "_LM_ITERATIONS", 3)
+        calls, model = [], sim._disc_model
+
+        def counted(x, d, jacobian=True):
+            calls.append(jacobian)
+            return model(x, d, jacobian)
+
+        scn = ring_scenario(n=10, shadow_std=1.0)
+        table = sim._start_table(scn, SubsetSelection([0, 1, 2]))
+        y = rss_sample(scn, default_rng(8))[None, :3]
+        d = disc_data(table, y)
+        node = table.nodes[sim._start(table, y)].T
+        capped = sim._lm_rows(counted, node, d)
+        assert calls.count(True) == 3 and calls.count(False) == 3, calls
+        monkeypatch.undo()
+        assert not np.array_equal(sim._lm_rows(model, node, d), capped)  # the row was still running
 
     def test_scipy_path_is_the_oracle(self):
         # the batched solve is never worse than scipy's least_squares from the same start node
@@ -1051,7 +1123,7 @@ class TestMonitoring:
             tracemalloc.stop()
         assert peak < 3e6, peak
         [(table, y)] = calls
-        assert sum(scored) == len(y) * (len(table.tiles) + 1)  # each row's upper-bound tile, then all
+        assert sum(scored) == len(y) * len(table.tiles)  # each row's upper-bound tile, then the rest
         assert start(table, y).tolist() == grid_start(table, y).tolist()
 
     def test_benchmark_size_start_scores_few_nodes(self, monkeypatch, tmp_path):
