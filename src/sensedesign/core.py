@@ -82,7 +82,10 @@ class SubsetSelection:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int]):
-        idx = tuple(int(i) for i in indices)
+        idx = tuple(indices)
+        for i in idx:  # int() would truncate 1.99 to 1 and parse "1"
+            _check_int("subset index", i, 0, type_only=True)
+        idx = tuple(int(i) for i in idx)
         if any(i < 0 for i in idx):
             raise ValueError(f"subset indices must be nonnegative, got {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):

@@ -28,13 +28,15 @@ Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which solves the readings of every design of a sweep, one
 trial per row, as one batch (``_LM_ROWS`` rows at a time).  Each row starts
 at its design's best coarse-grid node, the nearest in reading space.  The
-search for it is pruned but exact: the nodes are grouped into tiles, a
+search for it is pruned but exact: the nodes are grouped into tiles, and
+the start table keeps their predicted readings once, tile by tile.  A
 row's squared distance to a tile's box of predicted readings bounds every
 node of the tile from below, and only the tiles whose bound comes within
 the best score of the row's nearest tile, plus a rounding slack derived
-from the unit roundoff (``_START_SLACK``), are scored, with the operations
-of a scan of every node.  The least score wins, and the smallest node
-index among equal ones, so the node is the one a scan of every node picks.
+from the unit roundoff (``_START_SLACK``), are live; every live tile, the
+nearest included, is scored in one pass, with the operations of a scan of
+every node.  The least score wins, and the smallest node index among equal
+ones, so the node is the one a scan of every node picks.
 The row is then refined by Levenberg-Marquardt run on every row together:
 closed-form damped 2x2 normal equations, Nielsen's damping update, and
 MINPACK's xtol, ftol and gtol stopping tests, all at ``LM_TOL``.  A
@@ -148,6 +150,8 @@ def error_bound_check(
     w = np.asarray(noise, dtype=float)
     if w.shape != (sel.k,):
         raise ValueError(f"noise must have shape ({sel.k},), got {w.shape}")
+    if not np.all(np.isfinite(w)):  # the bound check would compare nan with nan and blame the recovery
+        raise ValueError(f"noise must be finite, got {w.tolist()}")
     recover, lambda_min = _recovery(angles, sel)
     error = float(np.linalg.norm(recover @ w))
     bound = float(np.linalg.norm(w)) / math.sqrt(lambda_min)
@@ -419,15 +423,15 @@ class _StartTable:
     """Coarse-grid start for one active set, independent of the noise level.
 
     ``nodes`` are the grid nodes inside the search disc that keep at least
-    MIN_SENSOR_DISTANCE from every active sensor, ``mu`` their predicted
-    readings ln A - path_loss * ln d (one column per node) and ``mu_sq`` the
-    squared column norms, so the best node for readings y minimises
-    ``mu_sq - 2 y @ mu``.  The nodes are also grouped into tiles of
+    MIN_SENSOR_DISTANCE from every active sensor, grouped into tiles of
     ``_START_TILE`` x ``_START_TILE`` grid cells: ``tiles`` (tiles, slots)
     lists each tile's node indices cell by cell, so in ascending order, with
-    the tile's first node in the cells that hold none; ``tile_mu`` (k, tiles,
-    slots) and ``tile_mu_sq`` hold their ``mu`` and ``mu_sq``, and ``lo``,
-    ``hi`` (k, tiles) the box of the tile's predictions per sensor.
+    the tile's first node in the cells that hold none.  ``tile_mu`` (k,
+    tiles, slots) holds each slot's predicted readings mu = ln A - path_loss
+    * ln d, one per active sensor, and ``tile_mu_sq`` their squared norm, so
+    the best node for readings y minimises ``mu_sq - 2 y @ mu``; they are the
+    table's only copy of the predictions.  ``lo``, ``hi`` (k, tiles) are the
+    box of each tile's predictions per sensor.
     """
 
     pos: np.ndarray
@@ -436,8 +440,6 @@ class _StartTable:
     log_amplitude: float
     path_loss: float
     nodes: np.ndarray
-    mu: np.ndarray
-    mu_sq: np.ndarray
     tiles: np.ndarray
     tile_mu: np.ndarray
     tile_mu_sq: np.ndarray
@@ -487,8 +489,6 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
         log_amplitude=log_amplitude,
         path_loss=scenario.path_loss,
         nodes=points[keep],
-        mu=mu,
-        mu_sq=mu_sq,
         tiles=tiles,
         tile_mu=tile_mu,
         tile_mu_sq=mu_sq.take(tiles),
@@ -541,32 +541,29 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
     The score is |mu - y|^2 - |y|^2, so the best node is the nearest in
     reading space.  For each block of ``_START_ROWS`` rows, the squared
     distance from y to a tile's box (summed over sensors) bounds the
-    distance of its nodes from below; the nodes of each row's tile of least
-    bound give an upper bound on the best score, and that tile's least score
-    and first node are the row's first candidate.  Of the other tiles, only
-    those whose bound is within the upper bound plus ``_START_SLACK`` *
-    (M + |y|^2), M the largest ``mu_sq``, are scored (see ``_START_SLACK``),
-    ``_START_PAIRS`` (row, tile) pairs at a time, so no tile is scored twice;
-    the rest hold no node as good as the upper bound, so no minimum or tie
-    is lost.  Among the scored nodes the least float score wins, and among
-    equal ones the smallest node index: the node ``argmin`` picks from all
-    the scores.  Every score is computed elementwise, so a row's node does
-    not depend on the rows scored with it.
+    distance of its nodes from below; the least score of each row's tile of
+    least bound is an upper bound on the best score.  Only the tiles whose
+    bound is within the upper bound plus ``_START_SLACK`` * (M + |y|^2), M
+    the largest ``mu_sq``, are live (see ``_START_SLACK``), the least-bound
+    tile always; they are scored ``_START_PAIRS`` (row, tile) pairs at a
+    time, in one pass.  The others hold no node as good as the upper bound,
+    so no minimum or tie is lost.  Among the scored nodes the least float
+    score wins, and among equal ones the smallest node index: the node
+    ``argmin`` picks from all the scores.  Every score is computed
+    elementwise, so a row's node does not depend on the rows scored with it.
     """
     best, n_tiles = np.empty(len(y), dtype=np.intp), len(table.tiles)
-    mu_sq_max = float(table.mu_sq.max())
+    mu_sq_max = float(table.tile_mu_sq.max())  # every node is in some tile
     for lo in range(0, len(y), _START_ROWS):
         block = y[lo : lo + _START_ROWS]
         rows = np.arange(len(block))
         bound = _tile_bounds(table, block)
         near = np.argmin(bound, axis=1)
-        score = _tile_scores(table, block, rows, near)
-        slot = np.argmin(score, axis=1)  # first minimum: the tile's smallest tied index
-        upper, first = score[rows, slot], table.tiles[near, slot]
+        upper = _tile_scores(table, block, rows, near).min(axis=1)
         y_sq = _sum(block.T * block.T)
-        bound[rows, near] = np.inf  # the tile that gave the upper bound is scored already
+        bound[rows, near] = 0.0  # the tile that gave the upper bound is always live
         live = bound <= (upper + y_sq + _START_SLACK * (mu_sq_max + y_sq))[:, None]
-        count, pairs = live.sum(axis=1), np.flatnonzero(live)
+        count, pairs = live.sum(axis=1), np.flatnonzero(live)  # every row has a live tile
         del bound, live  # (rows, tiles) arrays: freed before the pairs are scored
         low, arg = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.intp)
         for p in range(0, len(pairs), _START_PAIRS):
@@ -575,10 +572,7 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
             slot = np.argmin(score, axis=1)  # first minimum: the tile's smallest tied index
             low[p : p + len(slot)] = score[np.arange(len(slot)), slot]
             arg[p : p + len(slot)] = table.tiles[t, slot]
-        # each row's segment: its upper-bound tile's result, then its live pairs'
-        heads = np.cumsum(count) - count
-        low, arg, count = np.insert(low, heads, upper), np.insert(arg, heads, first), count + 1
-        starts = heads + rows  # the heads' places after the insertions
+        starts = np.cumsum(count) - count  # each row's segment of the live pairs
         least = np.repeat(np.minimum.reduceat(low, starts), count)
         tied = np.where(low == least, arg, len(table.nodes))  # the row's minimum, else past every node
         best[lo : lo + len(block)] = np.minimum.reduceat(tied, starts)
@@ -691,8 +685,6 @@ def _locate(designs: Sequence[tuple[_StartTable, np.ndarray]]) -> tuple[np.ndarr
     c = np.concatenate([y.T - t.log_amplitude for t, y in designs], axis=1)
     # per design: the rows of _disc_model's data that do not depend on the readings
     geo = np.array([[t.path_loss, *t.center, t.radius, *t.pos.T.ravel()] for t, _ in designs]).T
-    r2 = np.array([t.radius**2 for t, _ in designs])
-    edge = np.array([t.radius - 2.0 * t.radius / (GRID_POINTS_PER_AXIS - 1) for t, _ in designs])
     which = np.repeat(np.arange(len(designs)), [len(y) for _, y in designs])
 
     def data(rows):  # _disc_model's data of the given rows, gathered for each use
@@ -705,9 +697,10 @@ def _locate(designs: Sequence[tuple[_StartTable, np.ndarray]]) -> tuple[np.ndarr
     for lo in range(0, len(which), _LM_ROWS):
         rows = slice(lo, lo + _LM_ROWS)
         node, w = start[:, rows], which[rows]
+        radius = geo[3, w]
         e = _lm_rows(_disc_model, node, data(rows))
         off = e - geo[1:3, w]
-        rim = np.flatnonzero(off[0] * off[0] + off[1] * off[1] > r2[w])
+        rim = np.flatnonzero(_sum(off * off) > radius * radius)
         if rim.size:  # the constrained optimum lies on the rim: minimise over it, from the exit direction
             d = data(lo + rim)
             phi = _lm_rows(_rim_model, np.arctan2(off[1:, rim], off[:1, rim]), d)
@@ -717,7 +710,7 @@ def _locate(designs: Sequence[tuple[_StartTable, np.ndarray]]) -> tuple[np.ndarr
         e[:, keep], res[keep] = node[:, keep], grid[keep]
         off = e - geo[1:3, w]
         est[rows], residual[rows] = e.T, res
-        on_boundary[rows] = np.sqrt(off[0] * off[0] + off[1] * off[1]) >= edge[w]
+        on_boundary[rows] = np.sqrt(_sum(off * off)) >= radius - 2.0 * radius / (GRID_POINTS_PER_AXIS - 1)
     return est, residual, on_boundary
 
 

@@ -7,7 +7,7 @@ The grid search's per-block evaluator is kept here too, as the reference
 its grouped tables must match bit for bit, and so is a row-at-a-time
 draw of the noise tables, which the one-call tables must match, and the
 exhaustive scan of the localization grid start, which the pruned scan must
-match node for node.
+match node for node, over node readings recomputed from the geometry.
 """
 
 import itertools
@@ -138,22 +138,38 @@ def trial_noise(key, trials, size) -> np.ndarray:
     return np.array([rng.standard_normal(size) for _ in range(trials)])
 
 
+def node_readings(table) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted readings mu (k, nodes) at the start table's nodes, and their squared norms mu_sq.
+
+    Recomputed from the geometry, ln A - path_loss * ln hypot(sensor - node),
+    not gathered back from the table's tiles.  ``np.einsum`` rounds a C-ordered
+    mu differently from the Fortran-ordered one ``_start_table`` builds from its
+    node mask, so the sum runs over a Fortran-ordered copy.
+    """
+    pos, nodes = table.pos, table.nodes
+    d = np.hypot(pos[:, :1] - nodes[:, 0], pos[:, 1:] - nodes[:, 1])
+    mu = np.asfortranarray(table.log_amplitude - table.path_loss * np.log(d))
+    return mu, np.einsum("ij,ij->j", mu, mu)
+
+
 def grid_start(table, y) -> np.ndarray:
     """Best grid node of every row of y by scoring every node, eight rows at a time.
 
-    The score is mu_sq - 2 sum_i y_i mu_i, computed elementwise as y_0 mu_0,
-    += y_i mu_i, *= -2, += mu_sq, and ``argmin`` takes the first minimum.
+    The score is mu_sq - 2 sum_i y_i mu_i over ``node_readings``, computed
+    elementwise as y_0 mu_0, += y_i mu_i, *= -2, += mu_sq, and ``argmin`` takes
+    the first minimum.
     """
+    mu, mu_sq = node_readings(table)
     score = np.empty((min(len(y), 8), len(table.nodes)))
     term = np.empty_like(score)
     best = np.empty(len(y), dtype=np.intp)
     for lo in range(0, len(y), 8):
         block = y[lo : lo + 8]
         s, t = score[: len(block)], term[: len(block)]
-        np.multiply(block[:, :1], table.mu[0], out=s)
+        np.multiply(block[:, :1], mu[0], out=s)
         for i in range(1, block.shape[1]):
-            s += np.multiply(block[:, i : i + 1], table.mu[i], out=t)
+            s += np.multiply(block[:, i : i + 1], mu[i], out=t)
         s *= -2.0
-        s += table.mu_sq
+        s += mu_sq
         best[lo : lo + len(block)] = np.argmin(s, axis=1)
     return best

@@ -11,6 +11,7 @@ from sensedesign import (
     AngleSet,
     SubsetSelection,
     angles_to_matrix,
+    design_optimal,
     normalize_angle,
     pair_cosine_sum,
     spectral_summary,
@@ -85,10 +86,23 @@ class TestSubsetSelection:
         assert s.indices == (0, 2, 5)
         assert s.k == 3
 
-    @pytest.mark.parametrize("bad", [[1, 1, 2], [2, 1], [-1, 0]])
+    # the last four are not integers: int() would truncate or parse them into a valid subset
+    @pytest.mark.parametrize(
+        "bad",
+        [[1, 1, 2], [2, 1], [-1, 0], [0.9, 1.5, 2.2], [0, 1.99, 2.5], ["0", "1", "2"], [False, True]],
+    )
     def test_invalid(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="subset ind"):
             SubsetSelection(bad)
+        with pytest.raises(ValueError, match="subset ind"):
+            pair_cosine_sum(design_optimal(7), bad)
+
+    def test_numpy_integer_indices_are_accepted(self):
+        for dtype in (np.int64, np.int32, np.uint8):
+            s = SubsetSelection(np.array([0, 2, 5], dtype=dtype))
+            assert s.indices == (0, 2, 5) and all(type(i) is int for i in s.indices)
+        angles = design_optimal(7)
+        assert pair_cosine_sum(angles, np.arange(3)) == pair_cosine_sum(angles, [0, 1, 2])
 
 
 class TestMatrix:

@@ -1,5 +1,6 @@
 """Source layout rules that review would otherwise check by eye."""
 
+import ast
 from pathlib import Path
 
 MAX_LINE = 110
@@ -16,3 +17,16 @@ def test_no_line_longer_than_limit():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_no_assert_in_the_library():
+    # python -O strips assert statements, so a contract checked by one silently stops holding
+    files = sorted((ROOT / "src" / "sensedesign").glob("*.py"))
+    assert files
+    asserts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

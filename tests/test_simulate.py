@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
-from oracles import fim_matrix_direct, grid_start, trial_noise, worst_fim_direct
+from oracles import fim_matrix_direct, grid_start, node_readings, trial_noise, worst_fim_direct
 from scipy.optimize import least_squares, minimize
 
 import sensedesign.simulate
@@ -133,7 +133,8 @@ def scipy_locate(table, y, node):
     def lm(fun, jac, x0):
         return least_squares(fun, x0, jac=jac, method="lm", xtol=tol, ftol=tol, gtol=tol).x
 
-    grid = sum(float(y[i] - table.mu[i, node]) ** 2 for i in range(len(y)))
+    mu = node_readings(table)[0]
+    grid = sum(float(y[i] - mu[i, node]) ** 2 for i in range(len(y)))
     with np.errstate(divide="ignore", invalid="ignore"):
         est = lm(residual, jacobian, table.nodes[node])
         off = est - table.center
@@ -261,6 +262,11 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             least_squares_estimate(TIGHT_FRAME, [0, 1, 2], [1.0, 2.0])
 
+    def test_non_integer_columns_are_rejected(self):
+        # int() would truncate (0, 1.99, 2.5) to the columns (0, 1, 2) and solve on them
+        with pytest.raises(ValueError, match="subset index must be a nonnegative integer"):
+            least_squares_estimate(AngleSet([0.0, 0.4, 1.1, 2.0]), [0, 1.99, 2.5], [1.0, 2.0, 3.0])
+
 
 class TestErrorBound:
     def test_bound_holds_for_random_noise(self):
@@ -272,6 +278,12 @@ class TestErrorBound:
                 continue
             err, bound = error_bound_check(a, idx, rng.normal(size=3))
             assert err <= bound + 1e-10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_is_rejected(self, bad):
+        # the bound check would otherwise report "recovery error nan exceeds its bound nan"
+        with pytest.raises(ValueError, match="noise must be finite"):
+            error_bound_check(TIGHT_FRAME, [0, 1, 2], [0.3, bad, 0.0])
 
     def test_values(self):
         err, bound = error_bound_check(TIGHT_FRAME, [0, 1, 2], [0.3, 0.0, 0.0])
@@ -798,12 +810,13 @@ class TestMlLocate:
         base = RssScenario(sensor_positions=ring_positions(design_optimal(10)), sensor_radius=1.0)
         active, _ = worst_fim_subset(base)
         table = sim._start_table(base, active)
+        mu, mu_sq = node_readings(table)
         a = default_rng(SeedSequence(11)).choice(len(table.nodes) - 1, size=3000, replace=False)
-        y = 0.5 * (table.mu[:, a] + table.mu[:, a + 1]).T
+        y = 0.5 * (mu[:, a] + mu[:, a + 1]).T
         want, tied = [], []
         for i, row in enumerate(y):
             y0, y1, y2 = row.tolist()
-            score = table.mu_sq - 2.0 * ((y0 * table.mu[0] + y1 * table.mu[1]) + y2 * table.mu[2])
+            score = mu_sq - 2.0 * ((y0 * mu[0] + y1 * mu[1]) + y2 * mu[2])
             if np.sum(score <= max(score[a[i]], score[a[i] + 1])) == 2:  # a and a + 1 are the two best
                 tied.append(i)
                 want.append(int(np.argmin(score)))  # the first minimum wins
@@ -813,6 +826,36 @@ class TestMlLocate:
         stacked = sim._start(table, y)
         alone = [int(sim._start(table, row[None])[0]) for row in y]
         assert stacked.tolist() == alone == want
+
+    @pytest.mark.parametrize(
+        "scn",
+        [
+            ring_scenario(10),
+            RssScenario(sensor_positions=ring_positions(baseline_semicircle(10)), sensor_radius=1.0),
+            ring_scenario(7, radius=2.5, source=(1.5, -2.0), amplitude=3.0, path_loss=3.5),
+        ],
+        ids=["optimal", "semicircle", "offset"],
+    )
+    def test_start_table_holds_one_tile_major_copy(self, scn):
+        # the tiles are the table's only copy of the predictions: they are the readings recomputed from
+        # the geometry, gathered by tiles, bit for bit; every node sits in its own cell of exactly one
+        # tile, and every other slot is padding that repeats the tile's first node
+        sim = sensedesign.simulate
+        table = sim._start_table(scn, worst_fim_subset(scn)[0])
+        mu, mu_sq = node_readings(table)
+        tiles, size = table.tiles, sim._START_TILE
+        assert table.tile_mu.shape == (3, *tiles.shape) and tiles.shape[1] == size * size
+        assert table.tile_mu.tobytes() == mu.take(tiles, axis=1).tobytes()
+        assert table.tile_mu_sq.tobytes() == mu_sq.take(tiles).tobytes()
+        assert table.lo.tolist() == table.tile_mu.min(axis=2).tolist()
+        assert table.hi.tolist() == table.tile_mu.max(axis=2).tolist()
+        assert np.unique(tiles).tolist() == list(range(len(table.nodes)))
+        step = 2.0 * table.radius / (sim.GRID_POINTS_PER_AXIS - 1)
+        cell = np.rint((table.nodes - table.center + table.radius) / step).astype(int)  # grid (row, col)
+        own = (cell[:, 0] % size * size + cell[:, 1] % size)[tiles] == np.arange(size * size)
+        assert np.all(own | (tiles == tiles.min(axis=1)[:, None]))
+        assert np.unique(tiles[own]).size == own.sum() == len(table.nodes) and not own.all()
+        assert all(len(np.unique(cell[row] // size, axis=0)) == 1 for row in tiles)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -849,11 +892,12 @@ class TestMlLocate:
         table = sim._start_table(scn, SubsetSelection(range(k)))
         rng = default_rng(seed)
         a = rng.choice(len(table.nodes) - 1, size=40)
+        mu = node_readings(table)[0]
         y = np.concatenate(
             [
                 rss_sample(scn) + sigma * rng.standard_normal((120, k)),
-                table.mu[:, a].T,
-                0.5 * (table.mu[:, a] + table.mu[:, a + 1]).T,
+                mu[:, a].T,
+                0.5 * (mu[:, a] + mu[:, a + 1]).T,
             ]
         )
         assert sim._start(table, y).tolist() == grid_start(table, y).tolist()
@@ -1123,7 +1167,7 @@ class TestMonitoring:
             tracemalloc.stop()
         assert peak < 3e6, peak
         [(table, y)] = calls
-        assert sum(scored) == len(y) * len(table.tiles)  # each row's upper-bound tile, then the rest
+        assert sum(scored) == len(y) * (len(table.tiles) + 1)  # each row's upper-bound tile, then all
         assert start(table, y).tolist() == grid_start(table, y).tolist()
 
     def test_benchmark_size_start_scores_few_nodes(self, monkeypatch, tmp_path):
