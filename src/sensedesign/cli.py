@@ -106,14 +106,14 @@ def write_manifest(output_path: str, command: str, config: dict, seed: int | Non
     write_atomic(output_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def emit(args, name: str, header, rows, doc=None, seed: int | None = None, **extra_config) -> str:
+def emit(args, name: str, header, rows, doc=None, **extra_config) -> str:
     """Write a command's data file and its manifest; returns the path written.
 
     CSV renders ``header`` and ``rows``, JSON renders ``doc``: by default the
     command, ``extra_config`` and the rows as header-keyed objects.  The path is
     ``--output`` or ``<name>.<format>`` under $SENSEDESIGN_OUTPUT_DIR.  The
     manifest config is every parsed option, the resolved ``output`` and
-    ``extra_config``.
+    ``extra_config``; its seed is ``--seed``, or null for a command without one.
     """
     if args.format == "csv":
         buf = io.StringIO()
@@ -128,6 +128,7 @@ def emit(args, name: str, header, rows, doc=None, seed: int | None = None, **ext
     path = args.output or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), f"{name}.{args.format}")
     write_atomic(path, payload)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
+    seed = getattr(args, "seed", None)  # the simulations' --seed
     write_manifest(path, args.subcommand, {**config, "output": path, **extra_config}, seed)
     return path
 
@@ -301,7 +302,7 @@ def cmd_simulate_estimation(args) -> int:
         [n, label, r.report.worst_subset.indices, r.mse, r.std_error, r.expected_mse]
         for (n, label), r in zip(cases, _estimation_sweep(scenarios))
     ]
-    path = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows, seed=args.seed)
+    path = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -331,7 +332,7 @@ def cmd_simulate_monitoring(args) -> int:
         for pt in result.points
     ]
     rows.sort(key=lambda r: (r[0], r[1]))
-    path = emit(args, f"monitoring_n{args.n}", header, rows, seed=args.seed, metadata=metadata)
+    path = emit(args, f"monitoring_n{args.n}", header, rows, metadata=metadata)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

@@ -272,10 +272,16 @@ class RssScenario:
         for i, p in enumerate(pos):
             _check_pair(f"sensor position {i}", p)
         object.__setattr__(self, "sensor_positions", pos)
-        for i, d in enumerate(np.sqrt(_offsets(self)[1]).tolist()):
+        sx, sy = map(float, self.source)
+        for i, (px, py) in enumerate(pos):  # Python floats: a far sensor overflows without a warning
+            x, y = px - sx, py - sy
+            d2 = x * x + y * y
+            if not d2 * d2 < math.inf:  # the Fisher terms divide by d^4, and it overflows
+                raise ValueError(f"sensor {i} at distance {math.hypot(x, y):.6g} is too far from the source")
+            d = math.sqrt(d2)
             if d < MIN_SENSOR_DISTANCE:
                 raise DegenerateGeometryError(f"sensor {i} coincides with the source")
-            if d < self.sensor_radius - 1e-9:
+            if d < self.sensor_radius * (1.0 - 1e-9):  # relative slack: any ring radius fits
                 raise ValueError(
                     f"sensor {i} at distance {d:.6g} lies inside the radius-"
                     f"{self.sensor_radius:.6g} ring around the source"
@@ -686,31 +692,22 @@ def _locate(designs: Sequence[tuple[_StartTable, np.ndarray]]) -> tuple[np.ndarr
     # per design: the rows of _disc_model's data that do not depend on the readings
     geo = np.array([[t.path_loss, *t.center, t.radius, *t.pos.T.ravel()] for t, _ in designs]).T
     which = np.repeat(np.arange(len(designs)), [len(y) for _, y in designs])
-
-    def data(rows):  # _disc_model's data of the given rows, gathered for each use
-        return np.concatenate([geo[:, which[rows]], c[:, rows]])
-
-    def rss(x, rows):  # squared residual norm of _disc_model at the points x of the given rows
-        return _sum(np.square(_disc_model(x, data(rows), False)[0]))
-
     est, residual, on_boundary = np.empty((len(which), 2)), np.empty(len(which)), np.empty(len(which), bool)
     for lo in range(0, len(which), _LM_ROWS):
         rows = slice(lo, lo + _LM_ROWS)
-        node, w = start[:, rows], which[rows]
-        radius = geo[3, w]
-        e = _lm_rows(_disc_model, node, data(rows))
-        off = e - geo[1:3, w]
-        rim = np.flatnonzero(_sum(off * off) > radius * radius)
+        node, d = start[:, rows], np.concatenate([geo[:, which[rows]], c[:, rows]])  # the batch's model data
+        e = _lm_rows(_disc_model, node, d)
+        off = e - d[1:3]
+        rim = np.flatnonzero(_sum(off * off) > d[3] * d[3])
         if rim.size:  # the constrained optimum lies on the rim: minimise over it, from the exit direction
-            d = data(lo + rim)
-            phi = _lm_rows(_rim_model, np.arctan2(off[1:, rim], off[:1, rim]), d)
-            e[:, rim] = _rim_points(d, phi[0])[0]
-        res, grid = rss(e, rows), rss(node, rows)
+            phi, d_rim = np.arctan2(off[1:, rim], off[:1, rim]), d[:, rim]  # exit angles; rim rows' data
+            e[:, rim] = _rim_points(d_rim, _lm_rows(_rim_model, phi, d_rim)[0])[0]
+        res, grid = (_sum(np.square(_disc_model(p, d, False)[0])) for p in (e, node))
         keep = ~(res <= grid)  # a rim solution worse than the node, or a non-finite one: keep the node
         e[:, keep], res[keep] = node[:, keep], grid[keep]
-        off = e - geo[1:3, w]
+        off = e - d[1:3]
         est[rows], residual[rows] = e.T, res
-        on_boundary[rows] = np.sqrt(_sum(off * off)) >= radius - 2.0 * radius / (GRID_POINTS_PER_AXIS - 1)
+        on_boundary[rows] = np.sqrt(_sum(off * off)) >= d[3] - 2.0 * d[3] / (GRID_POINTS_PER_AXIS - 1)
     return est, residual, on_boundary
 
 

@@ -276,6 +276,17 @@ class TestSimulateMonitoring:
     def test_bad_n_exits_2(self, tmp_path):
         assert run(tmp_path, "simulate-monitoring", "--n", 2) == 2
 
+    # the ring check's slack is relative, so a radius-1e8 ring is accepted; at 1e78 the Fisher terms'
+    # d^4 overflows and the ring is rejected before any warning or output
+    @pytest.mark.parametrize("radius, code", [("1e8", 0), ("1e78", 2)])
+    def test_ring_radius(self, tmp_path, capsys, radius, code):
+        out = tmp_path / "m.csv"
+        args = ["simulate-monitoring", "--n", 7, "--snr", 10, "--trials", 3, "--radius", radius]
+        assert run(tmp_path, *args, "--output", out) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "sensor 0 at distance 1e+78 is too far from the source" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv, draws",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -25,6 +26,7 @@ from sensedesign import (
     SubsetSelection,
     baseline_circle,
     baseline_semicircle,
+    build_design,
     design_optimal,
     error_bound_check,
     expected_worst_case_mse,
@@ -453,11 +455,25 @@ class TestRssModel:
     def test_scenario_rejects_inside_ring(self):
         for kw in (
             {"sensor_positions": ((0.5, 0.0),), "sensor_radius": 1.0},
-            # below ~1e-9 the ring check alone admits a sensor on the source (fim would be NaN)
+            # a sensor on the source of a tiny ring (fim would be NaN)
             {"sensor_positions": ((0, 0), (1, 0), (0, 1), (-1, -1)), "sensor_radius": 1e-10},
         ):
             with pytest.raises(ValueError):
                 RssScenario(**kw)
+
+    def test_rings_of_every_size_construct(self):
+        # the ring check's slack is relative: an absolute 1e-9 rejected 26 of these 39 rings at R = 1e8
+        for e in range(-6, 77):
+            radius = 10.0**e
+            for n, scheme in itertools.product(range(3, 16), ("optimal", "semicircle", "circle")):
+                positions = ring_positions(build_design(n, scheme), radius)
+                RssScenario(sensor_positions=positions, sensor_radius=radius)
+
+    @pytest.mark.parametrize("far", [1e80, 1e200])
+    def test_scenario_rejects_sensor_whose_d4_overflows(self, far):
+        # the Fisher terms divide by d^4, which overflows above ~1.16e77; no RuntimeWarning comes first
+        with pytest.raises(ValueError, match=re.escape(f"sensor 3 at distance {far:.6g} is too far")):
+            RssScenario(sensor_positions=((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (far, 0.0)))
 
     @pytest.mark.parametrize(
         "kw",
@@ -1121,6 +1137,45 @@ class TestMonitoring:
         argv = ["simulate-monitoring", "--n", "10", "--snr", "0,5,10,15,20,25,30", "--trials", "40"]
         assert main([*argv, "--seed", "7", "--output", str(tmp_path / "m.csv")]) == 0
         assert calls[0] == ("_disc_model", 560) and [c[0] for c in calls[1:]] in ([], ["_rim_model"]), calls
+
+    def test_batches_of_97_rows_give_the_same_bits(self, monkeypatch):
+        # the stress setting's two designs (2,400 rows) have rim rows, rows at the step cap and rows
+        # that keep their grid node; in 25 batches of 97 rows each batch reads its own rim rows' data
+        sim = sensedesign.simulate
+        scenarios = [
+            RssScenario(
+                sensor_positions=ring_positions(build_design(12, label)), amplitude=5.0, trials=300, seed=3
+            )
+            for label in ("optimal", "semicircle")
+        ]
+        designs, locate = [], sim._locate
+        monkeypatch.setattr(sim, "_locate", lambda d: designs.extend(d) or locate(d))
+        sim._monitoring_sweep(scenarios, [-20.0, -5.0, 60.0, 120.0])
+        monkeypatch.setattr(sim, "_locate", locate)
+        whole = locate(designs)
+        assert sum(len(y) for _, y in designs) == 2400 <= sim._LM_ROWS
+        solves, steps, solve, small = [], [], sim._lm_rows, sim._gradient_small
+
+        def counted(model, x, d):
+            solves.append(model.__name__)
+            steps.append(0)
+            return solve(model, x, d)
+
+        def stepped(*args):
+            steps[-1] += 1
+            return small(*args)
+
+        monkeypatch.setattr(sim, "_LM_ROWS", 97)
+        monkeypatch.setattr(sim, "_lm_rows", counted)
+        monkeypatch.setattr(sim, "_gradient_small", stepped)
+        batched = locate(designs)
+        for a, b in zip(whole, batched):
+            assert a.tobytes() == b.tobytes()
+        assert solves.count("_disc_model") == 25
+        assert "_rim_model" in solves[solves.index("_disc_model", 1) :]  # rim rows past the first batch
+        assert sim._LM_ITERATIONS in steps  # some solve ran to the step cap
+        nodes = np.concatenate([t.nodes[sim._start(t, y)] for t, y in designs])
+        assert (whole[0] == nodes).all(axis=1).any()  # some rows keep their grid node
 
     def test_sweep_work_memory_is_bounded(self):
         # the start grid has 7,839 nodes: scoring all 2,800 rows at once would take 176 MB
