@@ -253,12 +253,7 @@ def cmd_verify(args) -> int:
     # every row's config, so the grid options are checked even when no row is
     # searched, and an over-budget n is refused before any search runs
     configs = {
-        n: MinimaxSearchConfig(
-            n=n,
-            k=args.k,
-            grid_points_per_angle=args.grid_points,
-            refine_iterations=args.refine_iterations,
-        )
+        n: MinimaxSearchConfig(n=n, k=args.k, grid_points_per_angle=args.grid_points)
         for n in range(args.n_min, args.n_max + 1)
     }
     searched = range(args.n_min, min(args.n_max, args.grid_max_n) + 1)
@@ -375,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--grid-max-n", type=int, default=5)
     p.add_argument("--grid-points", type=int, default=180)
-    p.add_argument("--refine-iterations", type=int, default=200)
 
     p = _add_command(
         sub, "simulate-estimation", cmd_simulate_estimation, "worst-subset recovery MSE versus n"

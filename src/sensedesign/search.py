@@ -67,6 +67,11 @@ block.  The minima are written back in enumeration order, and the coarse
 pick follows the same tie rule: the first block in enumeration order whose
 minimum is within TIE_TOL of the smallest (``_tie_floor``), re-scored by the
 same scorer, then its first row-major (u, v) at or below that ceiling.
+
+``_refine`` then polishes the pick by coordinate descent on a fixed budget,
+at most _REFINE_SWEEPS sweeps from a step of one grid spacing, pi / g: on a
+coarse grid it leaves the grid (n = 3 at g = 7 goes from -1.346 to the
+closed form -1.5), and at 180 points with K = 3 it moves nothing for n <= 5.
 """
 
 from __future__ import annotations
@@ -84,12 +89,15 @@ from .core import AngleSet, SpectralSummary, SubsetSelection, _check_int, _pair_
 
 # hard ceiling on grid configurations actually evaluated
 EVALUATION_GUARD = 1_000_000_000
+# hard ceiling on the grid search's g x g tables: they peak at about 25 bytes
+# per entry (measured), so ~420 MB at this ceiling, g = 4096
+_TABLE_ENTRIES = 1 << 24
 # lines closer than this (radians, mod pi) are one line for the tie rule
 LINE_TOL = 1e-12
 # relative tolerance of the tie rule (see _tie_floor)
 TIE_TOL = 1e-12
-# local refinement halves its step after a sweep without improvement
-REFINE_SHRINK = 0.5
+# sweep cap of the coordinate descent after the grid pick (see _refine)
+_REFINE_SWEEPS = 200
 # the grid search scores a group's blocks in chunks of about this many values
 _CHUNK_ELEMENTS = 1 << 16
 EPS = sys.float_info.epsilon
@@ -114,19 +122,16 @@ class MinimaxSearchConfig:
     n: int
     k: int = 3
     grid_points_per_angle: int = 180
-    refine_iterations: int = 200
 
     def __post_init__(self):
-        for name, least in (("n", 1), ("k", 1), ("grid_points_per_angle", 1), ("refine_iterations", 0)):
-            _check_int(name, getattr(self, name), least, type_only=True)
+        for name in ("n", "k", "grid_points_per_angle"):
+            _check_int(name, getattr(self, name), 1, type_only=True)
         if self.n < 3:
             raise ValueError(f"search needs n >= 3, got n={self.n}")
         if not 2 <= self.k <= self.n:
             raise ValueError(f"need 2 <= k <= n, got k={self.k}, n={self.n}")
         if self.grid_points_per_angle < 2:
             raise ValueError("grid_points_per_angle must be at least 2")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be nonnegative")
 
 
 def _tie_floor(top: float) -> float:
@@ -218,12 +223,18 @@ def grid_evaluations(config: MinimaxSearchConfig) -> int:
 
 
 def _check_budget(config: MinimaxSearchConfig) -> None:
-    """Raise ResourceLimitError when the grid search of ``config`` exceeds EVALUATION_GUARD."""
+    """Raise ResourceLimitError when ``config``'s grid search exceeds EVALUATION_GUARD or _TABLE_ENTRIES."""
+    g = config.grid_points_per_angle
     total = grid_evaluations(config)
     if total > EVALUATION_GUARD:
         raise ResourceLimitError(
-            f"grid search for n={config.n} at {config.grid_points_per_angle} points/angle "
+            f"grid search for n={config.n} at {g} points/angle "
             f"needs {total} evaluations (budget {EVALUATION_GUARD}); lower the density or n"
+        )
+    if g * g > _TABLE_ENTRIES:
+        raise ResourceLimitError(
+            f"grid search at {g} points/angle needs {g * g} table entries "
+            f"(ceiling {_TABLE_ENTRIES}); lower the density"
         )
 
 
@@ -319,63 +330,47 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCaseReport]:
-    """Exhaustive minimax over the gauge-fixed, sorted angle grid.
+    """Exhaustive minimax over the gauge-fixed, sorted angle grid, then ``_refine`` from its pick.
 
     Returns the refined configuration and its worst-subset report.  The
     coarse configuration is the first in enumeration order (lexicographic
     over sorted tuples, row-major within each block) whose worst S lies
     within TIE_TOL of the minimum, so ties do not hinge on rounding.
+    ``_refine`` starts from it with one grid step, pi / g.
     """
     _check_budget(config)
     g = config.grid_points_per_angle
     grid, _ = _grid_search(config.n, config.k, g)
-    refined = local_refine(
-        AngleSet(np.array(grid) * (math.pi / g)),
-        config.k,
-        iterations=config.refine_iterations,
-        initial_step=math.pi / g,
-    )
+    refined = _refine(AngleSet(np.array(grid) * (math.pi / g)), config.k, math.pi / g)
     return refined, worst_subset(refined, config.k)
 
 
-def local_refine(
-    angles: AngleSet,
-    k: int = 3,
-    iterations: int = 200,
-    initial_step: float | None = None,
-) -> AngleSet:
-    """Coordinate descent on the worst-subset objective.
+def _refine(angles: AngleSet, k: int, step: float) -> AngleSet:
+    """Coordinate descent on the worst-subset objective, at most _REFINE_SWEEPS sweeps.
 
     Each sweep tries +-step on every angle and keeps a move only when its
     worst S lies below the tie floor of the current one (``_tie_floor``):
     the reported S of a tied subset can sit up to TIE_TOL below the largest,
     so a smaller gain is tie noise, not an improvement.  The step halves
-    after a sweep with no improvement.  The objective never increases, but
-    tied plateaus (where any single-angle move leaves some maximizing
-    subset untouched) are fixed points.
+    after a sweep with no improvement, and the descent stops once it is
+    below 1e-12.  The objective never increases, but tied plateaus (where
+    any single-angle move leaves some maximizing subset untouched) are
+    fixed points.
     """
-    _check_int("k", k, 1, type_only=True)
-    _check_int("iterations", iterations, 0, type_only=True)  # a negative count runs no sweep, as before
-    if not 1 <= k <= angles.n:
-        raise ValueError(f"need 1 <= k <= {angles.n}, got k={k}")
-    step = math.pi / 180.0 if initial_step is None else float(initial_step)
-    if not 0.0 < step < math.inf:  # written so that NaN fails
-        raise ValueError(f"initial_step must be finite and positive, got {step!r}")
     current = list(angles.angles)
-    best = _pair_sum(k, _worst_window(AngleSet(current), k)[1])
-    for _ in range(iterations):
+    best = _pair_sum(k, _worst_window(angles, k)[1])
+    for _ in range(_REFINE_SWEEPS):
         improved = False
         for i in range(len(current)):
             for delta in (step, -step):
                 trial = current.copy()
-                trial[i] = trial[i] + delta
-                obj = _pair_sum(k, _worst_window(AngleSet(trial), k)[1])
+                trial[i] += delta
+                trial = AngleSet(trial)
+                obj = _pair_sum(k, _worst_window(trial, k)[1])
                 if obj < _tie_floor(best):
-                    best = obj
-                    current = [a for a in AngleSet(trial).angles]
-                    improved = True
+                    best, current, improved = obj, list(trial.angles), True
         if not improved:
-            step *= REFINE_SHRINK
+            step *= 0.5
             if step < 1e-12:
                 break
     return AngleSet(current)

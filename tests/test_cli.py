@@ -213,6 +213,22 @@ class TestVerify:
         assert "resource limit" in captured.err and "n=6" in captured.err
         assert captured.out == ""
 
+    def test_table_ceiling_exits_4(self, tmp_path, capsys):
+        # under the evaluation guard, but its g x g tables would take ~38 GB
+        out = tmp_path / "verify.csv"
+        start = time.perf_counter()
+        code = run(
+            tmp_path,
+            "verify",
+            "--n-min", 3, "--n-max", 3,
+            "--grid-max-n", 3, "--grid-points", 40000,
+            "--output", out,
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert not out.exists()
+        assert "table entries" in capsys.readouterr().err
+
     def test_bad_range_exits_2(self, tmp_path):
         assert run(tmp_path, "verify", "--n-min", 5, "--n-max", 4) == 2
 
@@ -221,9 +237,8 @@ class TestVerify:
         [
             ("--grid-points", 1, "grid_points_per_angle must be at least 2"),
             ("--k", 1, "need 2 <= k <= n"),
-            ("--refine-iterations", -1, "refine_iterations must be nonnegative"),
         ],
-        ids=["grid-points", "k", "refine-iterations"],
+        ids=["grid-points", "k"],
     )
     def test_grid_options_checked_when_no_row_is_searched(self, tmp_path, capsys, option, value, message):
         # every n is above --grid-max-n, so no search would reach the bad value

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import sensedesign
+
 MAX_LINE = 110
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +32,16 @@ def test_no_assert_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name dropped from the imports but left in __all__ breaks `from sensedesign import *`
+    tree = ast.parse((ROOT / "src" / "sensedesign" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(sensedesign.__all__) == sorted(imported | {"__version__"})
+    assert len(set(sensedesign.__all__)) == len(sensedesign.__all__)

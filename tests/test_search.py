@@ -18,13 +18,12 @@ from sensedesign import (
     build_design,
     design_optimal,
     grid_evaluations,
-    local_refine,
     minimax_grid_search,
     pair_cosine_sum,
     worst_subset,
 )
 from sensedesign.cli import main
-from sensedesign.search import _grid_search, _window_split
+from sensedesign.search import _TABLE_ENTRIES, _check_budget, _grid_search, _refine, _window_split
 
 
 def brute_worst(angles: AngleSet, k: int):
@@ -37,6 +36,11 @@ def brute_worst(angles: AngleSet, k: int):
     top = max(s for s, _ in scored)
     floor = top - TIE_TOL * max(1.0, abs(top))
     return min(((s, idx) for s, idx in scored if s >= floor), key=lambda pair: pair[1])
+
+
+def grid_pick(n: int, k: int, g: int) -> AngleSet:
+    """The grid search's coarse pick, the configuration ``minimax_grid_search`` refines."""
+    return AngleSet(np.array(_grid_search(n, k, g)[0]) * (math.pi / g))
 
 
 def tie_rule_cases():
@@ -162,8 +166,7 @@ class TestGridSearch:
     def test_block_evaluator_agrees_with_enumeration(self):
         # tiny grid; replay the same sorted enumeration through worst_subset
         g, n = 12, 4
-        config = MinimaxSearchConfig(n=n, grid_points_per_angle=g, refine_iterations=0)
-        _, report = minimax_grid_search(config)
+        report = worst_subset(grid_pick(n, 3, g), 3)
         grid = [i * math.pi / g for i in range(g)]
         best = math.inf
         for tup in itertools.combinations_with_replacement(range(g), n - 1):
@@ -175,8 +178,8 @@ class TestGridSearch:
     def test_window_blocks_match_exhaustive_replay(self, n, k):
         # the block scores only windows; replay every grid point over all subsets
         g = 9
-        config = MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g, refine_iterations=0)
-        angles, report = minimax_grid_search(config)
+        angles = grid_pick(n, k, g)
+        report = worst_subset(angles, k)
         grid = [i * math.pi / g for i in range(g)]
         tuples = list(itertools.combinations_with_replacement(range(g), n - 1))
         worst = [brute_worst(AngleSet([0.0] + [grid[t] for t in tup]), k)[0] for tup in tuples]
@@ -194,19 +197,17 @@ class TestGridSearch:
     def test_grouped_tables_match_per_block_oracle(self, n, k, g):
         # one u-v table per group must give the per-block evaluator's minima bit for bit
         minima, pick = grid_block_search(n, k, g)
-        assert np.array_equal(_grid_search(n, k, g)[1], minima)
-        config = MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g, refine_iterations=0)
-        angles, _ = minimax_grid_search(config)
-        grid = np.arange(g) * (math.pi / g)
-        assert angles.angles == AngleSet(grid[list(pick)]).angles
+        found, found_minima = _grid_search(n, k, g)
+        assert np.array_equal(found_minima, minima)
+        assert found == pick
 
     def test_tie_across_groups_goes_to_first_in_enumeration_order(self):
         # At n=6, K=4, g=11 the tied blocks fall in several groups, and the one
         # with the smallest last fixed angle, whose group is scored first, is
         # not the first tied block in enumeration order.
         n, k, g = 6, 4, 11
-        config = MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g, refine_iterations=0)
-        angles, report = minimax_grid_search(config)
+        angles = grid_pick(n, k, g)
+        report = worst_subset(angles, k)
         grid = [i * math.pi / g for i in range(g)]
         tuples = list(itertools.combinations_with_replacement(range(g), n - 1))
         worst = [brute_worst(AngleSet([0.0] + [grid[t] for t in tup]), k)[0] for tup in tuples]
@@ -225,7 +226,7 @@ class TestGridSearch:
         # blocks grouped through one sorted index array, then one table and chunk at a time
         tracemalloc.start()
         try:
-            minimax_grid_search(MinimaxSearchConfig(n=5, refine_iterations=0))
+            minimax_grid_search(MinimaxSearchConfig(n=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -240,8 +241,18 @@ class TestGridSearch:
             return enumerate_tuples(*args)
 
         monkeypatch.setattr(itertools, "combinations_with_replacement", counted)
-        minimax_grid_search(MinimaxSearchConfig(n=5, grid_points_per_angle=30, refine_iterations=0))
+        minimax_grid_search(MinimaxSearchConfig(n=5, grid_points_per_angle=30))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "n, k, g, grid_worst", [(3, 3, 7, -1.346010735815048), (5, 4, 9, -1.266044443118978)]
+    )
+    def test_refines_past_the_grid_pick(self, n, k, g, grid_worst):
+        # on these coarse grids the polish leaves the grid and reaches the closed form
+        assert worst_subset(grid_pick(n, k, g), k).objective == pytest.approx(grid_worst, abs=1e-12)
+        _, report = minimax_grid_search(MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g))
+        assert report.objective < grid_worst
+        assert report.objective == pytest.approx(worst_subset(design_optimal(n), k).objective, abs=1e-9)
 
     def test_gauge_fixing_lossless(self):
         angles, report = minimax_grid_search(MinimaxSearchConfig(n=4, grid_points_per_angle=30))
@@ -254,6 +265,18 @@ class TestGridSearch:
         assert grid_evaluations(big) > EVALUATION_GUARD
         with pytest.raises(ResourceLimitError):
             minimax_grid_search(big)
+
+    def test_table_ceiling_bounds_memory(self):
+        # n = 3 at 40,000 points is under the evaluation guard, but its g x g tables
+        # would take ~38 GB; the ceiling refuses it before anything is allocated
+        big = MinimaxSearchConfig(n=3, grid_points_per_angle=40_000)
+        assert grid_evaluations(big) == 800_020_000 <= EVALUATION_GUARD
+        with pytest.raises(ResourceLimitError, match="1600000000 table entries"):
+            _check_budget(big)
+        assert 4096 * 4096 == _TABLE_ENTRIES
+        assert _check_budget(MinimaxSearchConfig(n=3, grid_points_per_angle=4096)) is None
+        with pytest.raises(ResourceLimitError):
+            _check_budget(MinimaxSearchConfig(n=3, grid_points_per_angle=4097))
 
     def test_evaluation_count_formula(self):
         config = MinimaxSearchConfig(n=5, grid_points_per_angle=180)
@@ -272,12 +295,11 @@ class TestGridSearch:
             {"n": np.float64(5.0)},
             {"k": 3.0},
             {"grid_points_per_angle": 12.5},
-            {"refine_iterations": 2.5},
         ],
     )
     def test_integer_fields_reject_non_integers(self, kw):
         name = next(iter(kw))
-        with pytest.raises(ValueError, match=f"{name} must be a (positive|nonnegative) integer"):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             MinimaxSearchConfig(**{"n": 4, **kw})
         assert MinimaxSearchConfig(n=np.int64(4), k=np.int64(3)).n == 4
 
@@ -288,27 +310,27 @@ class TestLocalRefine:
         for _ in range(10):
             a = AngleSet(rng.uniform(0, math.pi, 5))
             before = worst_subset(a, 3).objective
-            after = worst_subset(local_refine(a, 3, iterations=40), 3).objective
+            after = worst_subset(_refine(a, 3, math.pi / 180), 3).objective
             assert after <= before + 1e-15
 
     def test_optimal_designs_are_fixed_points(self):
         for n in range(3, 11):
             d = design_optimal(n)
             before = worst_subset(d, 3).objective
-            after = worst_subset(local_refine(d, 3, iterations=60), 3).objective
+            after = worst_subset(_refine(d, 3, math.pi / 180), 3).objective
             assert after <= before + 1e-15
             assert after >= before - 1e-9
             # a step far below the tie tolerance only finds tie noise, so nothing moves
-            assert local_refine(d, 3, iterations=60, initial_step=1e-13).angles == d.angles
+            assert _refine(d, 3, 1e-13).angles == d.angles
         semi = baseline_semicircle(5)
-        assert local_refine(semi, 4, iterations=60, initial_step=1e-13).angles == semi.angles
+        assert _refine(semi, 4, 1e-13).angles == semi.angles
 
     def test_semicircle7_tied_plateau(self):
         # every angle move leaves >= 4 of the 7 maximizing triples untouched,
         # so strict coordinate descent cannot leave this configuration
         semi = baseline_semicircle(7)
         before = worst_subset(semi, 3).objective
-        refined = local_refine(semi, 3, iterations=80)
+        refined = _refine(semi, 3, math.pi / 180)
         after = worst_subset(refined, 3).objective
         assert after == pytest.approx(before, abs=1e-15)
 
@@ -316,21 +338,9 @@ class TestLocalRefine:
         # a perturbed three-angle set should descend toward the -1.5 floor
         start = AngleSet([0.0, math.pi / 3 + 0.05, 2 * math.pi / 3 - 0.07])
         before = worst_subset(start, 3).objective
-        after = worst_subset(local_refine(start, 3, iterations=120, initial_step=0.05), 3).objective
+        after = worst_subset(_refine(start, 3, 0.05), 3).objective
         assert after < before
         assert after == pytest.approx(-1.5, abs=1e-6)
-
-    def test_rejects_bad_args(self):
-        a = AngleSet([0.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            local_refine(a, 4)
-        with pytest.raises(ValueError):
-            local_refine(a, 3, initial_step=0.0)
-
-    @pytest.mark.parametrize("step", [math.nan, math.inf, -1.0])
-    def test_initial_step_must_be_finite_and_positive(self, step):
-        with pytest.raises(ValueError, match="initial_step must be finite and positive"):
-            local_refine(AngleSet([0.0, 1.0, 2.0]), 3, initial_step=step)
 
 
 FOUR = AngleSet([0.0, 1.0, 2.0, 2.5])
@@ -341,18 +351,14 @@ FOUR = AngleSet([0.0, 1.0, 2.0, 2.5])
     [
         (lambda: worst_subset(FOUR, k=2.0), "k"),
         (lambda: worst_subset(FOUR, k="2"), "k"),
-        (lambda: local_refine(FOUR, 2.0), "k"),
-        (lambda: local_refine(FOUR, 3, iterations=2.5), "iterations"),
-        (lambda: local_refine(FOUR, 3, iterations="2"), "iterations"),
         (lambda: MinimaxSearchConfig(n="4"), "n"),
         (lambda: MinimaxSearchConfig(n=4, k="3"), "k"),
-        (lambda: MinimaxSearchConfig(n=4, refine_iterations="2"), "refine_iterations"),
     ],
-    ids=["subset-float", "subset-str", "refine-k", "refine-float", "refine-str", "cfg-n", "cfg-k", "cfg-it"],
+    ids=["subset-float", "subset-str", "cfg-n", "cfg-k"],
 )
 def test_non_integer_counts_are_rejected_before_the_range_checks(call, name):
     # a string used to reach a range comparison, and a float a range() or slice: both raised TypeError
-    with pytest.raises(ValueError, match=f"{name} must be a (positive|nonnegative) integer"):
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
         call()
 
 
@@ -360,13 +366,11 @@ def test_non_integer_counts_are_rejected_before_the_range_checks(call, name):
     "call, message",
     [
         (lambda: worst_subset(FOUR, 0), "need 1 <= k <= 4, got k=0"),
-        (lambda: local_refine(FOUR, 5), "need 1 <= k <= 4, got k=5"),
         (lambda: MinimaxSearchConfig(n=0), "search needs n >= 3, got n=0"),
         (lambda: MinimaxSearchConfig(n=4, k=1), "need 2 <= k <= n, got k=1, n=4"),
         (lambda: MinimaxSearchConfig(4, grid_points_per_angle=1), "grid_points_per_angle must be at least 2"),
-        (lambda: MinimaxSearchConfig(n=4, refine_iterations=-1), "refine_iterations must be nonnegative"),
     ],
-    ids=["subset", "refine", "cfg-n", "cfg-k", "cfg-grid", "cfg-it"],
+    ids=["subset", "cfg-n", "cfg-k", "cfg-grid"],
 )
 def test_integer_counts_keep_their_range_messages(call, message):
     with pytest.raises(ValueError) as raised:
