@@ -45,26 +45,20 @@ class AngleSet:
     """Ordered sensing angles, normalized to [0, pi) at construction.
 
     ``raw`` keeps the angles as given, before mod-pi reduction.  Designs
-    that place physical sensors on a full circle store the placement angle
-    there; the normalized values are what every spectral quantity uses.
+    that place physical sensors on a full circle pass the placement angles,
+    which ``ring_positions`` reads from there; the normalized values are
+    what every spectral quantity uses.
     """
 
     angles: tuple[float, ...]
     raw: tuple[float, ...] = field(default=())
 
-    def __init__(self, angles: Iterable[float], raw: Iterable[float] | None = None):
+    def __init__(self, angles: Iterable[float]):
         given = tuple(float(a) for a in angles)
         if not given:
             raise ValueError("AngleSet needs at least one angle")
-        normalized = tuple(normalize_angle(a) for a in given)
-        raw_t = given if raw is None else tuple(float(a) for a in raw)
-        if len(raw_t) != len(normalized):
-            raise ValueError("raw angles must match angles in length")
-        for a in raw_t:
-            if not math.isfinite(a):
-                raise ValueError(f"raw angle must be finite, got {a!r}")
-        object.__setattr__(self, "angles", normalized)
-        object.__setattr__(self, "raw", raw_t)
+        object.__setattr__(self, "angles", tuple(normalize_angle(a) for a in given))
+        object.__setattr__(self, "raw", given)
 
     @property
     def n(self) -> int:

@@ -18,11 +18,12 @@ rows of any longer one.  Runs are therefore reproducible, a trial's draw
 does not depend on the trial count, and trial order does not matter.
 Seeds are nonnegative ints.  The private sweeps ``_estimation_sweep`` and
 ``_monitoring_sweep`` take every design of one command and draw each
-distinct table once, up front: a table is fixed by its key, the
-scenario's trial count and its row width (K, or n for monitoring), and
-every design and row with the same three shares it.  The tables live only
-for the sweep call; ``simulate_worst_case_mse`` and ``simulate_monitoring``
-are sweeps of one design.
+distinct table once, before any solve (monitoring picks every design's
+worst triple first, so a refused subset count draws nothing): a table is
+fixed by its key, the scenario's trial count and its row width (K, or n
+for monitoring), and every design and row with the same three shares it.
+The tables live only for the sweep call; ``simulate_worst_case_mse`` and
+``simulate_monitoring`` are sweeps of one design.
 
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which solves the readings of every design of a sweep, one
@@ -39,7 +40,7 @@ every node.  The least score wins, and the smallest node index among equal
 ones, so the node is the one a scan of every node picks.
 The row is then refined by Levenberg-Marquardt run on every row together:
 closed-form damped 2x2 normal equations, Nielsen's damping update, and
-MINPACK's xtol, ftol and gtol stopping tests, all at ``LM_TOL``.  A
+MINPACK's xtol and ftol stopping tests, both at ``LM_TOL``.  A
 solution outside the search disc is solved again over the rim angle, from
 its exit direction; no row goes to scipy.  A row still running after
 ``_LM_ITERATIONS`` steps keeps its last accepted iterate, and a row whose
@@ -72,9 +73,12 @@ from .core import (
     _spectrum,
     angles_to_matrix,
 )
-from .search import WorstCaseReport, _first_tied, worst_subset
+from .search import ResourceLimitError, WorstCaseReport, _first_tied, worst_subset
 
 MIN_SENSOR_DISTANCE = 1e-12
+# hard ceiling on the subsets worst_fim_subset scores: it holds about 104 bytes per subset (measured),
+# so ~1 GB at this ceiling, which admits n <= 392 at K = 3
+_FIM_SUBSETS = 10**7
 
 
 class SingularSubsetError(ValueError):
@@ -373,11 +377,18 @@ def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection
     ``core`` from its summed weights and phasors.  Conditions tie by the
     rule of ``search`` and the lexicographically smallest index tuple among
     them is reported; when some subset is rank deficient, the smallest such
-    tuple is.
+    tuple is.  Raises ResourceLimitError, before any subset is scored, when
+    C(n, K) exceeds ``_FIM_SUBSETS``.
     """
     _check_int("k", k, 2, type_only=True)
     if not 2 <= k <= scenario.n:
         raise ValueError(f"need 2 <= k <= {scenario.n}, got k={k}")
+    total = math.comb(scenario.n, k)
+    if total > _FIM_SUBSETS:
+        raise ResourceLimitError(
+            f"worst_fim_subset at n={scenario.n}, k={k} scores {total} subsets "
+            f"(ceiling {_FIM_SUBSETS}); lower n"
+        )
     w, p = (a.tolist() for a in _fim_terms(scenario))
     combos = list(itertools.combinations(range(scenario.n), k))
     cond = [_spectrum(sum(map(w.__getitem__, c)), sum(map(p.__getitem__, c)))[2] for c in combos]
@@ -390,11 +401,12 @@ def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection
 
 GRID_POINTS_PER_AXIS = 101
 SEARCH_RADIUS_FACTOR = 2.0
-# xtol = ftol = gtol of the Levenberg-Marquardt solves inside the disc and on its rim (there is no
-# other solver).  A row stops at the first of MINPACK's tests: its step is at most
-# xtol * (||x|| + xtol); the actual and the predicted reduction of the squared residual norm,
-# relative to it, are both at most ftol (and their ratio at most 2); or
-# max_j |J_j^T r| / (||J_j|| ||r||) is at most gtol.
+# xtol = ftol of the Levenberg-Marquardt solves inside the disc and on its rim (there is no other
+# solver).  A row stops at the first of MINPACK's two tests: its step is at most xtol * (||x|| + xtol),
+# or the actual and the predicted reduction of the squared residual norm, relative to it, are both at
+# most ftol (and their ratio at most 2).  MINPACK's third test, on the gradient cosine (gtol), is left
+# out: without it no row of the monitoring settings ends with other bits.  A zero-residual row stops
+# after one step, since its step is exactly 0.
 LM_TOL = 1e-15
 # Steps a row may take: 200, MINPACK's default evaluation budget 100 * (p + 1) for p = 2 parameters
 # with an analytic Jacobian (scipy's max_nfev for method="lm").  The rows that reach it converge only
@@ -611,15 +623,6 @@ def _rim_model(x, d: np.ndarray, jacobian: bool = True):
     return r, (jac[1] * rc - jac[0] * rs,) if jacobian else None
 
 
-def _gradient_small(s: np.ndarray, diag, g) -> np.ndarray:
-    """MINPACK's gtol test, max_j |J_j^T r| / (||J_j|| ||r||) <= LM_TOL; zero columns are skipped."""
-    small = np.ones(len(s), dtype=bool)
-    for aj, gj in zip(diag, g):
-        col = np.sqrt(aj)
-        small &= (col == 0.0) | (np.abs(gj) / (col * np.sqrt(s)) <= LM_TOL)
-    return small | (s == 0.0)
-
-
 def _damped_step(diag, cross, g, mu: np.ndarray) -> np.ndarray:
     """h solving (J^T J + mu I) h = -J^T r for one or two parameters, by Cramer's rule."""
     if len(g) == 1:
@@ -652,7 +655,6 @@ def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> np.ndarray:
             g = [_sum(j * r) for j in jac]
             if step == 0:
                 mu = _LM_TAU * np.maximum(diag[0], diag[-1])
-            stop = _gradient_small(s, diag, g)
             h = _damped_step(diag, cross, g, mu)
             hh = _sum(h * h)
             jh = _sum([j * hj for j, hj in zip(jac, h)])
@@ -661,9 +663,9 @@ def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> np.ndarray:
             xn = x + h
             sn = _sum(np.square(model(xn, d, False)[0]))
             rho = (s - sn) / pred
-            actual = np.where(sn < 100.0 * s, 1.0 - sn / s, -1.0)
-            accept = (rho > 0.0) & ~stop
-            stop |= np.sqrt(hh) <= LM_TOL * (np.sqrt(_sum(x * x)) + LM_TOL)
+            actual = 1.0 - sn / s
+            accept = rho > 0.0
+            stop = np.sqrt(hh) <= LM_TOL * (np.sqrt(_sum(x * x)) + LM_TOL)
             stop |= (np.abs(actual) <= LM_TOL) & (pred / s <= LM_TOL) & (rho <= 2.0)
             x = np.where(accept, xn, x)
             mu = np.where(accept, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), mu * nu)
@@ -726,7 +728,7 @@ def ml_locate(
     disc, a one-dimensional Levenberg-Marquardt solve over the rim angle,
     started at the exit angle, gives the constrained optimum.  Both solves
     are the batched ones of the monitoring sweep, run on this one row (there
-    is no scipy path), and stop at MINPACK's xtol, ftol or gtol test
+    is no scipy path), and stop at MINPACK's xtol or ftol test
     (``LM_TOL``) or after ``_LM_ITERATIONS`` = 200 steps, MINPACK's budget
     for two parameters; a solve still running then returns its last
     accepted iterate.  The returned residual is the model's at the returned
@@ -782,7 +784,8 @@ def simulate_monitoring(scenario: RssScenario, snr_grid_db: Sequence[float]) -> 
     where P_s is the mean squared noiseless log-RSS over the ring.  When the
     scenario makes every noiseless reading zero (unit amplitude at unit
     distance), P_s degenerates; the reference power falls back to 1 and the
-    metadata says so.
+    metadata says so.  A ring too large for ``worst_fim_subset`` raises its
+    ResourceLimitError before any noise is drawn.
     """
     return _monitoring_sweep([scenario], snr_grid_db)[0]
 
@@ -801,9 +804,7 @@ def _monitoring_sweep(
         raise ValueError("snr_grid_db must be nonempty")
     if not all(map(math.isfinite, snrs)):
         raise ValueError(f"SNR values must be finite, got {snrs}")
-    keys = {((s.seed, pi), s.trials, s.n) for s in scenarios for pi in range(len(snrs))}
-    tables = {key: _trial_noise(*key) for key in keys}
-    designs, studies = [], []
+    studies = []
     for scenario in scenarios:
         clean = _rss_mean(scenario)
         signal_power = float(np.mean(clean**2))
@@ -820,17 +821,21 @@ def _monitoring_sweep(
         if not all(map(math.isfinite, sigmas)):
             raise ValueError(f"noise levels must be finite, but SNR values {snrs} dB are too low")
 
-        sel, _ = worst_fim_subset(scenario, k=3)
+        sel, _ = worst_fim_subset(scenario, k=3)  # before the noise tables: a refused n allocates none
+        studies.append((scenario, clean, sigmas, sel, reference, p_ref))
+    keys = {((s.seed, pi), s.trials, s.n) for s in scenarios for pi in range(len(snrs))}
+    tables = {key: _trial_noise(*key) for key in keys}
+    designs = []
+    for scenario, clean, sigmas, sel, _, _ in studies:
         active = list(sel.indices)
         # every point's trials of the active sensors; row pi * trials + t is trial t of point pi
         drawn = [tables[(scenario.seed, pi), scenario.trials, scenario.n] for pi in range(len(snrs))]
         readings = np.concatenate([clean[active] + s * table[:, active] for s, table in zip(sigmas, drawn)])
         designs.append((_start_table(scenario, sel), readings))  # one start table for every point and trial
-        studies.append((scenario, sigmas, sel, reference, p_ref))
     # every design's rows in one batch: a row's solve does not depend on the rows batched with it
     est = np.split(_locate(designs)[0], np.cumsum([len(y) for _, y in designs])[:-1])
     results = []
-    for (scenario, sigmas, sel, reference, p_ref), e in zip(studies, est):
+    for (scenario, _, sigmas, sel, reference, p_ref), e in zip(studies, est):
         trials = scenario.trials
         z = np.asarray(scenario.source, dtype=float)
         sq = (e[:, 0] - z[0]) ** 2 + (e[:, 1] - z[1]) ** 2

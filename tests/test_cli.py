@@ -302,6 +302,18 @@ class TestSimulateMonitoring:
         if code:
             assert "sensor 0 at distance 1e+78 is too far from the source" in capsys.readouterr().err
 
+    def test_subset_ceiling_exits_4(self, tmp_path, monkeypatch, capsys):
+        # C(400, 3) worst-triple candidates are over the ceiling: refused before any noise table
+        draws = []
+        monkeypatch.setattr(sensedesign.simulate, "_trial_noise", lambda *args: draws.append(args))
+        out = tmp_path / "m.csv"
+        start = time.perf_counter()
+        code = run(tmp_path, "simulate-monitoring", "--n", 400, "--trials", 1, "--snr", 10, "--output", out)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert draws == [] and not out.exists()
+        assert "resource limit" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv, draws",

@@ -63,9 +63,10 @@ class TestAngleSet:
         assert a.raw == (0.0, 5 * math.pi / 4, -0.5)
         assert a.n == 3
 
-    def test_explicit_raw(self):
-        a = AngleSet([0.0, math.pi / 2], raw=[0.0, 3 * math.pi / 2])
+    def test_full_circle_angle_kept_as_raw(self):
+        a = AngleSet([0.0, 3 * math.pi / 2])
         assert a.raw == (0.0, 3 * math.pi / 2)
+        assert a.angles == (0.0, math.pi / 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -74,10 +75,6 @@ class TestAngleSet:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             AngleSet([0.0, math.nan])
-
-    def test_raw_length_mismatch(self):
-        with pytest.raises(ValueError):
-            AngleSet([0.0, 1.0], raw=[0.0])
 
 
 class TestSubsetSelection:

@@ -45,3 +45,26 @@ def test_all_lists_exactly_the_imported_names():
     }
     assert sorted(sensedesign.__all__) == sorted(imported | {"__version__"})
     assert len(set(sensedesign.__all__)) == len(sensedesign.__all__)
+
+
+def test_every_private_module_name_is_used_in_the_library():
+    # a helper left behind when its only caller goes is dead code that still reads as live
+    files = sorted((ROOT / "src" / "sensedesign").glob("*.py"))
+    assert files
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in files]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - used) == []

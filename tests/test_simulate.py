@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from sensedesign import (
     AngleSet,
     DegenerateGeometryError,
     EstimationScenario,
+    ResourceLimitError,
     RssScenario,
     SingularSubsetError,
     SubsetSelection,
@@ -666,6 +668,22 @@ class TestWorstFimSubset:
         gram = worst_subset(design).summary.gram_condition
         assert cond == pytest.approx(gram, rel=1e-9)
 
+    def test_subset_ceiling_refuses_before_scoring(self):
+        # C(400, 3) = 10,586,800 subsets would hold about 1.1 GB of index tuples and conditions
+        scn = ring_scenario(n=400)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="10586800 subsets"):
+            worst_fim_subset(scn)
+        assert time.perf_counter() - start < 0.5
+
+    def test_subset_ceiling_is_inclusive(self, monkeypatch):
+        scn = ring_scenario(n=10)
+        monkeypatch.setattr(sensedesign.simulate, "_FIM_SUBSETS", math.comb(10, 3))
+        assert worst_fim_subset(scn)[0].indices == (0, 1, 5)
+        monkeypatch.setattr(sensedesign.simulate, "_FIM_SUBSETS", math.comb(10, 3) - 1)
+        with pytest.raises(ResourceLimitError):
+            worst_fim_subset(scn)
+
 
 @pytest.mark.parametrize(
     "call",
@@ -707,6 +725,27 @@ class TestMlLocate:
         assert np.linalg.norm(result.estimate - np.array(scn.source)) <= 1e-7
         assert result.residual <= 1e-12
         assert not result.on_boundary
+
+    def test_zero_residual_row_stops_after_one_step(self, monkeypatch):
+        # the source sits on grid node (0, 0), where the noiseless readings leave a residual of exactly
+        # 0; the disc solve's first step is exactly 0 and the step test stops the row there
+        sim = sensedesign.simulate
+        scn = ring_scenario(n=10, shadow_std=0.0)
+        sel, _ = worst_fim_subset(scn)
+        samples = rss_sample(scn)
+        steps, damped = [], sim._damped_step
+        monkeypatch.setattr(sim, "_damped_step", lambda *args: steps.append(1) or damped(*args))
+        result = ml_locate(scn, samples, sel)
+        assert len(steps) == 1
+        assert result.estimate.tobytes() == np.zeros(2).tobytes()
+        assert result.residual == 0.0 and not result.on_boundary
+        # the same bits in a batch with noisy rows
+        y = samples[list(sel.indices)]
+        noisy = y + default_rng(5).standard_normal((6, 3))
+        est, res, edge = sim._locate([(sim._start_table(scn, sel), np.vstack([noisy[:3], y, noisy[3:]]))])
+        assert est[3].tobytes() == result.estimate.tobytes()
+        assert res[3] == 0.0 and not edge[3]
+        assert (res[[0, 1, 2, 4, 5, 6]] > 0.0).all()
 
     def test_offset_source_frame(self):
         scn = ring_scenario(n=10, source=(2.0, -1.5), shadow_std=0.0)
@@ -1154,7 +1193,7 @@ class TestMonitoring:
         monkeypatch.setattr(sim, "_locate", locate)
         whole = locate(designs)
         assert sum(len(y) for _, y in designs) == 2400 <= sim._LM_ROWS
-        solves, steps, solve, small = [], [], sim._lm_rows, sim._gradient_small
+        solves, steps, solve, damped = [], [], sim._lm_rows, sim._damped_step
 
         def counted(model, x, d):
             solves.append(model.__name__)
@@ -1163,11 +1202,11 @@ class TestMonitoring:
 
         def stepped(*args):
             steps[-1] += 1
-            return small(*args)
+            return damped(*args)
 
         monkeypatch.setattr(sim, "_LM_ROWS", 97)
         monkeypatch.setattr(sim, "_lm_rows", counted)
-        monkeypatch.setattr(sim, "_gradient_small", stepped)
+        monkeypatch.setattr(sim, "_damped_step", stepped)
         batched = locate(designs)
         for a, b in zip(whole, batched):
             assert a.tobytes() == b.tobytes()
