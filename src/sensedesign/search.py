@@ -44,16 +44,15 @@ The windows holding both u and v (pair windows) make a block's u-v table,
 and they read few fixed positions (at K = 3 only the pinned 0 and the last
 fixed angle), so the blocks that agree there and in the last fixed angle,
 where u and v start (the key positions), share one table.  Sorted by their
-key values, each group of blocks is one run; it builds its table once and
-scores its blocks in chunks of about _CHUNK_ELEMENTS values.  The worst S
-at (u, v) is the largest of the table entry, the block's u row (its u-only
-and constant windows) and its v column (its v-only windows).  Max and min
-only select, so the minimum over u first, then v, is the same number, and
-the order in which the windows are folded in moves no bit.  The table is a
-full square over the free grid points so that the u rows and v columns
-broadcast against it.  Its v < u triangle holds configurations outside the
-sorted enumeration (the block already has each as (v, u)), so it is +inf,
-and neither the minimum nor the pick can land there.
+key values, each group of blocks is one run.  The worst S at (u, v) is the
+largest of the table entry, the block's u row (its u-only and constant
+windows) and its v column (its v-only windows).  Max and min only select,
+so the minimum over u first, then v, is the same number, and the order in
+which the windows are folded in moves no bit.  The table is a full square
+over the free grid points so that the u rows and v columns broadcast
+against it.  Its v < u triangle holds configurations outside the sorted
+enumeration (the block already has each as (v, u)), so it is +inf, and
+neither the minimum nor the pick can land there.
 
 The rows and columns of a whole group are built in one pass per side window
 (one that holds u or v but not both): the block resultants are summed from
@@ -63,10 +62,28 @@ Every window term, S and Re(conj(r) P) = Re r Re P + Im r Im P alike, is
 built from real products, sums and differences, each rounded on its own,
 so a batched window gives the same bits as a scalar resultant per block.
 When every fixed position is a key (K = 4 at n = 5), each group holds one
-block.  The minima are written back in enumeration order, and the coarse
-pick follows the same tie rule: the first block in enumeration order whose
-minimum is within TIE_TOL of the smallest (``_tie_floor``), re-scored by the
-same scorer, then its first row-major (u, v) at or below that ceiling.
+block.
+
+Only the blocks that can still tie the minimum are scored in full.  Each
+block's minimum is at least its bound
+max(min_u max(row[u], table[u].min()), min_v max(col[v], table[:, v].min())),
+since every (u, v) entry is at least both terms; max and min only select, so
+this holds for the computed numbers bit for bit.  The bound costs O(w) per
+block against O(w^2) for the full (blocks, u, v) pass.  A running ceiling,
+the tie ceiling of the smallest exact minimum so far (+inf at first), decides:
+a block whose bound is above it cannot be tied with the final minimum, so
+only the others are scored, in chunks of about _CHUNK_ELEMENTS values, and
+the rest keep their bound.  Before building a group's table, the looser
+bound max(min row, min col) of every block is taken, and when none reaches
+the ceiling the table is not built at all (at K = n-1 each table serves one
+block, and most are skipped).  At n = 5, K = 3 on 180 points 665 of the
+16,290 blocks are scored.  The ceiling only falls, so every block tied with
+the final minimum was scored exactly, and the minimum, the tied set and the
+pick are those of the full search.  The minima are written back in
+enumeration order, and the coarse pick follows the same tie rule: the first
+block in enumeration order whose minimum is within TIE_TOL of the smallest
+(``_tie_floor``), re-scored by the same scorer, then its first row-major
+(u, v) at or below that ceiling.
 
 ``_refine`` then polishes the pick by coordinate descent on a fixed budget,
 at most _REFINE_SWEEPS sweeps from a step of one grid spacing, pi / g: on a
@@ -81,7 +98,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -217,7 +234,7 @@ def worst_subset(angles: AngleSet, k: int = 3) -> WorstCaseReport:
 
 
 def grid_evaluations(config: MinimaxSearchConfig) -> int:
-    """Number of configurations the grid search will evaluate."""
+    """Number of configurations the grid search covers."""
     g = config.grid_points_per_angle
     return math.comb(g + config.n - 2, config.n - 1)
 
@@ -259,11 +276,14 @@ def _window_split(n: int, k: int) -> tuple[list, list, list]:
 
 
 def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """(coarse grid tuple, smallest worst-window S of every block in enumeration order); see the module notes.
+    """(coarse grid tuple, per-block minimum or bound in enumeration order); see the module notes.
 
     A block is every (*fixed, u, v) with fixed = (0, *outer) and grid points
     fixed[-1] <= u <= v < g.  The coarse tuple is the first configuration in
     enumeration order whose worst S is tied with the smallest (``_tie_floor``).
+    The second value holds, for each block, its smallest worst-window S where
+    that is at or below the final tie ceiling (so its minimum is the global
+    one, bit for bit), and otherwise a lower bound on it above that ceiling.
     """
     pair, side, keys = _window_split(n, k)
     phasor = np.exp(2j * (np.arange(g) * (math.pi / g)))
@@ -272,20 +292,14 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
     cross = (phasor[:, None] * phasor.conj()).real.copy()  # contiguous, the product freed
     cross[np.tril_indices(g, -1)] = math.inf
 
-    def score(group: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """v columns (blocks, v) and the u-v table under the u rows (blocks, u, v) of one group, in chunks."""
-        r0 = int(group[0, -1])
-        free = phasor[r0:]
-        table = np.full((g - r0, g - r0), -math.inf)
-        for own in pair:
-            r = sum(ph[group[0, q]] for q in own)
-            a = r.real * free.real + r.imag * free.imag  # Re(conj(r) P) for each free angle P
-            np.maximum(table, (_pair_sum(len(own), r) + a)[:, None] + a, out=table)
-        table += cross[r0:, r0:]
-        # the u rows and v columns of all blocks, one pass per side window; the
-        # resultants are summed member by member in window order, as Python's
-        # sum does for one block, so each block gets its scalar bits
-        rows, cols = np.full((2, len(group), g - r0), -math.inf)
+    def sides(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u rows and v columns (blocks, w) of one group, one pass per side window.
+
+        The resultants are summed member by member in window order, as
+        Python's sum does for one block, so each block gets its scalar bits.
+        """
+        free = phasor[group[0, -1] :]
+        rows, cols = np.full((2, len(group), len(free)), -math.inf)
         members = phasor[group.T][..., None]  # (position, block, 1)
         for own, has_u, has_v in side:
             r = members[own[0]]
@@ -297,11 +311,39 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
                 continue
             target = rows if has_u else cols
             np.maximum(target, s + (r.real * free.real + r.imag * free.imag), out=target)
+        return rows, cols
+
+    def table_of(block: Sequence[int]) -> np.ndarray:
+        """The u-v table (u, v) that a block shares with its group."""
+        r0 = block[-1]
+        free = phasor[r0:]
+        table = np.full((g - r0, g - r0), -math.inf)
+        for own in pair:
+            r = sum(ph[block[q]] for q in own)
+            a = r.real * free.real + r.imag * free.imag  # Re(conj(r) P) for each free angle P
+            np.maximum(table, (_pair_sum(len(own), r) + a)[:, None] + a, out=table)
+        table += cross[r0:, r0:]
+        return table
+
+    def score(group: np.ndarray, ceiling: float) -> np.ndarray:
+        """Each block's minimum where its bound is at or below ``ceiling``, else the bound."""
+        rows, cols = sides(group)
+        bound = np.maximum(rows.min(axis=1), cols.min(axis=1))
+        if not (bound <= ceiling).any():
+            return bound  # no block can tie the minimum: skip the table
+        table = table_of(group[0].tolist())
+        bound = np.maximum(
+            np.maximum(rows, table.min(axis=1)).min(axis=1), np.maximum(cols, table.min(axis=0)).min(axis=1)
+        )
+        live = np.flatnonzero(bound <= ceiling)
         step = max(1, _CHUNK_ELEMENTS // table.size)
-        out = np.empty((min(step, len(group)), *table.shape))
-        for lo in range(0, len(group), step):
-            under = np.maximum(table, rows[lo : lo + step, :, None], out=out[: len(group) - lo])
-            yield cols[lo : lo + step], under
+        out = np.empty((min(step, len(live)), *table.shape))
+        for lo in range(0, len(live), step):
+            chunk = live[lo : lo + step]
+            under = np.maximum(table, rows[chunk, :, None], out=out[: len(chunk)])
+            # min over u of the rows under the table, then the v columns, then min over v
+            bound[chunk] = np.maximum(cols[chunk], under.min(axis=1)).min(axis=1)
+        return bound
 
     count = math.comb(g + n - 4, n - 3)
     fixed = np.zeros((count, n - 2), dtype=np.intp)
@@ -314,18 +356,19 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
     starts = np.flatnonzero(np.diff(fixed[:, keys][order], axis=0).any(axis=1)) + 1
     bounds = [0, *starts.tolist(), count]
     minima = np.empty(count)
+    best = math.inf  # the smallest exact minimum so far
     for lo, hi in zip(bounds, bounds[1:]):
         run = order[lo:hi]
-        chunks = score(fixed[run])
-        # min over u of the rows under the table, then the v columns, then min over v
-        minima[run] = np.concatenate([np.maximum(c, under.min(axis=1)).min(axis=1) for c, under in chunks])
+        minima[run] = score(fixed[run], -_tie_floor(-best))
+        best = min(best, float(minima[run].min()))  # a bound above the ceiling never lowers it
 
     # tie rule: the first block, in enumeration order, whose minimum is tied
     # with the smallest, then its first row-major entry at or below the ceiling
     block = fixed[_first_tied(-minima)].tolist()
-    ceiling = -_tie_floor(-float(minima.min()))
-    cols, under = next(score(np.array([block])))
-    u, v = divmod(int(np.argmax(np.maximum(under[0], cols[0]) <= ceiling)), g - block[-1])
+    ceiling = -_tie_floor(-best)
+    rows, cols = sides(np.array([block]))
+    worst = np.maximum(np.maximum(table_of(block), rows[0, :, None]), cols[0])
+    u, v = divmod(int(np.argmax(worst <= ceiling)), g - block[-1])
     return (*block, block[-1] + u, block[-1] + v), minima
 
 

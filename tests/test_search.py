@@ -43,6 +43,16 @@ def grid_pick(n: int, k: int, g: int) -> AngleSet:
     return AngleSet(np.array(_grid_search(n, k, g)[0]) * (math.pi / g))
 
 
+def seeded_grid_cases():
+    """(n, K, g) grid searches: every K from 2 to n for n = 3..6, two distinct grid sizes in [5, 24] each."""
+    rng = np.random.default_rng(5)
+    pairs = [(n, k) for n in range(3, 7) for k in range(2, n + 1)]
+    return [(n, k, int(g)) for n, k in pairs for g in rng.choice(np.arange(5, 25), 2, replace=False)]
+
+
+SEEDED_GRID_CASES = seeded_grid_cases()
+
+
 def tie_rule_cases():
     """Designs for n <= 12 that tie often: symmetric ones and duplicate lines."""
     rng = np.random.default_rng(11)
@@ -192,14 +202,41 @@ class TestGridSearch:
     @pytest.mark.parametrize(
         "n, k, g",
         [(3, 3, 180), (4, 3, 180), (5, 3, 60), (5, 2, 60), (5, 4, 60), (5, 5, 20), (4, 4, 30), (6, 3, 40),
-         (6, 4, 30), (5, 3, 7), (5, 3, 180), (5, 4, 180), (4, 2, 30), (4, 2, 90)],
+         (6, 4, 30), (5, 3, 7), (5, 3, 180), (5, 4, 180), (4, 2, 30), (4, 2, 90),
+         # coarse grids where many blocks tie
+         (6, 4, 11), (5, 4, 9), (3, 3, 7), (5, 2, 9)],
     )
     def test_grouped_tables_match_per_block_oracle(self, n, k, g):
-        # one u-v table per group must give the per-block evaluator's minima bit for bit
+        # the blocks that can tie the minimum are scored exactly, the rest keep
+        # a sound lower bound above the tie ceiling
         minima, pick = grid_block_search(n, k, g)
         found, found_minima = _grid_search(n, k, g)
-        assert np.array_equal(found_minima, minima)
         assert found == pick
+        assert found_minima.min() == minima.min()
+        ceiling = minima.min() + TIE_TOL * max(1.0, abs(minima.min()))
+        tied = minima <= ceiling
+        assert np.array_equal(found_minima[tied], minima[tied])
+        assert (found_minima <= minima).all()
+        bounded = found_minima != minima
+        assert (minima[bounded] > ceiling).all()
+
+    @pytest.mark.parametrize("n, k, g", SEEDED_GRID_CASES)
+    def test_seeded_grids_match_per_block_oracle(self, n, k, g):
+        minima, pick = grid_block_search(n, k, g)
+        found, found_minima = _grid_search(n, k, g)
+        assert found == pick
+        assert found_minima.min() == minima.min()
+
+    @pytest.mark.parametrize(
+        "n, k, pick, minimum",
+        [(3, 3, (0, 60, 120), -1.5), (4, 3, (0, 0, 90, 90), -1.0),
+         (5, 3, (0, 36, 72, 108, 144), -0.19098300562505244), (5, 4, (0, 0, 60, 90, 120), -1.5)],
+    )
+    def test_paper_scale_picks_are_pinned(self, n, k, pick, minimum):
+        # the 180-point picks and minima that the unpruned search gave
+        found, found_minima = _grid_search(n, k, 180)
+        assert found == pick
+        assert found_minima.min() == minimum
 
     def test_tie_across_groups_goes_to_first_in_enumeration_order(self):
         # At n=6, K=4, g=11 the tied blocks fall in several groups, and the one
@@ -230,7 +267,7 @@ class TestGridSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3e6, peak
+        assert peak < 2.0e6, peak
 
     def test_grid_is_enumerated_once(self, monkeypatch):
         calls = []
