@@ -32,7 +32,13 @@ from . import __version__
 from .core import AngleSet
 from .designs import SCHEME_ALIASES, SCHEMES, build_design
 from .search import MinimaxSearchConfig, ResourceLimitError, _check_budget, minimax_grid_search, worst_subset
-from .simulate import EstimationScenario, RssScenario, _estimation_sweep, _monitoring_sweep, ring_positions
+from .simulate import (
+    EstimationScenario,
+    RssScenario,
+    ring_positions,
+    simulate_estimation,
+    simulate_monitoring,
+)
 
 OUTPUT_DIR_ENV = "SENSEDESIGN_OUTPUT_DIR"
 
@@ -228,8 +234,6 @@ def cmd_evaluate(args) -> int:
         angles = build_design(args.n, args.scheme)
         source = f"{args.scheme}(n={args.n})"
         name = f"evaluate_n{args.n}_{args.scheme}"
-    if not 1 <= args.k <= angles.n:
-        raise ValueError(f"--k must lie in [1, {angles.n}], got {args.k}")
     report = evaluation_report(angles, args.k, source)
     keys = [k for k in report if k != "command"]
     path = emit(args, name, keys, [[report[k] for k in keys]], report)
@@ -295,7 +299,7 @@ def cmd_simulate_estimation(args) -> int:
     ]
     rows = [
         [n, label, r.report.worst_subset.indices, r.mse, r.std_error, r.expected_mse]
-        for (n, label), r in zip(cases, _estimation_sweep(scenarios))
+        for (n, label), r in zip(cases, simulate_estimation(scenarios))
     ]
     path = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -303,8 +307,6 @@ def cmd_simulate_estimation(args) -> int:
 
 
 def cmd_simulate_monitoring(args) -> int:
-    if args.n < 3:
-        raise ValueError(f"--n must be at least 3, got {args.n}")
     header = ["snr_db", "design", "noise_std", "mse", "std_error", "mse_db", "worst_subset"]
     labels = ("optimal", "semicircle")
     scenarios = [
@@ -319,7 +321,7 @@ def cmd_simulate_monitoring(args) -> int:
         )
         for label in labels
     ]
-    results = _monitoring_sweep(scenarios, args.snr)
+    results = simulate_monitoring(scenarios, args.snr)
     metadata = {label: result.metadata for label, result in zip(labels, results)}
     rows = [
         [pt.snr_db, label, pt.noise_std, pt.mse, pt.std_error, pt.mse_db, pt.worst_subset]

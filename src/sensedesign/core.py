@@ -64,10 +64,6 @@ class AngleSet:
     def n(self) -> int:
         return len(self.angles)
 
-    def shifted(self, delta: float) -> "AngleSet":
-        """Common rotation of every angle (re-normalized)."""
-        return AngleSet([a + delta for a in self.angles])
-
 
 @dataclass(frozen=True)
 class SubsetSelection:

@@ -104,7 +104,7 @@ import numpy as np
 
 from .core import AngleSet, SpectralSummary, SubsetSelection, _check_int, _pair_sum, _summary
 
-# hard ceiling on grid configurations actually evaluated
+# hard ceiling on the grid configurations a search covers
 EVALUATION_GUARD = 1_000_000_000
 # hard ceiling on the grid search's g x g tables: they peak at about 25 bytes
 # per entry (measured), so ~420 MB at this ceiling, g = 4096

@@ -16,14 +16,14 @@ monitoring).  The table is filled row-major, so row t holds the stream's
 normals t * size to (t + 1) * size - 1 and a T-row table is the first T
 rows of any longer one.  Runs are therefore reproducible, a trial's draw
 does not depend on the trial count, and trial order does not matter.
-Seeds are nonnegative ints.  The private sweeps ``_estimation_sweep`` and
-``_monitoring_sweep`` take every design of one command and draw each
-distinct table once, before any solve (monitoring picks every design's
-worst triple first, so a refused subset count draws nothing): a table is
-fixed by its key, the scenario's trial count and its row width (K, or n
-for monitoring), and every design and row with the same three shares it.
-The tables live only for the sweep call; ``simulate_worst_case_mse`` and
-``simulate_monitoring`` are sweeps of one design.
+Seeds are nonnegative ints.  The two public studies, ``simulate_estimation``
+and ``simulate_monitoring``, are sweeps: each takes a list of scenarios (a
+command runs all its designs in one call), returns one result per scenario,
+and draws each distinct table once, before any solve (monitoring picks
+every design's worst triple first, so a refused subset count draws
+nothing).  A table is fixed by its key, the scenario's trial count and its
+row width (K, or n for monitoring), and every design and row with the same
+three shares it.  The tables live only for the sweep call.
 
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which solves the readings of every design of a sweep, one
@@ -205,11 +205,13 @@ def _estimates(recover: np.ndarray, readings: np.ndarray) -> np.ndarray:
     return np.matmul(recover, readings[:, :, None])[:, :, 0]
 
 
-def _estimation_sweep(scenarios: Sequence[EstimationScenario]) -> list[EstimationResult]:
-    """``simulate_worst_case_mse`` of every scenario, drawing each noise table once.
+def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[EstimationResult]:
+    """Average squared recovery error on each scenario's worst-conditioned subset.
 
-    A table depends only on its ``_trial_noise`` key (seed,), the trial
-    count and the row width K, so scenarios that share all three share it.
+    Returns one result per scenario, in order.  Each noise table is drawn
+    once: a table depends only on its ``_trial_noise`` key (seed,), the
+    trial count and the row width K, so scenarios that share all three
+    share it.
     """
     tables = {key: _trial_noise(*key) for key in {((s.seed,), s.trials, s.k) for s in scenarios}}
     results = []
@@ -233,11 +235,6 @@ def _estimation_sweep(scenarios: Sequence[EstimationScenario]) -> list[Estimatio
             )
         )
     return results
-
-
-def simulate_worst_case_mse(scenario: EstimationScenario) -> EstimationResult:
-    """Average squared recovery error on the worst-conditioned subset."""
-    return _estimation_sweep([scenario])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -777,27 +774,23 @@ class MonitoringResult:
     metadata: dict
 
 
-def simulate_monitoring(scenario: RssScenario, snr_grid_db: Sequence[float]) -> MonitoringResult:
-    """Localization MSE versus SNR with the worst FIM triple active, over ``scenario.trials`` trials.
+def simulate_monitoring(
+    scenarios: Sequence[RssScenario], snr_grid_db: Sequence[float]
+) -> list[MonitoringResult]:
+    """Localization MSE versus SNR with the worst FIM triple active.
 
-    The noise level for each point is set from SNR = 10 log10(P_s / sigma^2)
-    where P_s is the mean squared noiseless log-RSS over the ring.  When the
+    Returns one result per scenario, in order; each scenario runs
+    ``scenario.trials`` trials at every SNR point.  The noise level for a
+    point is set from SNR = 10 log10(P_s / sigma^2), where P_s is the mean
+    squared noiseless log-RSS over the ring.  When the
     scenario makes every noiseless reading zero (unit amplitude at unit
     distance), P_s degenerates; the reference power falls back to 1 and the
     metadata says so.  A ring too large for ``worst_fim_subset`` raises its
-    ResourceLimitError before any noise is drawn.
-    """
-    return _monitoring_sweep([scenario], snr_grid_db)[0]
+    ResourceLimitError before any scenario's noise is drawn.
 
-
-def _monitoring_sweep(
-    scenarios: Sequence[RssScenario], snr_grid_db: Sequence[float]
-) -> list[MonitoringResult]:
-    """``simulate_monitoring`` of every scenario, drawing each noise table once.
-
-    The table of SNR point pi depends only on its ``_trial_noise`` key
-    (seed, pi), the scenario's trial count and its sensor count n, so
-    scenarios that share all three share it.
+    Each noise table is drawn once: the table of SNR point pi depends only
+    on its ``_trial_noise`` key (seed, pi), the scenario's trial count and
+    its sensor count n, so scenarios that share all three share it.
     """
     snrs = [float(s) for s in snr_grid_db]
     if not snrs:

@@ -23,13 +23,11 @@ from sensedesign import (
     baseline_semicircle,
     design_large_odd,
     design_optimal,
-    expected_worst_case_mse,
     minimax_grid_search,
     ml_locate,
-    pair_cosine_sum,
     rss_sample,
+    simulate_estimation,
     simulate_monitoring,
-    simulate_worst_case_mse,
     spectral_summary,
     worst_fim_subset,
     worst_subset,
@@ -121,7 +119,7 @@ def test_criterion_5_tight_frame_mse_matches_analytic_value():
         angles=AngleSet([0.0, math.pi / 3, 2 * math.pi / 3]), trials=2000, seed=11
     )
     start = time.monotonic()
-    result = simulate_worst_case_mse(scenario)
+    result = simulate_estimation([scenario])[0]
     elapsed = time.monotonic() - start
     assert result.expected_mse == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert abs(result.mse - 4.0 / 3.0) <= 3 * result.std_error
@@ -139,12 +137,12 @@ def test_criterion_6_estimation_mse_ordering_across_n():
     smaller."""
     start = time.monotonic()
     for n in range(3, 16):
-        opt = simulate_worst_case_mse(
-            EstimationScenario(angles=design_optimal(n), trials=2000, seed=100 + n)
-        )
-        semi = simulate_worst_case_mse(
-            EstimationScenario(angles=baseline_semicircle(n), trials=2000, seed=200 + n)
-        )
+        opt = simulate_estimation(
+            [EstimationScenario(angles=design_optimal(n), trials=2000, seed=100 + n)]
+        )[0]
+        semi = simulate_estimation(
+            [EstimationScenario(angles=baseline_semicircle(n), trials=2000, seed=200 + n)]
+        )[0]
         band = 3 * math.hypot(opt.std_error, semi.std_error)
         assert opt.mse <= semi.mse + band, f"n={n}: {opt.mse} vs {semi.mse} (band {band})"
         if n >= 7 and n % 2 == 1:
@@ -173,7 +171,7 @@ def test_criterion_7_monitoring_mse_ordering_over_snr():
             trials=500,
             seed=31,
         )
-        curves[label] = simulate_monitoring(scenario, snr_points).points
+        curves[label] = simulate_monitoring([scenario], snr_points)[0].points
     for p_opt, p_semi in zip(curves["optimal"], curves["semicircle"]):
         band = 3 * math.hypot(p_opt.std_error, p_semi.std_error)
         assert p_opt.mse <= p_semi.mse + band, (

@@ -345,6 +345,21 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# the library's own checks are the only ones: the command exits 2 with their message and writes nothing
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "--n", 5, "--k", 9], "need 1 <= k <= 5, got k=9"),
+        (["simulate-monitoring", "--n", 2], "optimal design needs n >= 3, got n=2"),
+    ],
+)
+def test_library_message_on_bad_size(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert run(tmp_path, *argv, "--output", out) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestWorstSubsetReexport:
     def test_consistency_with_cli_report(self):
         report = worst_subset(design_optimal(7))

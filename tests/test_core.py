@@ -206,7 +206,7 @@ class TestSpectralSummary:
     @settings(derandomize=True, max_examples=150)
     def test_shift_invariance(self, values, delta):
         base = AngleSet(values)
-        moved = base.shifted(delta)
+        moved = AngleSet([a + delta for a in base.angles])
         idx = list(range(3))
         s0 = spectral_summary(base, idx)
         s1 = spectral_summary(moved, idx)

@@ -294,7 +294,7 @@ class TestGridSearch:
     def test_gauge_fixing_lossless(self):
         angles, report = minimax_grid_search(MinimaxSearchConfig(n=4, grid_points_per_angle=30))
         for delta in (0.3, 1.1, 2.9):
-            shifted = worst_subset(angles.shifted(delta), 3).objective
+            shifted = worst_subset(AngleSet([a + delta for a in angles.angles]), 3).objective
             assert shifted == pytest.approx(report.objective, abs=1e-10)
 
     def test_resource_guard(self):

@@ -37,8 +37,8 @@ from sensedesign import (
     ml_locate,
     ring_positions,
     rss_sample,
+    simulate_estimation,
     simulate_monitoring,
-    simulate_worst_case_mse,
     spectral_summary,
     worst_fim_subset,
     worst_subset,
@@ -238,10 +238,10 @@ class TestTrialNoise:
         monkeypatch.setattr(
             sensedesign.simulate, "SeedSequence", lambda *a, **kw: made.append(a) or SeedSequence(*a, **kw)
         )
-        sensedesign.simulate._estimation_sweep(
+        simulate_estimation(
             [EstimationScenario(angles=d(7), trials=2000) for d in (design_optimal, baseline_semicircle)]
         )
-        sensedesign.simulate._monitoring_sweep([ring_scenario(n=6, amplitude=3.0, trials=20)], [5.0, 15.0])
+        simulate_monitoring([ring_scenario(n=6, amplitude=3.0, trials=20)], [5.0, 15.0])
         assert sorted(made) == [((0,),), ((0, 0),), ((0, 1),)]
 
 
@@ -334,27 +334,27 @@ class TestWorstCaseMse:
 
     def test_simulation_matches_expectation(self):
         scenario = EstimationScenario(angles=TIGHT_FRAME, trials=2000, seed=42)
-        result = simulate_worst_case_mse(scenario)
+        result = simulate_estimation([scenario])[0]
         assert result.expected_mse == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert abs(result.mse - 4.0 / 3.0) <= 3 * result.std_error
         assert result.trials == 2000
 
     def test_seed_reproducibility(self):
         scenario = EstimationScenario(angles=design_optimal(7), trials=100, seed=5)
-        a = simulate_worst_case_mse(scenario)
-        b = simulate_worst_case_mse(scenario)
+        a = simulate_estimation([scenario])[0]
+        b = simulate_estimation([scenario])[0]
         assert a.mse == b.mse
         assert a.std_error == b.std_error
-        c = simulate_worst_case_mse(EstimationScenario(angles=design_optimal(7), trials=100, seed=6))
+        c = simulate_estimation([EstimationScenario(angles=design_optimal(7), trials=100, seed=6)])[0]
         assert c.mse != a.mse
 
     @pytest.mark.parametrize("trials", [1, 17, 40])
     def test_trial_streams_independent_of_trial_count(self, trials):
         # trial t draws the (t+1)-th row of noise from the one stream SeedSequence((seed,))
         angles = design_optimal(7)
-        result = simulate_worst_case_mse(
-            EstimationScenario(angles=angles, signal=(1.5, -2.0), noise_std=0.5, trials=trials, seed=3)
-        )
+        result = simulate_estimation(
+            [EstimationScenario(angles=angles, signal=(1.5, -2.0), noise_std=0.5, trials=trials, seed=3)]
+        )[0]
         idx = result.report.worst_subset.indices
         x = np.array([1.5, -2.0])
         clean = [math.cos(angles.angles[i]) * x[0] + math.sin(angles.angles[i]) * x[1] for i in idx]
@@ -373,7 +373,7 @@ class TestWorstCaseMse:
             return worst_subset(*args, **kwargs)
 
         monkeypatch.setattr(sensedesign.simulate, "worst_subset", counting)
-        result = simulate_worst_case_mse(EstimationScenario(angles=design_optimal(7), trials=10))
+        result = simulate_estimation([EstimationScenario(angles=design_optimal(7), trials=10)])[0]
         assert len(calls) == 1
         assert result.expected_mse == expected_worst_case_mse(design_optimal(7), 3, 1.0)
 
@@ -403,15 +403,15 @@ class TestWorstCaseMse:
             EstimationScenario(angles=designs[i % 2], k=k, noise_std=s, trials=t, seed=seed)
             for i, (seed, t, k, s) in enumerate(cases)
         ]
-        results = sensedesign.simulate._estimation_sweep(scenarios)
+        results = simulate_estimation(scenarios)
         assert len(results) == len(scenarios) == 24
         for scenario, result in zip(scenarios, results):
-            assert result == simulate_worst_case_mse(scenario), scenario
+            assert result == simulate_estimation([scenario])[0], scenario
 
     def test_singular_worst_subset_raises(self):
         with pytest.raises(SingularSubsetError):
-            simulate_worst_case_mse(
-                EstimationScenario(angles=AngleSet([0.2, 0.2, 0.2, 1.0]), trials=10)
+            simulate_estimation(
+                [EstimationScenario(angles=AngleSet([0.2, 0.2, 0.2, 1.0]), trials=10)]
             )
 
     def test_scenario_validation(self):
@@ -516,7 +516,7 @@ class TestRssModel:
 
     def test_sweep_rejects_non_finite_snr(self):
         with pytest.raises(ValueError, match="must be finite"):
-            simulate_monitoring(ring_scenario(n=6, trials=2), [10.0, math.nan])
+            simulate_monitoring([ring_scenario(n=6, trials=2)], [10.0, math.nan])
 
     # -4000 dB overflows 10 ** (-snr / 10); at -3080 dB the power is finite but P_ref * power is not
     @pytest.mark.parametrize("snr", [-4000.0, -3080.0])
@@ -526,7 +526,7 @@ class TestRssModel:
 
         monkeypatch.setattr(sensedesign.simulate, "_locate", no_solve)
         with pytest.raises(ValueError, match="must be finite"):
-            simulate_monitoring(ring_scenario(n=6, amplitude=10.0, trials=2), [10.0, snr])
+            simulate_monitoring([ring_scenario(n=6, amplitude=10.0, trials=2)], [10.0, snr])
 
     def test_ring_positions_use_raw_angles(self):
         d = design_optimal(10)
@@ -992,7 +992,7 @@ class TestMlLocate:
             trials=300,
             seed=3,
         )
-        simulate_monitoring(scn, [-20.0, -5.0, 60.0, 120.0])
+        simulate_monitoring([scn], [-20.0, -5.0, 60.0, 120.0])
         [[(table, y)]] = calls
         est, residual, _ = locate([(table, y)])
         assert residual.tolist() == disc_rss(table, y, est.T).tolist()
@@ -1073,27 +1073,27 @@ class TestMinimizeBinding:
 class TestMonitoring:
     def test_metadata_unit_fallback(self):
         scn = ring_scenario(n=6, trials=4, seed=1)  # amplitude 1 at distance 1
-        result = simulate_monitoring(scn, [10.0, 20.0])
+        result = simulate_monitoring([scn], [10.0, 20.0])[0]
         assert result.metadata["snr_reference"] == "unit_log_power"
         assert result.metadata["reference_power"] == 1.0
         assert result.points[0].noise_std == pytest.approx(10 ** (-0.5), abs=1e-12)
 
     def test_metadata_signal_power(self):
         scn = ring_scenario(n=6, amplitude=10.0, trials=4, seed=1)
-        result = simulate_monitoring(scn, [10.0])
+        result = simulate_monitoring([scn], [10.0])[0]
         assert result.metadata["snr_reference"] == "mean_squared_noiseless_log_rss"
         assert result.metadata["reference_power"] == pytest.approx(math.log(10.0) ** 2, abs=1e-12)
 
     def test_deterministic(self):
         scn = ring_scenario(n=6, trials=5, seed=9)
-        a = simulate_monitoring(scn, [15.0])
-        b = simulate_monitoring(scn, [15.0])
+        a = simulate_monitoring([scn], [15.0])[0]
+        b = simulate_monitoring([scn], [15.0])[0]
         assert a.points[0].mse == b.points[0].mse
 
     def test_point_rebuilt_from_trial_streams(self):
         # trial t of point p draws the (t+1)-th row of readings from the one stream SeedSequence((seed, p))
         scn = ring_scenario(n=6, amplitude=3.0, trials=3, seed=4)
-        point = simulate_monitoring(scn, [5.0, 15.0]).points[1]
+        point = simulate_monitoring([scn], [5.0, 15.0])[0].points[1]
         noisy = replace(scn, shadow_std=point.noise_std)
         rng = default_rng(SeedSequence((4, 1)))
         sq = []
@@ -1105,7 +1105,7 @@ class TestMonitoring:
 
     def test_point_fields(self):
         scn = ring_scenario(n=6, trials=5, seed=9)
-        point = simulate_monitoring(scn, [18.0]).points[0]
+        point = simulate_monitoring([scn], [18.0])[0].points[0]
         assert point.snr_db == 18.0
         assert point.mse > 0
         assert point.mse_db == pytest.approx(10 * math.log10(point.mse), abs=1e-12)
@@ -1126,12 +1126,12 @@ class TestMonitoring:
         calls = []
         draw = sensedesign.simulate._trial_noise
         monkeypatch.setattr(sensedesign.simulate, "_trial_noise", lambda *a: calls.append(a) or draw(*a))
-        results = sensedesign.simulate._monitoring_sweep(scenarios, [5.0, 15.0])
+        results = simulate_monitoring(scenarios, [5.0, 15.0])
         assert len(calls) == 2 * 4, calls  # four distinct (seed, trials, n) of the five designs
         monkeypatch.undo()
         assert len(results) == len(scenarios)
         for scenario, result in zip(scenarios, results):
-            assert result == simulate_monitoring(scenario, [5.0, 15.0]), scenario
+            assert result == simulate_monitoring([scenario], [5.0, 15.0])[0], scenario
 
     def test_one_batch_over_differing_scenarios(self):
         # the rows of designs that differ in ring, n, amplitude, path loss, radius and source share one
@@ -1157,10 +1157,10 @@ class TestMonitoring:
         calls, solve = [], sim._lm_rows
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_lm_rows", lambda model, *a: calls.append(model.__name__) or solve(model, *a))
-            results = sim._monitoring_sweep(scenarios, [-5.0, 10.0, 40.0])
+            results = simulate_monitoring(scenarios, [-5.0, 10.0, 40.0])
         assert calls[0] == "_disc_model" and calls[1:] in ([], ["_rim_model"]), calls
         for scenario, result in zip(scenarios, results):
-            assert result == simulate_monitoring(scenario, [-5.0, 10.0, 40.0]), scenario
+            assert result == simulate_monitoring([scenario], [-5.0, 10.0, 40.0])[0], scenario
 
     def test_benchmark_size_command_is_one_batch(self, monkeypatch, tmp_path):
         # 2 designs x 7 SNR points x 40 trials = 560 rows: one disc solve, and at most one rim solve
@@ -1189,7 +1189,7 @@ class TestMonitoring:
         ]
         designs, locate = [], sim._locate
         monkeypatch.setattr(sim, "_locate", lambda d: designs.extend(d) or locate(d))
-        sim._monitoring_sweep(scenarios, [-20.0, -5.0, 60.0, 120.0])
+        simulate_monitoring(scenarios, [-20.0, -5.0, 60.0, 120.0])
         monkeypatch.setattr(sim, "_locate", locate)
         whole = locate(designs)
         assert sum(len(y) for _, y in designs) == 2400 <= sim._LM_ROWS
@@ -1223,7 +1223,7 @@ class TestMonitoring:
         )
         tracemalloc.start()
         try:
-            simulate_monitoring(scn, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+            simulate_monitoring([scn], [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1255,7 +1255,7 @@ class TestMonitoring:
         monkeypatch.setattr(sim, "_tile_scores", counted)
         tracemalloc.start()
         try:
-            simulate_monitoring(scn, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+            simulate_monitoring([scn], [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1289,4 +1289,4 @@ class TestMonitoring:
     def test_empty_grid_rejected(self):
         scn = ring_scenario(n=6)
         with pytest.raises(ValueError):
-            simulate_monitoring(scn, [])
+            simulate_monitoring([scn], [])
