@@ -154,18 +154,15 @@ def _matrix(weight, resultant: complex) -> np.ndarray:
     return 0.5 * np.array([[weight + c, s], [s, weight - c]])
 
 
-def pair_cosine_sum(angles: AngleSet, subset: SubsetSelection | Sequence[int]) -> float:
-    """S = sum over index pairs j < l of cos 2(t_l - t_j), as (|R|^2 - K) / 2.
-
-    Ranges over [-K/2, K(K-1)/2]; the lower bound holds because
-    K + 2*S is a squared resultant and cannot be negative.
-    """
-    return _pair_sum(*_resultant(angles, subset))
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectral figures of one K-column submatrix."""
+    """Spectral figures of one K-column submatrix.
+
+    ``pair_cosine_sum`` is S = sum over index pairs j < l of
+    cos 2(t_l - t_j), computed as (|R|^2 - K) / 2.  It ranges over
+    [-K/2, K(K-1)/2]; the lower bound holds because K + 2*S is a squared
+    resultant and cannot be negative.
+    """
 
     pair_cosine_sum: float
     lambda_min: float

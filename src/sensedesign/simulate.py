@@ -4,7 +4,9 @@ Two settings share the same geometric core:
 
 * linear estimation y = A_S^T x + w on a K-column subset, where the
   recovery error obeys ||x_hat - x|| <= ||w|| / sigma_min(A_S); the
-  simulation averages the squared error on the worst subset;
+  simulation averages the squared error on the worst subset, and the
+  analytic MSE it is compared with, noise_std^2 * K / (lambda_min *
+  lambda_max), is computed in ``simulate_estimation`` alone;
 * source monitoring from log-RSS readings of ring sensors, where the
   triple with the worst Fisher-information condition number is activated
   and the source is recovered by maximum likelihood.
@@ -166,26 +168,12 @@ def error_bound_check(
     return error, bound
 
 
-def expected_worst_case_mse(angles: AngleSet, k: int = 3, noise_std: float = 1.0) -> float:
-    """Closed-form E||x_hat - x||^2 = noise_std^2 * trace(G^-1) on the worst subset."""
-    return _expected_mse(worst_subset(angles, k), noise_std)
-
-
-def _expected_mse(report: WorstCaseReport, noise_std: float) -> float:
-    s = report.summary
-    if math.isinf(s.gram_condition):
-        return math.inf
-    return noise_std**2 * report.worst_subset.k / (s.lambda_min * s.lambda_max)
-
-
 @dataclass(frozen=True)
 class EstimationResult:
     mse: float
     std_error: float
     expected_mse: float
     report: WorstCaseReport
-    trials: int
-    seed: int
 
 
 def _mean_and_se(sq_errors: np.ndarray) -> tuple[float, float]:
@@ -208,7 +196,11 @@ def _estimates(recover: np.ndarray, readings: np.ndarray) -> np.ndarray:
 def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[EstimationResult]:
     """Average squared recovery error on each scenario's worst-conditioned subset.
 
-    Returns one result per scenario, in order.  Each noise table is drawn
+    Returns one result per scenario, in order.  ``expected_mse`` is the
+    closed form E||x_hat - x||^2 = noise_std^2 * trace(G^-1)
+    = noise_std^2 * K / (lambda_min * lambda_max) of the worst subset's
+    Gram matrix G.  A scenario whose expected MSE, squared errors or their
+    statistics overflow raises ValueError.  Each noise table is drawn
     once: a table depends only on its ``_trial_noise`` key (seed,), the
     trial count and the row width K, so scenarios that share all three
     share it.
@@ -219,21 +211,24 @@ def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[Estimat
         report = worst_subset(scenario.angles, scenario.k)
         sel = report.worst_subset
         recover, _ = _recovery(scenario.angles, sel)
+        sigma = float(scenario.noise_std)
+        # Python float products, not sigma**2, so a huge noise_std overflows to inf instead of raising
+        expected = sigma * sigma * sel.k / (report.summary.lambda_min * report.summary.lambda_max)
+        if not expected < math.inf:
+            raise ValueError(f"noise_std={sigma!r} is too large: the expected MSE overflows")
         x = np.asarray(scenario.signal, dtype=float)
         clean = angles_to_matrix(scenario.angles)[:, list(sel.indices)].T @ x
         noise = tables[(scenario.seed,), scenario.trials, scenario.k]
-        x_hat = _estimates(recover, clean + scenario.noise_std * noise)
-        mse, se = _mean_and_se(np.sum((x_hat - x) ** 2, axis=1))
-        results.append(
-            EstimationResult(
-                mse=mse,
-                std_error=se,
-                expected_mse=_expected_mse(report, scenario.noise_std),
-                report=report,
-                trials=scenario.trials,
-                seed=scenario.seed,
-            )
-        )
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                x_hat = _estimates(recover, clean + sigma * noise)
+                mse, se = _mean_and_se(np.sum((x_hat - x) ** 2, axis=1))
+        except FloatingPointError:
+            raise ValueError(
+                f"signal={scenario.signal!r} with noise_std={sigma!r} is too large: "
+                "the squared recovery errors or their statistics overflow"
+            ) from None
+        results.append(EstimationResult(mse=mse, std_error=se, expected_mse=expected, report=report))
     return results
 
 
@@ -328,7 +323,6 @@ class FimSummary:
     lambda_min: float
     lambda_max: float
     condition: float
-    prefactor: float
 
 
 def _fim_terms(scenario: RssScenario) -> tuple[np.ndarray, np.ndarray]:
@@ -337,34 +331,31 @@ def _fim_terms(scenario: RssScenario) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 / d2, z**2 / d2**2
 
 
-def fim(
-    scenario: RssScenario,
-    subset: SubsetSelection | Sequence[int] | None = None,
-    prefactor: float | None = None,
-) -> FimSummary:
+def fim(scenario: RssScenario, subset: SubsetSelection | Sequence[int]) -> FimSummary:
     """Fisher information of the source location from the active sensors.
 
     The geometry term is sum (x_i - z)(x_i - z)^T / ||x_i - z||^4, the
-    weighted direction sum of ``core`` with weights 1/d_i^2.  The scale is
-    path_loss^2 / shadow_std^2 for log-RSS in natural log units; readings
-    in other units take an explicit prefactor (base-10 logs: divide by
-    ln(10)^2).
+    weighted direction sum of ``core`` with weights 1/d_i^2, and the scale
+    is path_loss^2 / shadow_std^2, the natural-log model of ``rss_sample``.
+    Raises ValueError when that scale is undefined (shadow_std = 0) or
+    overflows or underflows.
     """
-    sel = SubsetSelection(range(scenario.n) if subset is None else subset)
+    sel = SubsetSelection(subset)
     _check_range(sel, scenario.n)
-    if prefactor is None:
-        if scenario.shadow_std == 0:
-            raise ValueError("prefactor is undefined at shadow_std=0; pass it explicitly")
-        prefactor = scenario.path_loss**2 / scenario.shadow_std**2
-    if not 0 < prefactor < math.inf:  # written so that NaN fails
-        raise ValueError(f"prefactor must be finite and positive, got {prefactor!r}")
+    if scenario.shadow_std == 0:
+        raise ValueError("the Fisher information is undefined at shadow_std=0")
+    # Python floats, a ratio and then a product: out of range they give 0 or inf, not an exception
+    ratio = float(scenario.path_loss) / float(scenario.shadow_std)
+    prefactor = ratio * ratio
+    if not 0 < prefactor < math.inf:
+        raise ValueError(
+            f"path_loss / shadow_std = {ratio!r} puts the Fisher information out of float range"
+        )
     w, p = _fim_terms(scenario)
     idx = list(sel.indices)
     weight, r = prefactor * float(w[idx].sum()), prefactor * complex(p[idx].sum())
     lo, hi, cond = _spectrum(weight, r)
-    return FimSummary(
-        matrix=_matrix(weight, r), lambda_min=lo, lambda_max=hi, condition=cond, prefactor=prefactor
-    )
+    return FimSummary(matrix=_matrix(weight, r), lambda_min=lo, lambda_max=hi, condition=cond)
 
 
 def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection, float]:

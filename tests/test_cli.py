@@ -271,6 +271,20 @@ class TestSimulateEstimation:
         assert manifest["seed"] == 0
         assert manifest["config"]["trials"] == 10
 
+    # the expected MSE overflows (1e160), the squared errors' spread does (1e100), the squared errors do
+    # (signal 1e300): each is refused with the parameter named, before any output, and with no warning
+    @pytest.mark.parametrize(
+        "option, value, named",
+        [("--noise-std", "1e160", "noise_std=1e+160"), ("--noise-std", "1e100", "noise_std=1e+100"),
+         ("--signal", "1e300,1e300", "signal=(1e+300, 1e+300)")],
+    )
+    def test_overflow_exits_2(self, tmp_path, capsys, option, value, named):
+        out = tmp_path / "est.csv"
+        assert run(tmp_path, "simulate-estimation", option, value, "--trials", 50, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "overflow" in err
+        assert not out.exists()
+
 
 class TestSimulateMonitoring:
     def test_tiny_run_deterministic(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gram_eigenvalues_direct
+from oracles import gram_eigenvalues_direct, pair_cosine_sum_loop
 
 from sensedesign import (
     AngleSet,
@@ -13,7 +13,6 @@ from sensedesign import (
     angles_to_matrix,
     design_optimal,
     normalize_angle,
-    pair_cosine_sum,
     spectral_summary,
 )
 from sensedesign.core import _pair_sum
@@ -92,14 +91,14 @@ class TestSubsetSelection:
         with pytest.raises(ValueError, match="subset ind"):
             SubsetSelection(bad)
         with pytest.raises(ValueError, match="subset ind"):
-            pair_cosine_sum(design_optimal(7), bad)
+            spectral_summary(design_optimal(7), bad)
 
     def test_numpy_integer_indices_are_accepted(self):
         for dtype in (np.int64, np.int32, np.uint8):
             s = SubsetSelection(np.array([0, 2, 5], dtype=dtype))
             assert s.indices == (0, 2, 5) and all(type(i) is int for i in s.indices)
         angles = design_optimal(7)
-        assert pair_cosine_sum(angles, np.arange(3)) == pair_cosine_sum(angles, [0, 1, 2])
+        assert spectral_summary(angles, np.arange(3)) == spectral_summary(angles, [0, 1, 2])
 
 
 class TestMatrix:
@@ -114,23 +113,23 @@ class TestMatrix:
 class TestPairCosineSum:
     def test_three_quarter_spread(self):
         a = AngleSet([0.0, math.pi / 4, math.pi / 2])
-        assert pair_cosine_sum(a, [0, 1, 2]) == pytest.approx(-1.0, abs=1e-12)
+        assert spectral_summary(a, [0, 1, 2]).pair_cosine_sum == pytest.approx(-1.0, abs=1e-12)
 
     def test_singleton_is_zero(self):
         a = AngleSet([0.3, 0.7])
-        assert pair_cosine_sum(a, [1]) == 0.0
+        assert spectral_summary(a, [1]).pair_cosine_sum == 0.0
 
     def test_out_of_range_raises_index_error(self):
         a = AngleSet([0.0, 1.0])
         with pytest.raises(IndexError):
-            pair_cosine_sum(a, [0, 2])
+            spectral_summary(a, [0, 2])
 
     @given(st.lists(finite_angles, min_size=3, max_size=6))
     @settings(derandomize=True)
     def test_lower_bound(self, values):
         a = AngleSet(values)
         k = 3
-        s = pair_cosine_sum(a, list(range(k)))
+        s = spectral_summary(a, list(range(k))).pair_cosine_sum
         # K + 2S is a squared resultant, so S >= -K/2 up to rounding
         assert s >= -k / 2 - 1e-12
 
@@ -191,7 +190,7 @@ class TestSpectralSummary:
     def test_fields_consistent(self):
         a = AngleSet([0.0, math.pi / 4, math.pi / 2])
         s = spectral_summary(a, [0, 1, 2])
-        assert s.pair_cosine_sum == pair_cosine_sum(a, [0, 1, 2])
+        assert s.pair_cosine_sum == pytest.approx(pair_cosine_sum_loop(a, (0, 1, 2)), abs=1e-12)
         assert s.gram_condition == pytest.approx(2.0, abs=1e-12)
         assert s.matrix_condition == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
@@ -230,7 +229,7 @@ class TestSpectralSummary:
         for _ in range(40):
             a = AngleSet(rng.uniform(0, math.pi, 6))
             combos = list(itertools.combinations(range(6), 3))
-            sums = [pair_cosine_sum(a, c) for c in combos]
+            sums = [spectral_summary(a, c).pair_cosine_sum for c in combos]
             conds = [spectral_summary(a, c).gram_condition for c in combos]
             by_sum = max(range(len(combos)), key=lambda i: sums[i])
             # the subset with the largest pair-cosine sum is worst-conditioned

@@ -19,7 +19,7 @@ from sensedesign import (
     design_optimal,
     grid_evaluations,
     minimax_grid_search,
-    pair_cosine_sum,
+    spectral_summary,
     worst_subset,
 )
 from sensedesign.cli import main
@@ -116,7 +116,7 @@ class TestWorstSubset:
     def test_objective_is_exact_pair_sum(self):
         a = design_optimal(9)
         report = worst_subset(a)
-        assert report.objective == pair_cosine_sum(a, report.worst_subset)
+        assert report.objective == spectral_summary(a, report.worst_subset).pair_cosine_sum
 
     def test_tie_breaks_lexicographically(self):
         a = AngleSet([0.0, 0.0, math.pi / 2, math.pi / 2])

@@ -31,7 +31,6 @@ from sensedesign import (
     build_design,
     design_optimal,
     error_bound_check,
-    expected_worst_case_mse,
     fim,
     least_squares_estimate,
     ml_locate,
@@ -324,20 +323,18 @@ class TestErrorBound:
 
 class TestWorstCaseMse:
     def test_expected_mse_tight_frame(self):
-        assert expected_worst_case_mse(TIGHT_FRAME, 3, 1.0) == pytest.approx(4.0 / 3.0, abs=1e-12)
+        result = simulate_estimation([EstimationScenario(angles=TIGHT_FRAME, noise_std=1.0, trials=1)])[0]
+        assert result.expected_mse == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_expected_mse_scales_with_noise(self):
-        assert expected_worst_case_mse(TIGHT_FRAME, 3, 2.0) == pytest.approx(16.0 / 3.0, abs=1e-12)
-
-    def test_singular_design_reports_infinite(self):
-        assert math.isinf(expected_worst_case_mse(AngleSet([0.1, 0.1, 0.1]), 3))
+        result = simulate_estimation([EstimationScenario(angles=TIGHT_FRAME, noise_std=2.0, trials=1)])[0]
+        assert result.expected_mse == pytest.approx(16.0 / 3.0, abs=1e-12)
 
     def test_simulation_matches_expectation(self):
         scenario = EstimationScenario(angles=TIGHT_FRAME, trials=2000, seed=42)
         result = simulate_estimation([scenario])[0]
         assert result.expected_mse == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert abs(result.mse - 4.0 / 3.0) <= 3 * result.std_error
-        assert result.trials == 2000
 
     def test_seed_reproducibility(self):
         scenario = EstimationScenario(angles=design_optimal(7), trials=100, seed=5)
@@ -375,7 +372,7 @@ class TestWorstCaseMse:
         monkeypatch.setattr(sensedesign.simulate, "worst_subset", counting)
         result = simulate_estimation([EstimationScenario(angles=design_optimal(7), trials=10)])[0]
         assert len(calls) == 1
-        assert result.expected_mse == expected_worst_case_mse(design_optimal(7), 3, 1.0)
+        assert result.expected_mse == 3.0000000000000004  # the README tour's value
 
     def test_batched_recovery_matches_per_row(self):
         # the sweep's one-product-a-row recovery gives each row the bits of least_squares_estimate alone
@@ -550,61 +547,60 @@ class TestRssModel:
 class TestFim:
     def test_tight_frame_is_isotropic(self):
         scn = RssScenario(
-            sensor_positions=ring_positions(TIGHT_FRAME), sensor_radius=1.0
-        )
-        summary = fim(scn, [0, 1, 2], prefactor=1.0)
+            sensor_positions=ring_positions(TIGHT_FRAME), sensor_radius=1.0, shadow_std=2.0
+        )  # shadow_std == path_loss: the prefactor is exactly 1
+        summary = fim(scn, [0, 1, 2])
         np.testing.assert_allclose(summary.matrix, 1.5 * np.eye(2), atol=1e-12)
         assert summary.condition == pytest.approx(1.0, abs=1e-12)
 
-    def test_prefactor_conventions(self):
-        scn = ring_scenario(n=6, shadow_std=0.5, path_loss=2.0)
-        natural = fim(scn, [0, 1, 2])
-        log10 = fim(scn, [0, 1, 2], prefactor=natural.prefactor / math.log(10) ** 2)
-        assert natural.prefactor == pytest.approx(4.0 / 0.25, abs=1e-12)
-        np.testing.assert_allclose(
-            log10.matrix * math.log(10) ** 2, natural.matrix, atol=1e-12
-        )
-        assert log10.condition == pytest.approx(natural.condition, rel=1e-12)
-
     @pytest.mark.parametrize("prefactor", [10.0**e for e in range(-15, 7)])
     def test_condition_is_scale_free(self, prefactor):
-        scn = RssScenario(sensor_positions=ring_positions(TIGHT_FRAME), sensor_radius=1.0)
-        assert fim(scn, [0, 1, 2], prefactor=prefactor).condition == pytest.approx(1.0, rel=1e-12)
+        # path_loss^2 / shadow_std^2 takes the parametrized value at path_loss = 1
+        scn = RssScenario(
+            sensor_positions=ring_positions(TIGHT_FRAME),
+            sensor_radius=1.0,
+            path_loss=1.0,
+            shadow_std=1.0 / math.sqrt(prefactor),
+        )
+        assert fim(scn, [0, 1, 2]).condition == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_per_sensor_sum(self):
-        # the weighted case of the kernel: w_i = prefactor / d_i^2 at unequal distances
+        # the weighted case of the kernel: w_i = path_loss^2 / (shadow_std^2 d_i^2) at unequal distances
         rng = np.random.default_rng(41)
         for _ in range(200):
             n = int(rng.integers(1, 9))
             source = tuple(rng.uniform(-1.0, 1.0, 2))
             scn = polar_scenario(rng.uniform(0.0, 2 * math.pi, n), rng.uniform(1.0, 4.0, n), source)
-            prefactor = float(10.0 ** rng.uniform(-3.0, 3.0))
+            scn = replace(scn, shadow_std=float(10.0 ** rng.uniform(-1.5, 1.5)))
             idx = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
-            got = fim(scn, idx, prefactor=prefactor).matrix
-            want = fim_matrix_direct(scn, idx, prefactor)
+            got = fim(scn, idx).matrix
+            want = fim_matrix_direct(scn, idx, scn.path_loss**2 / scn.shadow_std**2)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_noise_needs_explicit_prefactor(self):
         scn = ring_scenario(n=6, shadow_std=0.0)
         with pytest.raises(ValueError):
             fim(scn, [0, 1, 2])
-        assert fim(scn, [0, 1, 2], prefactor=2.0).prefactor == 2.0
 
-    @pytest.mark.parametrize("prefactor", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_prefactor_must_be_finite_and_positive(self, prefactor):
-        with pytest.raises(ValueError, match="prefactor must be finite and positive"):
-            fim(ring_scenario(n=6), [0, 1, 2], prefactor=prefactor)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"shadow_std": 1e-200}, {"shadow_std": 5e-324}, {"path_loss": 1e160}, {"path_loss": 1e-170}],
+    )
+    def test_out_of_range_scale_is_a_value_error(self, kwargs):
+        # path_loss^2 / shadow_std^2 overflows or underflows for these scenarios, which RssScenario accepts
+        with pytest.raises(ValueError, match="out of float range"):
+            fim(ring_scenario(n=6, **kwargs), [0, 1, 2])
 
     def test_psd_and_symmetric(self):
         scn = ring_scenario(n=8, shadow_std=1.0)
-        summary = fim(scn)
+        summary = fim(scn, range(8))
         assert summary.lambda_min >= 0.0
         np.testing.assert_allclose(summary.matrix, summary.matrix.T, atol=1e-15)
 
     def test_out_of_range_subset(self):
         scn = ring_scenario(n=6)
         with pytest.raises(IndexError):
-            fim(scn, [0, 1, 6], prefactor=1.0)
+            fim(scn, [0, 1, 6])
 
 
 class TestWorstFimSubset:
@@ -614,7 +610,7 @@ class TestWorstFimSubset:
         design = baseline_semicircle(7)
         scn = RssScenario(sensor_positions=ring_positions(design), sensor_radius=1.0)
         combos = list(itertools.combinations(range(7), 3))
-        fim_cond = [fim(scn, c, prefactor=1.0).condition for c in combos]
+        fim_cond = [fim(scn, c).condition for c in combos]
         gram_cond = [spectral_summary(design, c).gram_condition for c in combos]
         for i in range(len(combos)):
             for j in range(i + 1, len(combos)):
