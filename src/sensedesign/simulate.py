@@ -3,10 +3,10 @@
 Two settings share the same geometric core:
 
 * linear estimation y = A_S^T x + w on a K-column subset, where the
-  recovery error obeys ||x_hat - x|| <= ||w|| / sigma_min(A_S); the
-  simulation averages the squared error on the worst subset, and the
-  analytic MSE it is compared with, noise_std^2 * K / (lambda_min *
-  lambda_max), is computed in ``simulate_estimation`` alone;
+  recovery error x_hat - x = (A_S A_S^T)^-1 A_S w does not depend on x and
+  obeys ||x_hat - x|| <= ||w|| / sigma_min(A_S); the simulation averages the
+  squared error unit noise leaves on the worst subset, then scales it, its
+  standard error and the analytic K / (lambda_min * lambda_max) by noise_std^2;
 * source monitoring from log-RSS readings of ring sensors, where the
   triple with the worst Fisher-information condition number is activated
   and the source is recovered by maximum likelihood.
@@ -99,7 +99,6 @@ class DegenerateGeometryError(ValueError):
 class EstimationScenario:
     angles: AngleSet
     k: int = 3
-    signal: tuple[float, float] = (9.0, 9.0)
     noise_std: float = 1.0
     trials: int = 2000
     seed: int = 0
@@ -110,7 +109,6 @@ class EstimationScenario:
             raise ValueError(f"need 1 <= k <= {self.angles.n}, got k={self.k}")
         if not 0 <= self.noise_std < math.inf:  # written so that NaN fails
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
-        _check_pair("signal", self.signal)
         _check_int("trials", self.trials, 1)
         _check_int("seed", self.seed, 0)
 
@@ -176,11 +174,16 @@ class EstimationResult:
     report: WorstCaseReport
 
 
-def _mean_and_se(sq_errors: np.ndarray) -> tuple[float, float]:
-    """Mean of per-trial squared errors and its standard error (0 for a single trial)."""
-    trials = len(sq_errors)
-    se = float(sq_errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(sq_errors.mean()), se
+def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error (0 for one trial) of nonnegative per-trial values, finite if representable."""
+    trials, scale = len(values), 1.0
+    with np.errstate(over="ignore"):
+        se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+    if se == math.inf:  # std squared the deviations: redo it on the values over their maximum, scaled back
+        scale = float(values.max())
+        values = values / scale
+        se = values.std(ddof=1) / math.sqrt(trials)
+    return scale * float(values.mean()), scale * float(se)
 
 
 def _estimates(recover: np.ndarray, readings: np.ndarray) -> np.ndarray:
@@ -196,14 +199,14 @@ def _estimates(recover: np.ndarray, readings: np.ndarray) -> np.ndarray:
 def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[EstimationResult]:
     """Average squared recovery error on each scenario's worst-conditioned subset.
 
-    Returns one result per scenario, in order.  ``expected_mse`` is the
-    closed form E||x_hat - x||^2 = noise_std^2 * trace(G^-1)
-    = noise_std^2 * K / (lambda_min * lambda_max) of the worst subset's
-    Gram matrix G.  A scenario whose expected MSE, squared errors or their
-    statistics overflow raises ValueError.  Each noise table is drawn
-    once: a table depends only on its ``_trial_noise`` key (seed,), the
-    trial count and the row width K, so scenarios that share all three
-    share it.
+    Returns one result per scenario, in order.  The error x_hat - x =
+    (A_S A_S^T)^-1 A_S w is free of the signal x, so each trial recovers its
+    unit-noise row; the mean squared error, its standard error and the closed
+    form trace(G^-1) = K / (lambda_min * lambda_max) of the worst subset's
+    Gram matrix G are scaled by noise_std^2 once, and raise ValueError if
+    that overflows.  Each noise table is drawn once: a table depends only on
+    its ``_trial_noise`` key (seed,), the trial count and the row width K, so
+    scenarios that share all three share it.
     """
     tables = {key: _trial_noise(*key) for key in {((s.seed,), s.trials, s.k) for s in scenarios}}
     results = []
@@ -211,23 +214,15 @@ def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[Estimat
         report = worst_subset(scenario.angles, scenario.k)
         sel = report.worst_subset
         recover, _ = _recovery(scenario.angles, sel)
+        errors = _estimates(recover, tables[(scenario.seed,), scenario.trials, scenario.k])
+        mse, se = _mean_and_se(np.sum(errors**2, axis=1))
         sigma = float(scenario.noise_std)
         # Python float products, not sigma**2, so a huge noise_std overflows to inf instead of raising
-        expected = sigma * sigma * sel.k / (report.summary.lambda_min * report.summary.lambda_max)
-        if not expected < math.inf:
-            raise ValueError(f"noise_std={sigma!r} is too large: the expected MSE overflows")
-        x = np.asarray(scenario.signal, dtype=float)
-        clean = angles_to_matrix(scenario.angles)[:, list(sel.indices)].T @ x
-        noise = tables[(scenario.seed,), scenario.trials, scenario.k]
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                x_hat = _estimates(recover, clean + sigma * noise)
-                mse, se = _mean_and_se(np.sum((x_hat - x) ** 2, axis=1))
-        except FloatingPointError:
-            raise ValueError(
-                f"signal={scenario.signal!r} with noise_std={sigma!r} is too large: "
-                "the squared recovery errors or their statistics overflow"
-            ) from None
+        var = sigma * sigma
+        expected = var * sel.k / (report.summary.lambda_min * report.summary.lambda_max)
+        mse, se = var * mse, var * se
+        if not max(mse, se, expected) < math.inf:
+            raise ValueError(f"noise_std={sigma!r} is too large: the MSE or its standard error overflows")
         results.append(EstimationResult(mse=mse, std_error=se, expected_mse=expected, report=report))
     return results
 
@@ -477,6 +472,7 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     keep = d.min(axis=0) >= MIN_SENSOR_DISTANCE
     log_amplitude = math.log(scenario.amplitude)
     mu = log_amplitude - scenario.path_loss * np.log(d[:, keep])
+    _check_readings(mu, sel.k, f"path_loss={scenario.path_loss!r} is too large")
     mu_sq = np.einsum("ij,ij->j", mu, mu)
     # each node's index at its grid cell, and the cells cut into tiles of _START_TILE x _START_TILE
     n, side = len(mu_sq), -(-GRID_POINTS_PER_AXIS // _START_TILE)
@@ -501,6 +497,13 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
         lo=by_slot.min(axis=1),
         hi=by_slot.max(axis=1),
     )
+
+
+def _check_readings(values: np.ndarray, k: int, cause: str) -> None:
+    """ValueError naming the cause unless 8 k max|values|^2 is finite: no sum of k squares overflows then."""
+    m = float(np.abs(values).max())
+    if not 8.0 * k * m * m < math.inf:  # Python floats: the product overflows to inf, not an exception
+        raise ValueError(f"{cause}: the log-RSS readings leave float range")
 
 
 def _sum(terms: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -724,7 +727,7 @@ def ml_locate(
     a disc solve only accepts steps that lower it, and a rim solution that
     is worse, or a non-finite one, returns the grid node.  ``on_boundary``
     flags estimates within one grid cell of the rim.  Readings of the
-    active sensors must be finite.
+    active sensors must be finite, with 8 K max|y|^2 in float range.
     """
     sel = SubsetSelection(active)
     table = _start_table(scenario, sel)
@@ -734,6 +737,7 @@ def ml_locate(
     y = obs[list(sel.indices)]
     if not np.all(np.isfinite(y)):
         raise ValueError(f"samples must be finite at the active sensors {sel.indices}, got {y.tolist()}")
+    _check_readings(y, sel.k, f"samples {y.tolist()} at the active sensors {sel.indices} are too large")
     est, residual, on_boundary = _locate([(table, y[None])])
     return LocateResult(estimate=est[0], residual=float(residual[0]), on_boundary=bool(on_boundary[0]))
 
@@ -791,6 +795,7 @@ def simulate_monitoring(
     studies = []
     for scenario in scenarios:
         clean = _rss_mean(scenario)
+        _check_readings(clean, scenario.n, f"path_loss={scenario.path_loss!r} is too large")
         signal_power = float(np.mean(clean**2))
         if signal_power > 1e-30:
             reference = "mean_squared_noiseless_log_rss"
@@ -816,6 +821,7 @@ def simulate_monitoring(
         drawn = [tables[(scenario.seed, pi), scenario.trials, scenario.n] for pi in range(len(snrs))]
         readings = np.concatenate([clean[active] + s * table[:, active] for s, table in zip(sigmas, drawn)])
         designs.append((_start_table(scenario, sel), readings))  # one start table for every point and trial
+        _check_readings(readings, sel.k, f"SNR values {snrs} dB are too low")  # a path loss is blamed first
     # every design's rows in one batch: a row's solve does not depend on the rows batched with it
     est = np.split(_locate(designs)[0], np.cumsum([len(y) for _, y in designs])[:-1])
     results = []
@@ -827,16 +833,7 @@ def simulate_monitoring(
         for pi, (snr, sigma) in enumerate(zip(snrs, sigmas)):
             mse, se = _mean_and_se(sq[pi * trials : (pi + 1) * trials])
             mse_db = 10.0 * math.log10(mse) if mse > 0 else -math.inf
-            points.append(
-                MonitoringPoint(
-                    snr_db=snr,
-                    noise_std=sigma,
-                    mse=mse,
-                    std_error=se,
-                    mse_db=mse_db,
-                    worst_subset=sel.indices,
-                )
-            )
+            points.append(MonitoringPoint(snr, sigma, mse, se, mse_db, sel.indices))
         metadata = {
             "snr_definition": "snr_db = 10*log10(reference_power / sigma^2)",
             "snr_reference": reference,

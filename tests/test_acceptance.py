@@ -131,10 +131,10 @@ def test_criterion_5_tight_frame_mse_matches_analytic_value():
 
 
 def test_criterion_6_estimation_mse_ordering_across_n():
-    """Across n = 3..15 with x = (9,9) and unit noise, the closed-form design
-    never loses to the semicircle baseline by more than 3 combined standard
-    errors, and for odd n >= 7 its expected worst-case MSE is strictly
-    smaller."""
+    """Across n = 3..15 with unit noise (the recovery error does not depend
+    on the signal), the closed-form design never loses to the semicircle
+    baseline by more than 3 combined standard errors, and for odd n >= 7 its
+    expected worst-case MSE is strictly smaller."""
     start = time.monotonic()
     for n in range(3, 16):
         opt = simulate_estimation(
@@ -255,7 +255,6 @@ def test_criterion_9_cli_outputs_are_reproducible(tmp_path):
         "--n-min", str(cfg["n_min"]),
         "--n-max", str(cfg["n_max"]),
         "--k", str(cfg["k"]),
-        "--signal", ",".join(str(v) for v in cfg["signal"]),
         "--noise-std", str(cfg["noise_std"]),
         "--trials", str(cfg["trials"]),
         "--seed", str(cfg["seed"]),

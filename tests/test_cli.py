@@ -271,12 +271,11 @@ class TestSimulateEstimation:
         assert manifest["seed"] == 0
         assert manifest["config"]["trials"] == 10
 
-    # the expected MSE overflows (1e160), the squared errors' spread does (1e100), the squared errors do
-    # (signal 1e300): each is refused with the parameter named, before any output, and with no warning
+    # the unit-noise figures scaled by noise_std^2 overflow (1e154: the MSE, 1e160: noise_std^2 itself): each
+    # is refused with the parameter named, before any output, and with no warning
     @pytest.mark.parametrize(
         "option, value, named",
-        [("--noise-std", "1e160", "noise_std=1e+160"), ("--noise-std", "1e100", "noise_std=1e+100"),
-         ("--signal", "1e300,1e300", "signal=(1e+300, 1e+300)")],
+        [("--noise-std", "1e160", "noise_std=1e+160"), ("--noise-std", "1e154", "noise_std=1e+154")],
     )
     def test_overflow_exits_2(self, tmp_path, capsys, option, value, named):
         out = tmp_path / "est.csv"
@@ -284,6 +283,15 @@ class TestSimulateEstimation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "overflow" in err
         assert not out.exists()
+
+    # unit-noise statistics cannot overflow, so any noise_std whose scaled figures fit in a float runs
+    @pytest.mark.parametrize("noise_std, trials", [("1e76", 2000), ("1e100", 50)])
+    def test_huge_noise_std_runs(self, tmp_path, noise_std, trials):
+        out = tmp_path / "est.csv"
+        args = ["simulate-estimation", "--noise-std", noise_std, "--trials", trials, "--output", out]
+        assert run(tmp_path, *args) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 26 and all(math.isfinite(float(v)) for row in rows for v in row[3:])
 
 
 class TestSimulateMonitoring:
@@ -315,6 +323,26 @@ class TestSimulateMonitoring:
         assert out.exists() == (code == 0)
         if code:
             assert "sensor 0 at distance 1e+78 is too far from the source" in capsys.readouterr().err
+
+    # readings, noiseless, predicted or noisy, whose squares overflow are refused with the cause named, before
+    # any warning or output; a path loss of 1e150 and an SNR of -3000 dB keep them in range and run
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["--snr", 10, "--path-loss", "1e160"], "path_loss=1e+160 is too large"),
+            (["--snr", 10, "--path-loss", "1e200"], "path_loss=1e+200 is too large"),
+            (["--snr=-3080"], "SNR values [-3080.0] dB are too low"),
+            (["--snr", 10, "--path-loss", "1e150"], None),
+            (["--snr=-3000"], None),
+        ],
+        ids=["path-loss-1e160", "path-loss-1e200", "snr-3080", "path-loss-1e150", "snr-3000"],
+    )
+    def test_readings_out_of_float_range_exit_2(self, tmp_path, capsys, argv, cause):
+        out = tmp_path / "m.csv"
+        code = run(tmp_path, "simulate-monitoring", "--n", 6, "--trials", 5, *argv, "--output", out)
+        assert (code, out.exists()) == ((2, False) if cause else (0, True))
+        if cause:
+            assert f"error: {cause}: the log-RSS readings leave float range" in capsys.readouterr().err
 
     def test_subset_ceiling_exits_4(self, tmp_path, monkeypatch, capsys):
         # C(400, 3) worst-triple candidates are over the ceiling: refused before any noise table
@@ -384,7 +412,6 @@ class TestWorstSubsetReexport:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate-estimation", "--signal", "nan,1"],
         ["simulate-estimation", "--noise-std", "nan"],
         ["simulate-monitoring", "--radius", "nan"],
         ["simulate-monitoring", "--source", "nan,0"],
@@ -407,8 +434,7 @@ REPLAY_COMMANDS = [
     ["design", "--n", 5, "--scheme", "circle"],
     ["evaluate", "--n", 6, "--scheme", "semicircle", "--k", 4, "--format", "csv"],
     ["verify", "--n-min", 3, "--n-max", 4, "--grid-max-n", 3, "--grid-points", 30, "--format", "json"],
-    ["simulate-estimation", "--n-min", 3, "--n-max", 4, "--trials", 20, "--seed", 4,
-     "--signal", "1.5,-2", "--noise-std", 0.5],
+    ["simulate-estimation", "--n-min", 3, "--n-max", 4, "--trials", 20, "--seed", 4, "--noise-std", 0.5],
     ["simulate-monitoring", "--n", 5, "--snr", "10,20.5", "--trials", 2, "--seed", 3,
      "--radius", 1.5, "--source", "0.25,-0.5", "--format", "json"],
 ]
