@@ -53,13 +53,13 @@ class InputParseError(Exception):
 
 
 def fmt_cell(value) -> str:
-    """CSV cell rendering; floats keep full round-trip precision, infinities read as in JSON."""
+    """CSV cell rendering; floats keep full round-trip precision, infinities read as in JSON, None is ""."""
     value = sanitize_json(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, list):
         return ";".join(str(v) for v in value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def sanitize_json(value):
@@ -274,7 +274,7 @@ def cmd_verify(args) -> int:
             _, grid_report = minimax_grid_search(config)
             row += [grid_report.objective, grid_report.objective - optimal]
         else:
-            row += ["", ""]
+            row += [None, None]
         rows.append(row)
         print(f"n={n}: optimal objective {optimal:.6f}")
     path = emit(args, f"verify_n{args.n_min}-{args.n_max}", header, rows)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .core import AngleSet
+from .core import AngleSet, _check_int
 
 # convenience spellings accepted by build_design / the CLI
 SCHEME_ALIASES = {
@@ -36,6 +36,7 @@ def design_even(n: int, variant: str = "b") -> AngleSet:
     at 2*pi*(i-1)/n and keeps that placement in ``raw``.  Both normalize
     to the same multiset of lines.
     """
+    _check_int("n", n, 1, type_only=True)
     if n < 4 or n % 2:
         raise ValueError(f"even design needs even n >= 4, got n={n}")
     if variant not in ("a", "b"):
@@ -48,6 +49,7 @@ def design_even(n: int, variant: str = "b") -> AngleSet:
 
 def design_small_odd(n: int) -> AngleSet:
     """Uniform semicircle, optimal only for n = 3 and n = 5."""
+    _check_int("n", n, 1, type_only=True)
     if n not in (3, 5):
         raise ValueError(f"small-odd design is defined for n in {{3, 5}}, got n={n}")
     return AngleSet([math.pi * i / n for i in range(n)])
@@ -55,6 +57,7 @@ def design_small_odd(n: int) -> AngleSet:
 
 def design_large_odd(n: int) -> AngleSet:
     """Even construction for n+1 with the last direction dropped; odd n >= 7."""
+    _check_int("n", n, 1, type_only=True)
     if n < 7 or n % 2 == 0:
         raise ValueError(f"large-odd design needs odd n >= 7, got n={n}")
     return AngleSet([2.0 * math.pi * i / (n + 1) for i in range(n)])
@@ -62,6 +65,7 @@ def design_large_odd(n: int) -> AngleSet:
 
 def baseline_semicircle(n: int) -> AngleSet:
     """Uniform angles pi*(i-1)/n on the semicircle."""
+    _check_int("n", n, 1, type_only=True)
     if n < 3:
         raise ValueError(f"baseline needs n >= 3, got n={n}")
     return AngleSet([math.pi * i / n for i in range(n)])
@@ -69,6 +73,7 @@ def baseline_semicircle(n: int) -> AngleSet:
 
 def baseline_circle(n: int) -> AngleSet:
     """Uniform placements 2*pi*(i-1)/n on the full circle, reduced mod pi."""
+    _check_int("n", n, 1, type_only=True)
     if n < 3:
         raise ValueError(f"baseline needs n >= 3, got n={n}")
     return AngleSet([2.0 * math.pi * i / n for i in range(n)])
@@ -76,6 +81,7 @@ def baseline_circle(n: int) -> AngleSet:
 
 def design_optimal(n: int) -> AngleSet:
     """Minimax-optimal placement for any n >= 3, dispatched on n."""
+    _check_int("n", n, 1, type_only=True)
     if n < 3:
         raise ValueError(f"optimal design needs n >= 3, got n={n}")
     if n % 2 == 0:

@@ -189,6 +189,14 @@ class TestVerify:
         assert row4["grid_objective"] == "" and row4["grid_minus_optimal"] == ""
         assert float(row4["optimal_objective"]) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_unsearched_grid_cells_are_json_null(self, tmp_path):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--n-min", 3, "--n-max", 4, "--grid-max-n", 3, "--grid-points", 30]
+        assert run(tmp_path, *argv, "--format", "json", "--output", out) == 0
+        row3, row4 = json.loads(out.read_text())["rows"]
+        assert isinstance(row3["grid_objective"], float) and isinstance(row3["grid_minus_optimal"], float)
+        assert row4["grid_objective"] is None and row4["grid_minus_optimal"] is None
+
     def test_resource_guard_exits_4(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
         code = run(

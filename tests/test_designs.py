@@ -13,6 +13,7 @@ from sensedesign import (
     design_small_odd,
     worst_subset,
 )
+from sensedesign.designs import SCHEMES
 
 GOLDEN_RATIO_CONDITION = (3 + math.sqrt(5)) / (3 - math.sqrt(5))  # ~6.8541
 
@@ -152,6 +153,12 @@ class TestBuildDesign:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             build_design(5, "zigzag")
+
+    @pytest.mark.parametrize("n", [8.0, "5", True])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_non_integer_n_rejected(self, scheme, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            build_design(n, scheme)
 
     def test_parity_violation_names_constraint(self):
         with pytest.raises(ValueError, match="even n >= 4"):
