@@ -290,7 +290,6 @@ def cmd_simulate_estimation(args) -> int:
         EstimationScenario(
             angles=build_design(n, label),
             k=args.k,
-            noise_std=args.noise_std,
             trials=args.trials,
             seed=args.seed,
         )
@@ -378,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=15)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--noise-std", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
 

@@ -6,9 +6,8 @@ Two settings share the same geometric core:
   recovery error x_hat - x = (A_S A_S^T)^-1 A_S w does not depend on x and
   obeys ||x_hat - x|| <= ||w|| / sigma_min(A_S) (a property test checks it
   on ``least_squares_estimate`` and ``spectral_summary``); the simulation
-  averages the squared error unit noise leaves on the worst subset, then
-  scales it, its standard error and the analytic K / (lambda_min * lambda_max)
-  by noise_std^2;
+  averages the squared error unit noise leaves on the worst subset, next to
+  the analytic K / (lambda_min * lambda_max), both per unit noise variance;
 * source monitoring from log-RSS readings of ring sensors, where the
   triple with the worst Fisher-information condition number is activated
   and the source is recovered by maximum likelihood.
@@ -101,7 +100,6 @@ class DegenerateGeometryError(ValueError):
 class EstimationScenario:
     angles: AngleSet
     k: int = 3
-    noise_std: float = 1.0
     trials: int = 2000
     seed: int = 0
 
@@ -109,8 +107,6 @@ class EstimationScenario:
         _check_int("k", self.k, 1, type_only=True)
         if not 1 <= self.k <= self.angles.n:
             raise ValueError(f"need 1 <= k <= {self.angles.n}, got k={self.k}")
-        if not 0 <= self.noise_std < math.inf:  # written so that NaN fails
-            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std!r}")
         _check_int("trials", self.trials, 1)
         _check_int("seed", self.seed, 0)
 
@@ -150,6 +146,11 @@ def least_squares_estimate(
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """Worst-subset recovery MSE, its standard error and trace(G^-1), all per unit noise variance.
+
+    For noise of standard deviation sigma, multiply all three by sigma^2.
+    """
+
     mse: float
     std_error: float
     expected_mse: float
@@ -183,12 +184,12 @@ def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[Estimat
 
     Returns one result per scenario, in order.  The error x_hat - x =
     (A_S A_S^T)^-1 A_S w is free of the signal x, so each trial recovers its
-    unit-noise row; the mean squared error, its standard error and the closed
-    form trace(G^-1) = K / (lambda_min * lambda_max) of the worst subset's
-    Gram matrix G are scaled by noise_std^2 once, and raise ValueError if
-    that overflows.  Each noise table is drawn once: a table depends only on
-    its ``_trial_noise`` key (seed,), the trial count and the row width K, so
-    scenarios that share all three share it.
+    unit-noise row; the result holds the mean squared error, its standard
+    error and the closed form trace(G^-1) = K / (lambda_min * lambda_max) of
+    the worst subset's Gram matrix G, all per unit noise variance.  Each
+    noise table is drawn once: a table depends only on its ``_trial_noise``
+    key (seed,), the trial count and the row width K, so scenarios that
+    share all three share it.
     """
     tables = {key: _trial_noise(*key) for key in {((s.seed,), s.trials, s.k) for s in scenarios}}
     results = []
@@ -198,13 +199,7 @@ def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[Estimat
         recover = _recovery(scenario.angles, sel)
         errors = _estimates(recover, tables[(scenario.seed,), scenario.trials, scenario.k])
         mse, se = _mean_and_se(np.sum(errors**2, axis=1))
-        sigma = float(scenario.noise_std)
-        # Python float products, not sigma**2, so a huge noise_std overflows to inf instead of raising
-        var = sigma * sigma
-        expected = var * sel.k / (report.summary.lambda_min * report.summary.lambda_max)
-        mse, se = var * mse, var * se
-        if not max(mse, se, expected) < math.inf:
-            raise ValueError(f"noise_std={sigma!r} is too large: the MSE or its standard error overflows")
+        expected = sel.k / (report.summary.lambda_min * report.summary.lambda_max)
         results.append(EstimationResult(mse=mse, std_error=se, expected_mse=expected, report=report))
     return results
 
@@ -269,6 +264,9 @@ def ring_positions(
     angles: AngleSet, radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)
 ) -> tuple[tuple[float, float], ...]:
     """Sensor placements on a circle, using the pre-normalization angles."""
+    if not 0 < radius < math.inf:  # written so that NaN fails
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    _check_pair("center", center)
     cx, cy = float(center[0]), float(center[1])
     return tuple(
         (cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in angles.raw

@@ -255,7 +255,6 @@ def test_criterion_9_cli_outputs_are_reproducible(tmp_path):
         "--n-min", str(cfg["n_min"]),
         "--n-max", str(cfg["n_max"]),
         "--k", str(cfg["k"]),
-        "--noise-std", str(cfg["noise_std"]),
         "--trials", str(cfg["trials"]),
         "--seed", str(cfg["seed"]),
         "--format", cfg["format"],

@@ -279,28 +279,6 @@ class TestSimulateEstimation:
         assert manifest["seed"] == 0
         assert manifest["config"]["trials"] == 10
 
-    # the unit-noise figures scaled by noise_std^2 overflow (1e154: the MSE, 1e160: noise_std^2 itself): each
-    # is refused with the parameter named, before any output, and with no warning
-    @pytest.mark.parametrize(
-        "option, value, named",
-        [("--noise-std", "1e160", "noise_std=1e+160"), ("--noise-std", "1e154", "noise_std=1e+154")],
-    )
-    def test_overflow_exits_2(self, tmp_path, capsys, option, value, named):
-        out = tmp_path / "est.csv"
-        assert run(tmp_path, "simulate-estimation", option, value, "--trials", 50, "--output", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err and "overflow" in err
-        assert not out.exists()
-
-    # unit-noise statistics cannot overflow, so any noise_std whose scaled figures fit in a float runs
-    @pytest.mark.parametrize("noise_std, trials", [("1e76", 2000), ("1e100", 50)])
-    def test_huge_noise_std_runs(self, tmp_path, noise_std, trials):
-        out = tmp_path / "est.csv"
-        args = ["simulate-estimation", "--noise-std", noise_std, "--trials", trials, "--output", out]
-        assert run(tmp_path, *args) == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert len(rows) == 26 and all(math.isfinite(float(v)) for row in rows for v in row[3:])
-
 
 class TestSimulateMonitoring:
     def test_tiny_run_deterministic(self, tmp_path):
@@ -331,6 +309,15 @@ class TestSimulateMonitoring:
         assert out.exists() == (code == 0)
         if code:
             assert "sensor 0 at distance 1e+78 is too far from the source" in capsys.readouterr().err
+
+    # a radius-1e77 ring gives squared errors near 1e154, whose deviations overflow when std squares them:
+    # the mean and standard error are taken over the maximum and scaled back, finite and with no warning
+    def test_huge_ring_statistics_finite(self, tmp_path):
+        out = tmp_path / "m.csv"
+        args = ["simulate-monitoring", "--n", 6, "--snr", 0, "--trials", 20, "--radius", "1e77"]
+        assert run(tmp_path, *args, "--output", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row[3:5])
 
     # readings, noiseless, predicted or noisy, whose squares overflow are refused with the cause named, before
     # any warning or output; a path loss of 1e150 and an SNR of -3000 dB keep them in range and run
@@ -420,7 +407,6 @@ class TestWorstSubsetReexport:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate-estimation", "--noise-std", "nan"],
         ["simulate-monitoring", "--radius", "nan"],
         ["simulate-monitoring", "--source", "nan,0"],
         ["simulate-monitoring", "--snr", "nan"],
@@ -430,9 +416,8 @@ class TestWorstSubsetReexport:
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv):
-    sizes = ["--n-min", 3, "--n-max", 3] if argv[0] == "simulate-estimation" else ["--n", 4]
     out = tmp_path / "out.csv"
-    assert run(tmp_path, *argv, *sizes, "--trials", 2, "--output", out) == 2
+    assert run(tmp_path, *argv, "--n", 4, "--trials", 2, "--output", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be finite" in err
     assert not out.exists()
@@ -442,7 +427,7 @@ REPLAY_COMMANDS = [
     ["design", "--n", 5, "--scheme", "circle"],
     ["evaluate", "--n", 6, "--scheme", "semicircle", "--k", 4, "--format", "csv"],
     ["verify", "--n-min", 3, "--n-max", 4, "--grid-max-n", 3, "--grid-points", 30, "--format", "json"],
-    ["simulate-estimation", "--n-min", 3, "--n-max", 4, "--trials", 20, "--seed", 4, "--noise-std", 0.5],
+    ["simulate-estimation", "--n-min", 3, "--n-max", 4, "--trials", 20, "--seed", 4],
     ["simulate-monitoring", "--n", 5, "--snr", "10,20.5", "--trials", 2, "--seed", 3,
      "--radius", 1.5, "--source", "0.25,-0.5", "--format", "json"],
 ]

@@ -328,12 +328,8 @@ class TestErrorBound:
 
 class TestWorstCaseMse:
     def test_expected_mse_tight_frame(self):
-        result = simulate_estimation([EstimationScenario(angles=TIGHT_FRAME, noise_std=1.0, trials=1)])[0]
+        result = simulate_estimation([EstimationScenario(angles=TIGHT_FRAME, trials=1)])[0]
         assert result.expected_mse == pytest.approx(4.0 / 3.0, abs=1e-12)
-
-    def test_expected_mse_scales_with_noise(self):
-        result = simulate_estimation([EstimationScenario(angles=TIGHT_FRAME, noise_std=2.0, trials=1)])[0]
-        assert result.expected_mse == pytest.approx(16.0 / 3.0, abs=1e-12)
 
     def test_simulation_matches_expectation(self):
         scenario = EstimationScenario(angles=TIGHT_FRAME, trials=2000, seed=42)
@@ -354,20 +350,15 @@ class TestWorstCaseMse:
     def test_trial_streams_independent_of_trial_count(self, trials):
         # trial t's error recovers the (t+1)-th row of noise from the one stream SeedSequence((seed,))
         angles = design_optimal(7)
-        scenario = EstimationScenario(angles=angles, noise_std=0.5, trials=trials, seed=3)
+        scenario = EstimationScenario(angles=angles, trials=trials, seed=3)
         result = simulate_estimation([scenario])[0]
         idx = result.report.worst_subset.indices
         errors = []
         rng = default_rng(SeedSequence((3,)))
         for t in range(trials):
-            w = 0.5 * rng.standard_normal(len(idx))
+            w = rng.standard_normal(len(idx))
             errors.append(np.sum(least_squares_estimate(angles, idx, w) ** 2))
         assert result.mse == pytest.approx(np.mean(errors), rel=1e-12, abs=1e-12)
-
-    def test_zero_noise_gives_exactly_zero(self):
-        scenario = EstimationScenario(angles=design_optimal(7), noise_std=0.0, trials=50)
-        result = simulate_estimation([scenario])[0]
-        assert result.mse == result.std_error == result.expected_mse == 0.0
 
     def test_mean_and_se_finite_where_std_squares_overflow(self):
         # deviations of 1e153 square to 1e306, and 20,000 of them sum past float max; the figures do not
@@ -413,14 +404,14 @@ class TestWorstCaseMse:
 
     def test_sweep_matches_single_scenarios(self):
         # neighbours that differ only in seed, trials or K must not share a noise table
-        cases = itertools.product((1, 2), (30, 50), (2, 3, 4), (0.5, 1.5))
+        cases = itertools.product((1, 2), (30, 50), (2, 3, 4))
         designs = (design_optimal(5), baseline_semicircle(6))
         scenarios = [
-            EstimationScenario(angles=designs[i % 2], k=k, noise_std=s, trials=t, seed=seed)
-            for i, (seed, t, k, s) in enumerate(cases)
+            EstimationScenario(angles=designs[i % 2], k=k, trials=t, seed=seed)
+            for i, (seed, t, k) in enumerate(cases)
         ]
         results = simulate_estimation(scenarios)
-        assert len(results) == len(scenarios) == 24
+        assert len(results) == len(scenarios) == 12
         for scenario, result in zip(scenarios, results):
             assert result == simulate_estimation([scenario])[0], scenario
 
@@ -433,8 +424,6 @@ class TestWorstCaseMse:
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             EstimationScenario(angles=TIGHT_FRAME, k=4)
-        with pytest.raises(ValueError):
-            EstimationScenario(angles=TIGHT_FRAME, noise_std=-1.0)
         with pytest.raises(ValueError):
             EstimationScenario(angles=TIGHT_FRAME, trials=0)
 
@@ -449,11 +438,6 @@ class TestWorstCaseMse:
         with pytest.raises(ValueError, match="trials"):
             EstimationScenario(angles=TIGHT_FRAME, trials=trials)
         assert EstimationScenario(angles=TIGHT_FRAME, trials=np.int64(3)).trials == 3
-
-    @pytest.mark.parametrize("kw", [{"noise_std": math.nan}, {"noise_std": math.inf}])
-    def test_non_finite_scenario_rejected(self, kw):
-        with pytest.raises(ValueError, match="must be finite"):
-            EstimationScenario(angles=TIGHT_FRAME, **kw)
 
     @pytest.mark.parametrize("k", [3.0, np.float64(2.0), True])
     def test_k_must_be_an_int(self, k):
@@ -544,6 +528,25 @@ class TestRssModel:
         assert len(set(pos)) == 10  # distinct placements on the full circle
         for p in pos:
             assert math.hypot(p[0] - 1.0, p[1] + 1.0) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            ({"radius": -1.0}, "radius must be finite and positive"),
+            ({"radius": 0.0}, "radius must be finite and positive"),
+            ({"radius": math.nan}, "radius must be finite and positive"),
+            ({"radius": math.inf}, "radius must be finite and positive"),
+            ({"center": (math.nan, 0.0)}, "center must be finite"),
+            ({"center": (0.0, math.inf)}, "center must be finite"),
+            ({"center": (1.0, 2.0, 3.0)}, "center must have exactly 2 entries"),
+            ({"center": (1.0,)}, "center must have exactly 2 entries"),
+        ],
+        ids=["radius-negative", "radius-zero", "radius-nan", "radius-inf", "center-nan", "center-inf",
+             "center-3-entries", "center-1-entry"],
+    )
+    def test_ring_positions_rejects_bad_ring(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            ring_positions(TIGHT_FRAME, **kw)
 
     def test_noiseless_samples(self):
         scn = ring_scenario(n=6, radius=2.0, amplitude=3.0, path_loss=1.5, shadow_std=0.0)
