@@ -70,15 +70,23 @@ max(min_u max(row[u], table[u].min()), min_v max(col[v], table[:, v].min())),
 since every (u, v) entry is at least both terms; max and min only select, so
 this holds for the computed numbers bit for bit.  The bound costs O(w) per
 block against O(w^2) for the full (blocks, u, v) pass.  A running ceiling,
-the tie ceiling of the smallest exact minimum so far (+inf at first), decides:
-a block whose bound is above it cannot be tied with the final minimum, so
-only the others are scored, in chunks of about _CHUNK_ELEMENTS values, and
-the rest keep their bound.  Before building a group's table, the looser
-bound max(min row, min col) of every block is taken, and when none reaches
-the ceiling the table is not built at all (at K = n-1 each table serves one
-block, and most are skipped).  At n = 5, K = 3 on 180 points 665 of the
-16,290 blocks are scored.  The ceiling only falls, so every block tied with
-the final minimum was scored exactly, and the minimum, the tied set and the
+the tie ceiling of the smallest exact minimum so far, decides: a block whose
+bound is above it cannot be tied with the final minimum, so only the others
+are scored, in chunks of about _CHUNK_ELEMENTS values, and the rest keep
+their bound.  Before building a group's table, the looser bound
+max(min row, min col) of every block is taken, and when none reaches the
+ceiling the table is not built at all (at K = n-1 each table serves one
+block, and most are skipped).  The ceiling starts at the tie ceiling of one
+real block's exact minimum, the uniform layout's (0, floor(g/n), ...,
+floor((n-3) g/n)), scored alone by the same scorer, which gives it the bits
+it gets in its group.  Floor keeps the block sorted and every entry below g
+for every (n, K, g); rounding would put the last entry on g once n >= 6g
+(n = 12, g = 2).  A seed computed any other way (the closed-form
+design, or ``worst_subset`` on the snapped angles) may differ in the last
+bit and prune a tied block.  At n = 5, K = 3 on 180 points 154 of the
+16,290 blocks are scored in full (the seed among them).  The ceiling only
+falls and never drops below the final one, so every block tied with the
+final minimum was scored exactly, and the minimum, the tied set and the
 pick are those of the full search.  The minima are written back in
 enumeration order, and the coarse pick follows the same tie rule: the first
 block in enumeration order whose minimum is within TIE_TOL of the smallest
@@ -284,6 +292,8 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
     The second value holds, for each block, its smallest worst-window S where
     that is at or below the final tie ceiling (so its minimum is the global
     one, bit for bit), and otherwise a lower bound on it above that ceiling.
+    The running ceiling starts from the uniform layout's block, scored alone
+    by the same scorer, so it is always some block's exact minimum.
     """
     pair, side, keys = _window_split(n, k)
     phasor = np.exp(2j * (np.arange(g) * (math.pi / g)))
@@ -356,7 +366,11 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
     starts = np.flatnonzero(np.diff(fixed[:, keys][order], axis=0).any(axis=1)) + 1
     bounds = [0, *starts.tolist(), count]
     minima = np.empty(count)
-    best = math.inf  # the smallest exact minimum so far
+    # the smallest exact minimum so far, seeded with the uniform layout's block
+    # scored by the same scorer, so it is a real block's computed minimum;
+    # floor division keeps it sorted and on the grid
+    seed = [i * g // n for i in range(n - 2)]
+    best = float(score(np.array([seed]), math.inf)[0])
     for lo, hi in zip(bounds, bounds[1:]):
         run = order[lo:hi]
         minima[run] = score(fixed[run], -_tie_floor(-best))

@@ -414,6 +414,7 @@ class TestWorstSubsetReexport:
         ["simulate-monitoring", "--path-loss", "nan"],
         ["simulate-monitoring", "--snr", "-4000"],
     ],
+    ids=["radius-nan", "source-nan", "snr-nan", "amplitude-nan", "path-loss-nan", "snr-overflow"],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"

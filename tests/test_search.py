@@ -204,7 +204,13 @@ class TestGridSearch:
         [(3, 3, 180), (4, 3, 180), (5, 3, 60), (5, 2, 60), (5, 4, 60), (5, 5, 20), (4, 4, 30), (6, 3, 40),
          (6, 4, 30), (5, 3, 7), (5, 3, 180), (5, 4, 180), (4, 2, 30), (4, 2, 90),
          # coarse grids where many blocks tie
-         (6, 4, 11), (5, 4, 9), (3, 3, 7), (5, 2, 9)],
+         (6, 4, 11), (5, 4, 9), (3, 3, 7), (5, 2, 9),
+         # g < n: the uniform seed block repeats grid points
+         (6, 3, 4), (5, 4, 3), (6, 4, 5), (4, 3, 2),
+         # n >= 6g: rounding instead of floor would put the seed's last entry on g
+         (12, 3, 2), (13, 3, 2),
+         # the uniform seed block is far above the minimum
+         (6, 3, 7), (5, 4, 7)],
     )
     def test_grouped_tables_match_per_block_oracle(self, n, k, g):
         # the blocks that can tie the minimum are scored exactly, the rest keep
@@ -268,6 +274,22 @@ class TestGridSearch:
         finally:
             tracemalloc.stop()
         assert peak < 2.0e6, peak
+
+    def test_seeded_ceiling_prunes_most_blocks(self, monkeypatch):
+        # the full table pass writes each chunk of blocks into a (blocks, u, v)
+        # buffer; seeded with the uniform block's minimum, the ceiling lets few through
+        scored = []
+        maximum = np.maximum
+
+        def counted(*args, **kwargs):
+            out = kwargs.get("out")
+            if out is not None and out.ndim == 3:
+                scored.append(len(out))
+            return maximum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "maximum", counted)
+        _grid_search(5, 3, 180)
+        assert 0 < sum(scored) <= 160, sum(scored)
 
     def test_grid_is_enumerated_once(self, monkeypatch):
         calls = []
