@@ -21,7 +21,6 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
@@ -82,7 +81,7 @@ def write_atomic(path: str, data: str) -> None:
     raises ValueError and leaves no temporary file behind.
     """
     parent = os.path.dirname(path) or "."
-    tmp = os.path.join(parent, f".tmp-{secrets.token_hex(8)}-{os.path.basename(path)}")
+    tmp = os.path.join(parent, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
     try:
         os.makedirs(parent, exist_ok=True)
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -64,7 +64,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
 
 from .core import (
     AngleSet,
@@ -119,9 +118,20 @@ def _check_pair(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _stream(key) -> np.random.Generator:
+    """The PCG64 stream default_rng(SeedSequence(key)).
+
+    numpy.random is imported here, at the first noise draw, so the commands
+    that draw none (design, evaluate, verify) never load it.
+    """
+    from numpy.random import SeedSequence, default_rng
+
+    return default_rng(SeedSequence(key))
+
+
 def _trial_noise(key: tuple[int, ...], trials: int, size: int) -> np.ndarray:
     """Standard normal (trials, size) table from the one stream SeedSequence(key), filled row by row."""
-    return default_rng(SeedSequence(key)).standard_normal((trials, size))
+    return _stream(key).standard_normal((trials, size))
 
 
 def _recovery(angles: AngleSet, sel: SubsetSelection) -> np.ndarray:
@@ -285,10 +295,10 @@ def _rss_mean(scenario: RssScenario) -> np.ndarray:
     return math.log(scenario.amplitude) - scenario.path_loss * np.log(np.sqrt(_offsets(scenario)[1]))
 
 
-def rss_sample(scenario: RssScenario, rng: Generator | None = None) -> np.ndarray:
+def rss_sample(scenario: RssScenario, rng: np.random.Generator | None = None) -> np.ndarray:
     """One draw of log-RSS readings: ln A - path_loss * ln distance + noise."""
     if rng is None:
-        rng = default_rng(SeedSequence(scenario.seed))
+        rng = _stream(scenario.seed)
     return _rss_mean(scenario) + scenario.shadow_std * rng.standard_normal(scenario.n)
 
 

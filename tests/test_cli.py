@@ -501,3 +501,37 @@ print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scip
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
     assert len(list(tmp_path.glob("*.manifest.json"))) == 5
+
+
+def test_commands_without_noise_load_no_random_or_openssl(tmp_path):
+    """design, evaluate and verify load neither numpy.random nor OpenSSL; a noise draw loads numpy.random.
+
+    Modules that ``import numpy`` loads by itself are exempt: a numpy that imports numpy.random eagerly
+    (and numpy.random imports secrets) leaves nothing for the package to defer.
+    """
+    script = """
+import sys, typing
+import numpy
+by_numpy = set(sys.modules)
+from sensedesign.cli import main
+import sensedesign.simulate
+def loaded():
+    return sorted(m for m in set(sys.modules) - by_numpy
+                  if m.split(".")[:2] == ["numpy", "random"] or m in ("secrets", "hashlib", "_hashlib"))
+commands = [
+    ["design", "--n", "5"],
+    ["evaluate", "--n", "8"],
+    ["verify", "--n-min", "3", "--n-max", "5", "--grid-max-n", "4", "--grid-points", "24"],
+]
+quiet = [main(argv) for argv in commands], loaded()
+drawn = main(["simulate-estimation", "--n-max", "3", "--trials", "5"]), "numpy.random" in sys.modules
+hint = typing.get_type_hints(sensedesign.simulate.rss_sample)["rng"] == (numpy.random.Generator | None)
+print(quiet, drawn, hint)
+"""
+    src_dir = os.path.dirname(os.path.dirname(sensedesign.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir, "SENSEDESIGN_OUTPUT_DIR": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "([0, 0, 0], []) (0, True) True"

@@ -234,7 +234,7 @@ class TestTrialNoise:
         # one stream per distinct table, however many rows and designs share it
         made = []
         monkeypatch.setattr(
-            sensedesign.simulate, "SeedSequence", lambda *a, **kw: made.append(a) or SeedSequence(*a, **kw)
+            np.random, "SeedSequence", lambda *a, **kw: made.append(a) or SeedSequence(*a, **kw)
         )
         simulate_estimation(
             [EstimationScenario(angles=d(7), trials=2000) for d in (design_optimal, baseline_semicircle)]
