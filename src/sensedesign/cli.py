@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -132,7 +133,7 @@ def emit(args, name: str, header, rows, doc=None, **extra_config) -> str:
         payload = json.dumps(sanitize_json(doc), indent=2, allow_nan=False) + "\n"
     path = args.output or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), f"{name}.{args.format}")
     write_atomic(path, payload)
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
+    config = {k: v for k, v in vars(args).items() if k != "subcommand"}
     seed = getattr(args, "seed", None)  # the simulations' --seed
     write_manifest(path, args.subcommand, {**config, "output": path, **extra_config}, seed)
     return path
@@ -334,16 +335,22 @@ def cmd_simulate_monitoring(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_command(sub, name: str, func, help: str, fmt: str = "csv") -> argparse.ArgumentParser:
+def _add_command(sub, name: str, help: str, fmt: str = "csv") -> argparse.ArgumentParser:
     """A subcommand parser with the shared --output and --format options."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--output")
     p.add_argument("--format", default=fmt, choices=["csv", "json"])
-    p.set_defaults(func=func)
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Callers must not change the returned parser: every ``main`` call in the
+    process parses with it.  Its defaults are immutable, so no parse can
+    leak a value into the next.
+    """
     parser = argparse.ArgumentParser(
         prog="sensedesign",
         description="Design and evaluate planar sensing directions by their worst-case conditioning.",
@@ -351,39 +358,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     scheme_choices = list(SCHEMES) + sorted(SCHEME_ALIASES)
 
-    p = _add_command(sub, "design", cmd_design, "emit a closed-form angle placement")
+    p = _add_command(sub, "design", "emit a closed-form angle placement")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scheme", default="optimal_auto", choices=scheme_choices)
 
-    p = _add_command(
-        sub, "evaluate", cmd_evaluate, "worst-subset spectral report for a design or angle file", fmt="json"
-    )
+    p = _add_command(sub, "evaluate", "worst-subset spectral report for a design or angle file", fmt="json")
     p.add_argument("--angles-file")
     p.add_argument("--n", type=int)
     p.add_argument("--scheme", default="optimal_auto", choices=scheme_choices)
     p.add_argument("--k", type=int, default=3)
 
-    p = _add_command(sub, "verify", cmd_verify, "closed-form designs vs baselines vs grid search")
+    p = _add_command(sub, "verify", "closed-form designs vs baselines vs grid search")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=15)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--grid-max-n", type=int, default=5)
     p.add_argument("--grid-points", type=int, default=180)
 
-    p = _add_command(
-        sub, "simulate-estimation", cmd_simulate_estimation, "worst-subset recovery MSE versus n"
-    )
+    p = _add_command(sub, "simulate-estimation", "worst-subset recovery MSE versus n")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=15)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = _add_command(
-        sub, "simulate-monitoring", cmd_simulate_monitoring, "localization MSE versus SNR on ring placements"
-    )
+    p = _add_command(sub, "simulate-monitoring", "localization MSE versus SNR on ring placements")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--snr", type=parse_float_list, default=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+    p.add_argument("--snr", type=parse_float_list, default=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0))
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius", type=float, default=1.0)
@@ -394,10 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call, so a replaced ``cmd_*`` (a test stub, a tracing
+    # wrapper) runs even though the parser was built before it
+    command = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InputParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

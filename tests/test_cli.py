@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -441,7 +442,7 @@ def test_manifest_replay(tmp_path, argv):
     assert run(tmp_path, *argv, "--output", first) == 0
     config = json.loads((tmp_path / "first.out.manifest.json").read_text())["config"]
     required = ["--n", "1"] if argv[0] == "design" else []
-    options = set(vars(build_parser().parse_args([argv[0], *required]))) - {"func", "subcommand"}
+    options = set(vars(build_parser().parse_args([argv[0], *required]))) - {"subcommand"}
     assert "output" in options and options <= set(config)
 
     replay = tmp_path / "replay.out"
@@ -455,6 +456,83 @@ def test_manifest_replay(tmp_path, argv):
     assert replay.read_bytes() == first.read_bytes()
     replayed = json.loads((tmp_path / "replay.out.manifest.json").read_text())["config"]
     assert {**replayed, "output": config["output"]} == config
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    """``main`` builds its parser on the first call and every later call parses with the same one."""
+    build_parser.cache_clear()
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    builds = []
+
+    def counting(self, *args, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    assert run(tmp_path, "design", "--n", 5, "--output", tmp_path / "d.csv") == 0
+    assert run(tmp_path, "evaluate", "--n", 6, "--output", tmp_path / "e.json") == 0
+    verify = ["verify", "--n-min", 3, "--n-max", 3, "--grid-max-n", 3, "--grid-points", 12]
+    assert run(tmp_path, *verify, "--output", tmp_path / "v.csv") == 0
+    assert builds == ["sensedesign"]
+    assert build_parser() is build_parser()
+
+
+def test_command_looked_up_at_call_time(tmp_path, monkeypatch):
+    """A ``cmd_*`` replaced after the parser was built is the one that runs."""
+    assert run(tmp_path, "design", "--n", 4, "--output", tmp_path / "first.csv") == 0
+    seen = []
+    monkeypatch.setattr("sensedesign.cli.cmd_design", lambda args: seen.append(args.n) or 0)
+    assert run(tmp_path, "design", "--n", 5, "--output", tmp_path / "d.csv") == 0
+    assert seen == [5]
+    assert not (tmp_path / "d.csv").exists()
+
+
+OTHER_OPTIONS = [
+    ["design", "--n", 6, "--format", "json"],
+    ["evaluate", "--n", 7, "--k", 2],
+    ["verify", "--n-min", 3, "--n-max", 3, "--grid-max-n", 3, "--grid-points", 12],
+    ["simulate-estimation", "--n-min", 3, "--n-max", 3, "--trials", 10, "--format", "json"],
+    ["simulate-monitoring", "--n", 7, "--snr", "0,10,40", "--trials", 5, "--seed", 11, "--radius", 2.5,
+     "--amplitude", 3, "--path-loss", 3.5, "--source=1.5,-2"],
+    ["simulate-monitoring", "--n", 5, "--snr", 5, "--trials", 2, "--source", "0.1,0", "--format", "csv"],
+    # at its default --snr, just after a run with --snr 5
+    ["simulate-monitoring", "--n", 4, "--trials", 1],
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    """Parses in one process leak nothing into later ones.
+
+    Every ``REPLAY_COMMANDS`` setting runs again after the same command with
+    other options, and the last ``OTHER_OPTIONS`` setting runs at the default
+    ``--snr`` just after ``--snr 5``; each of those runs matches a fresh process's.
+    """
+    settings = [[str(a) for a in argv] for argv in REPLAY_COMMANDS + OTHER_OPTIONS]
+    sequence = list(range(len(settings))) + list(range(len(REPLAY_COMMANDS)))
+    for step, i in enumerate(sequence):
+        assert main([*settings[i], "--output", str(tmp_path / f"in{step}.out")]) == 0
+    checked = list(enumerate(sequence))[len(settings) - 1:]
+    src_dir = os.path.dirname(os.path.dirname(sensedesign.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    for _, i in checked:
+        output = ["--output", str(tmp_path / f"fresh{i}.out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "sensedesign.cli", *settings[i], *output],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (settings[i], proc.stderr)
+
+    def config(path):
+        return {k: v for k, v in json.loads(path.read_text())["config"].items() if k != "output"}
+
+    for step, i in checked:
+        ours, fresh = tmp_path / f"in{step}.out", tmp_path / f"fresh{i}.out"
+        assert ours.read_bytes() == fresh.read_bytes(), settings[i]
+        assert config(tmp_path / f"in{step}.out.manifest.json") == config(
+            tmp_path / f"fresh{i}.out.manifest.json"
+        ), settings[i]
+    default_snr = config(tmp_path / f"in{len(settings) - 1}.out.manifest.json")["snr"]
+    assert default_snr == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
 
 
 def test_process_exit_codes(tmp_path):
