@@ -54,15 +54,30 @@ against it.  Its v < u triangle holds configurations outside the sorted
 enumeration (the block already has each as (v, u)), so it is +inf, and
 neither the minimum nor the pick can land there.
 
-The rows and columns of a whole group are built in one pass per side window
-(one that holds u or v but not both): the block resultants are summed from
-the gathered member phasors one member at a time, in window order (Python's
-``sum`` order), and S is one ``_pair_sum`` call on that (blocks, 1) array.
-Every window term, S and Re(conj(r) P) = Re r Re P + Im r Im P alike, is
-built from real products, sums and differences, each rounded on its own,
-so a batched window gives the same bits as a scalar resultant per block.
-When every fixed position is a key (K = 4 at n = 5), each group holds one
-block.
+The rows and columns of a whole group are built one side window (one that
+holds u or v but not both) at a time.  At K = n-1 a u-only and a v-only
+window hold the same fixed angles; their one line is maxed into both.  The
+block resultants are summed from the gathered member phasors one member at
+a time, in window order (Python's ``sum`` order), and S is one
+``_pair_sum`` call on that (blocks, 1) array.  Every window term, S and
+Re(conj(r) P) = Re r Re P + Im r Im P alike, is built from real products,
+sums and differences, each rounded on its own, so a batched window gives
+the same bits as a scalar resultant per block.  When every fixed position
+is a key (K = 4 at n = 5), each group holds one block.
+
+A window that holds at most one outer angle depends on the block through
+that angle alone, so it is scored once per search, over the full grid of
+free angles.  The pair window that holds none (the pinned 0 alone at K = 3,
+the empty window at K = 2) is one g x g u-v part, and each group's table
+takes its [r0:, r0:] slice, r0 the last fixed angle, for that window.  A side
+window with at most one outer member is one table of lines, row j its line
+with that member on grid point j (a single row when it holds the pinned 0
+alone); each group gathers its blocks' rows with one fancy index, sliced at
+r0.  At n = 5, K = 3 that is the v-only window (0, a): 180 lines, where a
+line per block in every group would be ~1M entries.  The bits do not move:
+each entry is the same elementwise formula on the same inputs, a slice of a
+full-grid line equals the line computed on that slice, and max and min only
+select.
 
 Only the blocks that can still tie the minimum are scored in full.  Each
 block's minimum is at least its bound
@@ -114,8 +129,10 @@ from .core import AngleSet, SpectralSummary, SubsetSelection, _check_int, _pair_
 
 # hard ceiling on the grid configurations a search covers
 EVALUATION_GUARD = 1_000_000_000
-# hard ceiling on the grid search's g x g tables: they peak at about 25 bytes
-# per entry (measured), so ~420 MB at this ceiling, g = 4096
+# hard ceiling on the grid search's g x g tables (the u-v term, the u-v part and
+# the lines scored once per search, a group's table, a chunk): their tracemalloc
+# peak at g = 1024 is about 40 bytes per entry at n = 4, K = 3 and 32 at n = 3,
+# so ~540 MB at this ceiling, g = 4096, where only n = 3 is under EVALUATION_GUARD
 _TABLE_ENTRIES = 1 << 24
 # lines closer than this (radians, mod pi) are one line for the tie rule
 LINE_TOL = 1e-12
@@ -124,7 +141,8 @@ TIE_TOL = 1e-12
 # sweep cap of the coordinate descent after the grid pick (see _refine)
 _REFINE_SWEEPS = 200
 # the grid search scores a group's blocks in chunks of about this many values
-_CHUNK_ELEMENTS = 1 << 16
+# (small, so that a chunk adds little to the tables' memory)
+_CHUNK_ELEMENTS = 1 << 14
 EPS = sys.float_info.epsilon
 
 
@@ -248,7 +266,11 @@ def grid_evaluations(config: MinimaxSearchConfig) -> int:
 
 
 def _check_budget(config: MinimaxSearchConfig) -> None:
-    """Raise ResourceLimitError when ``config``'s grid search exceeds EVALUATION_GUARD or _TABLE_ENTRIES."""
+    """Raise ResourceLimitError when ``config``'s grid search exceeds EVALUATION_GUARD or _TABLE_ENTRIES.
+
+    Every table the search holds has at most g x g entries, so the one
+    ceiling on g * g bounds them all.
+    """
     g = config.grid_points_per_angle
     total = grid_evaluations(config)
     if total > EVALUATION_GUARD:
@@ -269,18 +291,25 @@ def _window_split(n: int, k: int) -> tuple[list, list, list]:
     Sorted, the n-2 fixed angles (pinned 0, then the outer tuple) come first
     and the free pair u <= v last; by the arc argument the worst subset is
     one of the n circular windows.  A pair window holds both u (position
-    n-2) and v (position n-1) and is listed by its fixed positions; a side
-    window holds at most one of them and is listed as (fixed positions,
-    holds u, holds v).  The key positions are the fixed positions the pair
-    windows read, plus the last fixed angle, where u and v start.
+    n-2) and v (position n-1) and is listed by its fixed positions.  The
+    other windows are side windows, listed once per set of fixed positions
+    as (fixed positions, some window holds u, some window holds v): at
+    K = n-1 a u-only and a v-only window hold the same fixed angles, and
+    their one line feeds both the u rows and the v columns.  The key
+    positions are the fixed positions the pair windows read, plus the last
+    fixed angle, where u and v start.
     """
     m = n - 2
     windows = sorted({tuple(sorted((p + j) % n for j in range(k))) for p in range(n)})
-    split = [([q for q in w if q < m], m in w, m + 1 in w) for w in windows]
+    split = [(tuple(q for q in w if q < m), m in w, m + 1 in w) for w in windows]
     pair = [own for own, has_u, has_v in split if has_u and has_v]
-    side = [(own, has_u, has_v) for own, has_u, has_v in split if not (has_u and has_v)]
+    side = {}
+    for own, has_u, has_v in split:
+        if not (has_u and has_v):
+            u, v = side.get(own, (False, False))
+            side[own] = (u or has_u, v or has_v)
     keys = sorted({m - 1, *(q for own in pair for q in own)})
-    return pair, side, keys
+    return pair, [(own, u, v) for own, (u, v) in side.items()], keys
 
 
 def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -302,38 +331,84 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
     cross = (phasor[:, None] * phasor.conj()).real.copy()  # contiguous, the product freed
     cross[np.tril_indices(g, -1)] = math.inf
 
-    def sides(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u rows and v columns (blocks, w) of one group, one pass per side window.
+    def side_line(own: Sequence[int], members, free: np.ndarray | None) -> np.ndarray:
+        """S of a side window with each free angle in ``free``, or of its fixed members alone when None.
 
-        The resultants are summed member by member in window order, as
-        Python's sum does for one block, so each block gets its scalar bits.
+        ``members[q]`` holds position q's phasors as a column, one row per
+        block or per grid value.  They are summed member by member in window
+        order, as Python's sum does for one block, so each row gets its
+        scalar bits.
         """
-        free = phasor[group[0, -1] :]
+        r = members[own[0]]
+        for q in own[1:]:
+            r = r + members[q]
+        s = _pair_sum(len(own), r)
+        if free is None:
+            return s
+        line = r.real * free.real  # Re(conj(r) P) + s, summed in place (a sum commutes bit for bit)
+        line += r.imag * free.imag
+        line += s
+        return line
+
+    def pair_part(own: Sequence[int], block: Sequence[int], free: np.ndarray) -> np.ndarray:
+        """A pair window's u-v term over the free angles ``free``, from the block's scalar resultant."""
+        r = sum(ph[block[q]] for q in own)
+        a = r.real * free.real + r.imag * free.imag  # Re(conj(r) P) for each free angle P
+        return (_pair_sum(len(own), r) + a)[:, None] + a
+
+    count = math.comb(g + n - 4, n - 3)
+    fixed = np.zeros((count, n - 2), dtype=np.intp)
+    outer = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), n - 3))
+    fixed[:, 1:] = np.fromiter(outer, np.intp, count * (n - 3)).reshape(count, -1)
+    # sorted by their values at the key positions, the blocks of each group (one
+    # u-v table) form a run; each run is gathered through order, so fixed stays
+    # the only full copy of the blocks
+    order = np.lexsort(fixed[:, keys].T)
+    starts = np.flatnonzero(np.diff(fixed[order[:, None], keys], axis=0).any(axis=1)) + 1
+    bounds = [0, *starts.tolist(), count]
+
+    # scored once per search (see the module notes): the one pair window that holds
+    # no outer angle (K <= 3) as a full-grid u-v part, and each side window that
+    # holds at most one as a table of lines, row j for that member on grid point j;
+    # built after the grouping, so they take the memory its temporaries freed
+    base = next((pair_part(own, [0], phasor) for own in pair if not any(own)), None)
+    pair = [own for own in pair if any(own)]
+    by_value = [phasor[:1, None], *[phasor[:, None]] * (n - 3)]  # position q's phasors, a row per grid value
+    lines = {
+        own: side_line(own, by_value, phasor)
+        for own, has_u, has_v in side
+        if (has_u or has_v) and sum(map(bool, own)) <= 1
+    }
+
+    def sides(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u rows and v columns (blocks, w) of one group, one pass or one gather per side window."""
+        r0 = group[0, -1]
+        free = phasor[r0:]
         rows, cols = np.full((2, len(group), len(free)), -math.inf)
         members = phasor[group.T][..., None]  # (position, block, 1)
         for own, has_u, has_v in side:
-            r = members[own[0]]
-            for q in own[1:]:
-                r = r + members[q]
-            s = _pair_sum(len(own), r)
             if not (has_u or has_v):  # a constant; folding it into the u rows is exact
-                np.maximum(rows, s, out=rows)
+                np.maximum(rows, side_line(own, members, None), out=rows)
                 continue
-            target = rows if has_u else cols
-            np.maximum(target, s + (r.real * free.real + r.imag * free.imag), out=target)
+            # a tabulated line is its outer member's row (the pinned 0's is row 0), sliced at r0
+            line = lines[own][group[:, own[-1]], r0:] if own in lines else side_line(own, members, free)
+            for target in [rows] * has_u + [cols] * has_v:
+                np.maximum(target, line, out=target)
+            del line  # freed before the next window's line is built
         return rows, cols
 
     def table_of(block: Sequence[int]) -> np.ndarray:
-        """The u-v table (u, v) that a block shares with its group."""
+        """The u-v table (u, v) that a block shares with its group.
+
+        The running maximum is kept in the latest pair window's fresh part,
+        so ``base`` is only read.
+        """
         r0 = block[-1]
-        free = phasor[r0:]
-        table = np.full((g - r0, g - r0), -math.inf)
+        table = None if base is None else base[r0:, r0:]
         for own in pair:
-            r = sum(ph[block[q]] for q in own)
-            a = r.real * free.real + r.imag * free.imag  # Re(conj(r) P) for each free angle P
-            np.maximum(table, (_pair_sum(len(own), r) + a)[:, None] + a, out=table)
-        table += cross[r0:, r0:]
-        return table
+            part = pair_part(own, block, phasor[r0:])
+            table = part if table is None else np.maximum(table, part, out=part)
+        return np.add(table, cross[r0:, r0:], out=table if pair else None)
 
     def score(group: np.ndarray, ceiling: float) -> np.ndarray:
         """Each block's minimum where its bound is at or below ``ceiling``, else the bound."""
@@ -355,16 +430,6 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
             bound[chunk] = np.maximum(cols[chunk], under.min(axis=1)).min(axis=1)
         return bound
 
-    count = math.comb(g + n - 4, n - 3)
-    fixed = np.zeros((count, n - 2), dtype=np.intp)
-    outer = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), n - 3))
-    fixed[:, 1:] = np.fromiter(outer, np.intp, count * (n - 3)).reshape(count, -1)
-    # sorted by their values at the key positions, the blocks of each group (one
-    # u-v table) form a run; each run is gathered through order, so fixed stays
-    # the only full copy of the blocks
-    order = np.lexsort(fixed[:, keys].T)
-    starts = np.flatnonzero(np.diff(fixed[:, keys][order], axis=0).any(axis=1)) + 1
-    bounds = [0, *starts.tolist(), count]
     minima = np.empty(count)
     # the smallest exact minimum so far, seeded with the uniform layout's block
     # scored by the same scorer, so it is a real block's computed minimum;

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ from sensedesign import (
     spectral_summary,
     worst_subset,
 )
+from sensedesign import search
 from sensedesign.cli import main
 from sensedesign.search import _TABLE_ENTRIES, _check_budget, _grid_search, _refine, _window_split
 
@@ -210,7 +212,11 @@ class TestGridSearch:
          # n >= 6g: rounding instead of floor would put the seed's last entry on g
          (12, 3, 2), (13, 3, 2),
          # the uniform seed block is far above the minimum
-         (6, 3, 7), (5, 4, 7)],
+         (6, 3, 7), (5, 4, 7),
+         # K = n-1: the u-only and v-only windows share one line of four fixed angles
+         (6, 5, 12), (7, 6, 6),
+         # a tabulated v line, (pinned 0, first outer), and a u line scored per group
+         (7, 3, 10)],
     )
     def test_grouped_tables_match_per_block_oracle(self, n, k, g):
         # the blocks that can tie the minimum are scored exactly, the rest keep
@@ -290,6 +296,27 @@ class TestGridSearch:
         monkeypatch.setattr(np, "maximum", counted)
         _grid_search(5, 3, 180)
         assert 0 < sum(scored) <= 160, sum(scored)
+
+    @pytest.mark.parametrize("n, k, tabulated, per_block", [(5, 3, 1, 1), (4, 3, 1, 0), (5, 4, 0, 1)])
+    def test_side_lines_are_scored_once_per_member_set(self, monkeypatch, n, k, tabulated, per_block):
+        # Counts the resultants scored for the side windows that hold one free
+        # angle (k - 1 fixed ones).  At K = 3 the v-only window holds the pinned 0
+        # and the first outer angle, so its line is tabulated once over that
+        # angle's g values, not scored per block; at n = 4 the u-only window holds
+        # the same two and shares the line.  The n = 5 u-only window (two outer
+        # angles), and at K = 4 the one member set that the u-only and v-only
+        # windows share, are scored once for each block, the seed and the pick.
+        g = 30
+        scored = collections.Counter()
+        pair_sum = search._pair_sum
+
+        def counted(size, resultant):
+            scored[size] += np.size(resultant)
+            return pair_sum(size, resultant)
+
+        monkeypatch.setattr(search, "_pair_sum", counted)
+        blocks = len(_grid_search(n, k, g)[1])
+        assert scored[k - 1] == tabulated * g + per_block * (blocks + 2)
 
     def test_grid_is_enumerated_once(self, monkeypatch):
         calls = []
