@@ -22,11 +22,12 @@ does not depend on the trial count, and trial order does not matter.
 Seeds are nonnegative ints.  The two public studies, ``simulate_estimation``
 and ``simulate_monitoring``, are sweeps: each takes a list of scenarios (a
 command runs all its designs in one call), returns one result per scenario,
-and draws each distinct table once, before any solve (monitoring picks
-every design's worst triple first, so a refused subset count draws
-nothing).  A table is fixed by its key, the scenario's trial count and its
-row width (K, or n for monitoring), and every design and row with the same
-three shares it.  The tables live only for the sweep call.
+and draws each distinct table once, after every design's worst subset is
+picked and before any recovery or solve (estimation also builds every
+recovery operator first), so a refused subset count or a rank-deficient
+worst subset draws nothing.  A table is fixed by its key, the scenario's
+trial count and its row width (K, or n for monitoring), and every design
+and row with the same three shares it.  The tables live only for the sweep call.
 
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which solves the readings of every design of a sweep, one
@@ -73,7 +74,6 @@ from .core import (
     _matrix,
     _resultant,
     _spectrum,
-    angles_to_matrix,
 )
 from .search import ResourceLimitError, WorstCaseReport, _first_tied, worst_subset
 
@@ -135,23 +135,47 @@ def _trial_noise(key: tuple[int, ...], trials: int, size: int) -> np.ndarray:
 
 
 def _recovery(angles: AngleSet, sel: SubsetSelection) -> np.ndarray:
-    """(A_S A_S^T)^-1 A_S, so x_hat = recover @ y; raises SingularSubsetError if rank deficient."""
+    """The recovery operator (A_S A_S^T)^-1 A_S in closed form; SingularSubsetError if rank deficient.
+
+    With G = A_S A_S^T = (K I + M) / 2 and M = [[Re R, Im R], [Im R, -Re R]],
+    M^2 = |R|^2 I, so G^-1 = (K I - M) / (2 lambda_min lambda_max): column i
+    of the result is G^-1 (cos t_i, sin t_i), from the K selected angles
+    alone and the (lambda_min, lambda_max) of ``_spectrum``, with no solve.
+    """
     k, r = _resultant(angles, sel)
-    lo, _, cond = _spectrum(k, r)
+    lo, hi, cond = _spectrum(k, r)
     if math.isinf(cond):
         raise SingularSubsetError(f"subset {sel.indices} is rank deficient (lambda_min={lo:.3e})")
-    return np.linalg.solve(_matrix(k, r), angles_to_matrix(angles)[:, list(sel.indices)])
+    t = np.asarray(angles.angles)[list(sel.indices)]
+    c, s = np.cos(t), np.sin(t)
+    return np.array([(k - r.real) * c - r.imag * s, (k + r.real) * s - r.imag * c]) / (2.0 * lo * hi)
+
+
+def _estimates(recover: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """x_hat (2, trials) for readings given sensor by sensor, columns (K, trials): column t is trial t's y.
+
+    Row j is recover[j, 0] * y_0 + recover[j, 1] * y_1 + ..., added left
+    to right with one rounded multiply and one rounded add a term, so every
+    trial gets the bits of a scalar evaluation of that sum, whatever the
+    BLAS build and the trials computed with it (pinned by tests).
+    """
+    out = np.empty((2, columns.shape[1]))
+    for j in range(2):
+        np.multiply(recover[j, 0], columns[0], out=out[j])
+        for i in range(1, len(columns)):
+            out[j] += recover[j, i] * columns[i]
+    return out
 
 
 def least_squares_estimate(
     angles: AngleSet, subset: SubsetSelection | Sequence[int], y: Sequence[float]
 ) -> np.ndarray:
-    """Least-squares recovery x_hat = (A_S A_S^T)^-1 A_S y."""
+    """Least-squares recovery x_hat = (A_S A_S^T)^-1 A_S y, through the estimation sweep's two helpers."""
     sel = SubsetSelection(subset)
     obs = np.asarray(y, dtype=float)
     if obs.shape != (sel.k,):
         raise ValueError(f"y must have shape ({sel.k},), got {obs.shape}")
-    return _recovery(angles, sel) @ obs
+    return _estimates(_recovery(angles, sel), obs[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -179,16 +203,6 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return scale * float(values.mean()), scale * float(se)
 
 
-def _estimates(recover: np.ndarray, readings: np.ndarray) -> np.ndarray:
-    """x_hat = recover @ y for every row y of readings (trials, K), one (2, K) @ (K, 1) product a row.
-
-    The rows come out with the bits of ``least_squares_estimate`` on each
-    row alone (pinned by ``test_batched_recovery_matches_per_row``); a single
-    (trials, K) @ (K, 2) product rounds differently.
-    """
-    return np.matmul(recover, readings[:, :, None])[:, :, 0]
-
-
 def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[EstimationResult]:
     """Average squared recovery error on each scenario's worst-conditioned subset.
 
@@ -196,20 +210,25 @@ def simulate_estimation(scenarios: Sequence[EstimationScenario]) -> list[Estimat
     (A_S A_S^T)^-1 A_S w is free of the signal x, so each trial recovers its
     unit-noise row; the result holds the mean squared error, its standard
     error and the closed form trace(G^-1) = K / (lambda_min * lambda_max) of
-    the worst subset's Gram matrix G, all per unit noise variance.  Each
-    noise table is drawn once: a table depends only on its ``_trial_noise``
-    key (seed,), the trial count and the row width K, so scenarios that
-    share all three share it.
+    the worst subset's Gram matrix G, all per unit noise variance.  Every
+    scenario's worst subset and recovery operator come before the noise
+    tables, so a rank-deficient subset raises SingularSubsetError with
+    nothing drawn.  Each noise table is drawn once, and transposed once to
+    one row per sensor: a table depends only on its ``_trial_noise`` key
+    (seed,), the trial count and the row width K, so scenarios that share
+    all three share it.
     """
-    tables = {key: _trial_noise(*key) for key in {((s.seed,), s.trials, s.k) for s in scenarios}}
-    results = []
+    studies = []
     for scenario in scenarios:
         report = worst_subset(scenario.angles, scenario.k)
-        sel = report.worst_subset
-        recover = _recovery(scenario.angles, sel)
-        errors = _estimates(recover, tables[(scenario.seed,), scenario.trials, scenario.k])
-        mse, se = _mean_and_se(np.sum(errors**2, axis=1))
-        expected = sel.k / (report.summary.lambda_min * report.summary.lambda_max)
+        studies.append((scenario, report, _recovery(scenario.angles, report.worst_subset)))
+    keys = {((s.seed,), s.trials, s.k) for s in scenarios}
+    tables = {key: np.ascontiguousarray(_trial_noise(*key).T) for key in keys}
+    results = []
+    for scenario, report, recover in studies:
+        e0, e1 = _estimates(recover, tables[(scenario.seed,), scenario.trials, scenario.k])
+        mse, se = _mean_and_se(e0 * e0 + e1 * e1)
+        expected = scenario.k / (report.summary.lambda_min * report.summary.lambda_max)
         results.append(EstimationResult(mse=mse, std_error=se, expected_mse=expected, report=report))
     return results
 

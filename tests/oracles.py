@@ -2,7 +2,8 @@
 
 The library evaluates every 2x2 spectrum through one resultant kernel.
 These oracles take the long way round (pairwise cosines, assembled
-matrices, trace and half-gap eigenvalues) so tests can compare the two.
+matrices, trace and half-gap eigenvalues, a linear solve for the
+closed-form recovery operator) so tests can compare the two.
 The grid search's per-block evaluator is kept here too, as the reference
 its grouped tables must match bit for bit, and so is a row-at-a-time
 draw of the noise tables, which the one-call tables must match, and the
@@ -51,6 +52,13 @@ def gram_eigenvalues_direct(angles, idx) -> tuple[float, float]:
         g01 += c * s
         g11 += s * s
     return eigenvalues_2x2([[g00, g01], [g01, g11]])
+
+
+def recovery_solve(angles, idx) -> np.ndarray:
+    """(A_S A_S^T)^-1 A_S by an LAPACK solve on the Gram matrix assembled from the selected columns."""
+    t = np.asarray(angles.angles)[list(idx)]
+    cols = np.vstack([np.cos(t), np.sin(t)])
+    return np.linalg.solve(cols @ cols.T, cols)
 
 
 def fim_matrix_direct(scenario, idx, prefactor=1.0) -> np.ndarray:

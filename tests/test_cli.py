@@ -353,6 +353,16 @@ class TestSimulateMonitoring:
         assert "resource limit" in capsys.readouterr().err
 
 
+def test_rank_deficient_worst_pair_exits_2_before_any_draw(tmp_path, monkeypatch, capsys):
+    # design_optimal(4)'s worst pair (0, 2) is singular: refused with no table drawn
+    draws = []
+    monkeypatch.setattr(sensedesign.simulate, "_trial_noise", lambda *args: draws.append(args))
+    out = tmp_path / "e.csv"
+    assert run(tmp_path, "simulate-estimation", "--k", 2, "--output", out) == 2
+    assert draws == [] and not out.exists()
+    assert "subset (0, 2) is rank deficient" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, draws",
     [

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
-from oracles import fim_matrix_direct, grid_start, node_readings, trial_noise, worst_fim_direct
+from oracles import (
+    fim_matrix_direct,
+    grid_start,
+    node_readings,
+    recovery_solve,
+    trial_noise,
+    worst_fim_direct,
+)
 from scipy.optimize import least_squares, minimize
 
 import sensedesign.simulate
@@ -398,9 +405,48 @@ class TestWorstCaseMse:
                 clean = [9.0 * (math.cos(angles.angles[i]) + math.sin(angles.angles[i])) for i in sel.indices]
                 readings = clean + sim._trial_noise((n, k), 200, k)
                 want = np.array([least_squares_estimate(angles, sel, y) for y in readings])
-                assert sim._estimates(recover, readings).tobytes() == want.tobytes(), (n, k, angles.raw)
+                assert sim._estimates(recover, readings.T).T.tobytes() == want.tobytes(), (n, k, angles.raw)
                 checked += 1
         assert checked == 87  # of 98: design_optimal's worst pair is singular for every n >= 4 but 5
+
+    def test_recovery_sums_are_scalar_sums(self):
+        # each trial's x_hat_j is sum_i recover[j][i] * y[i] in Python floats, left to right: no BLAS kernel
+        # and no fused multiply-add, so the bits do not depend on the numpy build
+        sim = sensedesign.simulate
+        checked = 0
+        for n, k in ((n, k) for n in range(3, 16) for k in range(2, min(n, 5) + 1)):
+            for angles in (design_optimal(n), baseline_semicircle(n)):
+                try:
+                    recover = sim._recovery(angles, worst_subset(angles, k).worst_subset)
+                except SingularSubsetError:
+                    continue
+                noise = sim._trial_noise((n, k), 50, k)
+                got = sim._estimates(recover, np.ascontiguousarray(noise.T)).T.tolist()
+                rows = recover.tolist()
+                want = [[sum(rows[j][i] * y[i] for i in range(k)) for j in (0, 1)] for y in noise.tolist()]
+                assert got == want, (n, k, angles.raw)
+                checked += 1
+        assert checked == 87
+
+    def test_recovery_matches_the_solve(self):
+        # the closed form (K I - M) A_S / (2 lambda_min lambda_max) against solve(A_S A_S^T, A_S), to within
+        # 8 units of roundoff times the condition number (60,000 such cases peaked at 1.9), on designs from
+        # tight to nearly singular
+        rng = np.random.default_rng(12)
+        eps = np.finfo(float).eps
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            base = rng.uniform(0.0, math.pi)
+            spread = 10.0 ** rng.uniform(-6.0, 0.5)
+            angles = AngleSet(base + spread * rng.uniform(0.0, 1.0, n))
+            idx = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist())
+            summary = spectral_summary(angles, idx)
+            if math.isinf(summary.gram_condition):
+                continue
+            got = sensedesign.simulate._recovery(angles, SubsetSelection(idx))
+            want = recovery_solve(angles, idx)
+            tol = 8 * eps * summary.gram_condition * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol, err_msg=str((angles.raw, idx)))
 
     def test_sweep_matches_single_scenarios(self):
         # neighbours that differ only in seed, trials or K must not share a noise table
@@ -414,6 +460,20 @@ class TestWorstCaseMse:
         assert len(results) == len(scenarios) == 12
         for scenario, result in zip(scenarios, results):
             assert result == simulate_estimation([scenario])[0], scenario
+
+    def test_singular_worst_subset_draws_nothing(self, monkeypatch):
+        # design_optimal(4)'s worst pair (0, 2) is rank deficient: every scenario's operator is built before
+        # the first table is drawn, so the call raises with no draw, though a good scenario comes first
+        draws = []
+        draw = sensedesign.simulate._trial_noise
+        monkeypatch.setattr(sensedesign.simulate, "_trial_noise", lambda *a: draws.append(a) or draw(*a))
+        good = EstimationScenario(angles=design_optimal(5), k=2, trials=20)
+        bad = EstimationScenario(angles=design_optimal(4), k=2, trials=20)
+        with pytest.raises(SingularSubsetError, match=r"\(0, 2\)"):
+            simulate_estimation([good, bad])
+        assert draws == []
+        simulate_estimation([good])
+        assert draws == [((0,), 20, 2)]
 
     def test_singular_worst_subset_raises(self):
         with pytest.raises(SingularSubsetError):
