@@ -117,8 +117,12 @@ def angles_to_matrix(angles: AngleSet) -> np.ndarray:
 def _resultant(
     angles: AngleSet, subset: SubsetSelection | Sequence[int]
 ) -> tuple[int, complex]:
-    """(K, R) of a subset: its size and the sum of exp(2i t_j), in index order."""
-    sel = SubsetSelection(subset)
+    """(K, R) of a subset: its size and the sum of exp(2i t_j), in index order.
+
+    A ``SubsetSelection`` is used as given (its indices were checked when it
+    was built); any other sequence is wrapped, and checked, first.
+    """
+    sel = subset if isinstance(subset, SubsetSelection) else SubsetSelection(subset)
     _check_range(sel, angles.n)
     return sel.k, sum(cmath.exp(2j * angles.angles[i]) for i in sel.indices)
 

@@ -15,6 +15,7 @@ from sensedesign import (
     normalize_angle,
     spectral_summary,
 )
+from sensedesign import core
 from sensedesign.core import _pair_sum
 
 finite_angles = st.floats(
@@ -184,6 +185,31 @@ class TestEigenvalues:
         assert closed[1] == pytest.approx(direct[1], abs=1e-10)
         # trace identity: the two eigenvalues always sum to K
         assert closed[0] + closed[1] == pytest.approx(3.0, abs=1e-12)
+
+
+class TestResultant:
+    def test_selection_is_used_as_given(self, monkeypatch):
+        # a SubsetSelection was checked when it was built: the same bits, no second
+        # construction, and the range against the angle count is still checked
+        angles = design_optimal(9)
+        sel = SubsetSelection([1, 4, 7])
+        expected = repr(core._resultant(angles, [1, 4, 7]))
+        built = []
+        init = SubsetSelection.__init__
+
+        def counted(self, indices):
+            built.append(indices)
+            init(self, indices)
+
+        monkeypatch.setattr(SubsetSelection, "__init__", counted)
+        assert repr(core._resultant(angles, sel)) == expected
+        assert built == []
+        with pytest.raises(IndexError, match="out of range for 5 items"):
+            core._resultant(design_optimal(5), sel)
+        assert repr(core._resultant(angles, (1, 4, 7))) == expected
+        assert built == [(1, 4, 7)]  # any other sequence is wrapped, and checked, once
+        with pytest.raises(ValueError, match="strictly increasing"):
+            core._resultant(angles, [4, 1, 7])
 
 
 class TestSpectralSummary:

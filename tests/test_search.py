@@ -7,7 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import TIE_TOL, grid_block_search, pair_cosine_sum_loop
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import TIE_TOL, grid_block_search, pair_cosine_sum_loop, refine_plain
 
 from sensedesign import (
     AngleSet,
@@ -427,6 +429,78 @@ class TestLocalRefine:
         after = worst_subset(_refine(start, 3, 0.05), 3).objective
         assert after < before
         assert after == pytest.approx(-1.5, abs=1e-6)
+
+
+# lines at and next to the ends of [0, pi): the line just below pi is the line at 0
+WRAP_ANGLES = [0.0, 5e-13, 1e-9, math.pi / 2, math.pi - 1e-9, math.pi - 5e-13, math.nextafter(math.pi, 0.0)]
+
+
+@st.composite
+def refine_starts(draw):
+    """(start, K, step): n 3..8, K 2..n, step 1e-11..0.1, angles uniform, grid-snapped or at the wrap."""
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(2, n))
+    step = 10.0 ** draw(st.floats(-11.0, -1.0))
+    kind = draw(st.sampled_from(["uniform", "grid", "wrap"]))
+    if kind == "uniform":
+        angles = draw(st.lists(st.floats(0.0, math.pi, exclude_max=True), min_size=n, max_size=n))
+    elif kind == "grid":  # coincident lines, equal bit for bit
+        g = draw(st.integers(2, 12))
+        angles = [j * (math.pi / g) for j in draw(st.lists(st.integers(0, g - 1), min_size=n, max_size=n))]
+    else:
+        angles = draw(st.lists(st.sampled_from(WRAP_ANGLES), min_size=n, max_size=n))
+    return AngleSet(angles), k, step
+
+
+class TestScreenedRefine:
+    """``_refine`` screens its trials in one numpy pass; it must decide as the plain loop does."""
+
+    @given(refine_starts())
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    # the first trial is accepted by less than the scans' rounding: a screen without slack skips it
+    @example((AngleSet([1.8702584284753314, 1.7093608038059234, 2.068989658798558]), 3, 0.03783360567233552))
+    # a move mid-sweep: a later trial that the screen refused for the old angles is accepted
+    @example(
+        (
+            AngleSet([2.243994752564138, 2.6927937030769655, 0.0, 2.243994752564138, 0.8975979010256552]),
+            3,
+            0.06417590444781414,
+        )
+    )
+    def test_matches_plain_loop(self, case):
+        start, k, step = case
+        assert _refine(start, k, step).angles == refine_plain(start, k, step).angles
+
+    # the CI grid picks where refinement moves; the tied plateau where it stalls
+    # (5,2,9) and the 180-point picks, where it moves nothing
+    @pytest.mark.parametrize(
+        "n, k, g, moves",
+        [
+            (3, 3, 7, True),
+            (4, 4, 9, True),
+            (5, 4, 9, True),
+            (5, 2, 9, False),
+            (4, 3, 180, False),
+            (5, 3, 180, False),
+        ],
+    )
+    def test_grid_picks_match_plain_loop(self, n, k, g, moves):
+        start = grid_pick(n, k, g)
+        refined = _refine(start, k, math.pi / g)
+        assert refined.angles == refine_plain(start, k, math.pi / g).angles
+        assert (refined.angles != start.angles) == moves
+
+    @pytest.mark.parametrize("n, most", [(5, 20), (3, 1)])
+    def test_scans_little_at_paper_scale(self, monkeypatch, n, most):
+        # at 180 points nothing moves: n = 5 screens its ~35 halving sweeps at
+        # once and scans only the trials the screen cannot settle; at n = 3 the
+        # start already sits on the -K/2 floor, so only the start is scanned
+        start = grid_pick(n, 3, 180)
+        scans = []
+        scan = search._worst_window
+        monkeypatch.setattr(search, "_worst_window", lambda a, k: scans.append(a) or scan(a, k))
+        assert _refine(start, 3, math.pi / 180).angles == start.angles
+        assert 1 <= len(scans) <= most
 
 
 FOUR = AngleSet([0.0, 1.0, 2.0, 2.5])
