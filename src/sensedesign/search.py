@@ -103,22 +103,10 @@ bit and prune a tied block.  At n = 5, K = 3 on 180 points 154 of the
 falls and never drops below the final one, so every block tied with the
 final minimum was scored exactly, and the minimum, the tied set and the
 pick are those of the full search.  The minima are written back in
-enumeration order, and the coarse pick follows the same tie rule: the first
+enumeration order, and the pick follows the same tie rule: the first
 block in enumeration order whose minimum is within TIE_TOL of the smallest
 (``_tie_floor``), re-scored by the same scorer, then its first row-major
 (u, v) at or below that ceiling.
-
-``_refine`` then polishes the pick by coordinate descent on a fixed budget,
-at most _REFINE_SWEEPS sweeps from a step of one grid spacing, pi / g: on a
-coarse grid it leaves the grid (n = 3 at g = 7 goes from -1.346 to the
-closed form -1.5), and at 180 points with K = 3 it moves nothing for n <= 5.
-Proving that was most of its cost, ~35 halving sweeps of 2n scans each, so
-it screens first: the trials of the whole halving schedule are scored in one
-numpy pass, and only those that the screen, with a derived rounding slack,
-cannot show to be refused take the scalar scan.  A start whose tie floor is
-at or below -K/2, the least S any scan can compute, is returned at once
-(n = 3, K = 3).  The decisions, and so the angles, are the plain loop's; at
-n = 5, K = 3 on 180 points 10 of its 350 trials are scanned.
 """
 
 from __future__ import annotations
@@ -145,8 +133,6 @@ _TABLE_ENTRIES = 1 << 24
 LINE_TOL = 1e-12
 # relative tolerance of the tie rule (see _tie_floor)
 TIE_TOL = 1e-12
-# sweep cap of the coordinate descent after the grid pick (see _refine)
-_REFINE_SWEEPS = 200
 # the grid search scores a group's blocks in chunks of about this many values
 # (small, so that a chunk adds little to the tables' memory)
 _CHUNK_ELEMENTS = 1 << 14
@@ -320,10 +306,10 @@ def _window_split(n: int, k: int) -> tuple[list, list, list]:
 
 
 def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """(coarse grid tuple, per-block minimum or bound in enumeration order); see the module notes.
+    """(grid tuple, per-block minimum or bound in enumeration order); see the module notes.
 
     A block is every (*fixed, u, v) with fixed = (0, *outer) and grid points
-    fixed[-1] <= u <= v < g.  The coarse tuple is the first configuration in
+    fixed[-1] <= u <= v < g.  The grid tuple is the first configuration in
     enumeration order whose worst S is tied with the smallest (``_tie_floor``).
     The second value holds, for each block, its smallest worst-window S where
     that is at or below the final tie ceiling (so its minimum is the global
@@ -459,105 +445,17 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def minimax_grid_search(config: MinimaxSearchConfig) -> tuple[AngleSet, WorstCaseReport]:
-    """Exhaustive minimax over the gauge-fixed, sorted angle grid, then ``_refine`` from its pick.
+    """Exhaustive minimax over the gauge-fixed, sorted angle grid: the best design on the grid.
 
-    Returns the refined configuration and its worst-subset report.  The
-    coarse configuration is the first in enumeration order (lexicographic
-    over sorted tuples, row-major within each block) whose worst S lies
-    within TIE_TOL of the minimum, so ties do not hinge on rounding.
-    ``_refine`` starts from it with one grid step, pi / g.
+    Returns the grid's pick and its worst-subset report.  The pick is the
+    first configuration in enumeration order (lexicographic over sorted
+    tuples, row-major within each block) whose worst S lies within TIE_TOL
+    of the minimum, so ties do not hinge on rounding.  Its worst S is the
+    grid's minimum to within TIE_TOL, and so an upper bound on the minimax
+    over all designs.
     """
     _check_budget(config)
     g = config.grid_points_per_angle
     grid, _ = _grid_search(config.n, config.k, g)
-    refined = _refine(AngleSet(np.array(grid) * (math.pi / g)), config.k, math.pi / g)
-    return refined, worst_subset(refined, config.k)
-
-
-def _refine(angles: AngleSet, k: int, step: float) -> AngleSet:
-    """Coordinate descent on the worst-subset objective, at most _REFINE_SWEEPS sweeps.
-
-    Each sweep tries +-step on every angle and keeps a move only when its
-    worst S lies below the tie floor of the current one (``_tie_floor``):
-    the reported S of a tied subset can sit up to TIE_TOL below the largest,
-    so a smaller gain is tie noise, not an improvement.  The step halves
-    after a sweep with no improvement, and the descent stops once it is
-    below 1e-12.  The objective never increases, but tied plateaus (where
-    any single-angle move leaves some maximizing subset untouched) are
-    fixed points.
-
-    Most trials are refused, so they are screened first; the decisions, and
-    so the angles returned, are those of the plain loop.  A computed S is
-    never below -K/2 (0.5 * (x - K) with x >= 0 rounds to at least -K/2), so
-    when the start's tie floor is at or below -K/2 nothing can be accepted
-    and the start is returned at once.  Otherwise, while no move is
-    accepted, the rest of the run is fixed: the same angles, the step halved
-    each sweep.  All trials of that schedule are scored in one numpy pass
-    (in chunks of about _CHUNK_ELEMENTS values): each row reduced mod pi as
-    ``normalize_angle`` does and sorted, its n windows taken from one
-    cumulative sum of np.exp phasors, smax the largest window S.  A trial is
-    skipped when its row is clean (every sorted gap, the wrap gap too,
-    exactly 0 or above 2 * LINE_TOL, so both scans see the same lines and
-    each candidate holds its window's angles) and smax - slack is at or
-    above the current tie floor, slack = rounding + TIE_TOL * max(1, |smax|
-    + rounding).  The bound: every phasor component, np.exp's or
-    cmath.exp's, is within 2 EPS of exact, and cumulative sums run over at
-    most n + K terms, so each resultant component of either scan is within
-    2 (n + K)^2 EPS of exact and each computed S within e = 4 K^2 (n + K)^2
-    EPS.  The scalar scan's largest window is then at least smax - 2e, the
-    candidate re-scored from it at least smax - 4e, and the one the tie
-    rule picks at most TIE_TOL * max(1, |smax| + 4e) below that; rounding =
-    8e also covers the rounding of the floors and of the test itself.  A
-    trial not skipped, and every trial after an accepted move in its sweep,
-    takes the scalar path in the plain order.  A screen pays only while the
-    run stalls, so one is built at the start and then only after two sweeps
-    in a row without a move; in between, every trial is scalar.
-    """
-    current = list(angles.angles)
-    best = _pair_sum(k, _worst_window(angles, k)[1])
-    if _tie_floor(best) <= -0.5 * k:
-        return AngleSet(current)
-    n = len(current)
-    rounding = 32.0 * k * k * (n + k) ** 2 * EPS
-    masks = []  # per sweep, [i][sign] True for the +-step trials that cannot be accepted
-    quiet = 2  # sweeps in a row without a move; the start counts as a stall
-    for sweep in range(_REFINE_SWEEPS):
-        if not masks and quiet >= 2:
-            steps = [step]  # the schedule while no move is accepted, at most a chunk of it
-            limit = min(_REFINE_SWEEPS - sweep, _CHUNK_ELEMENTS // (2 * n * (n + k)) + 1)
-            while len(steps) < limit and steps[-1] * 0.5 >= 1e-12:
-                steps.append(steps[-1] * 0.5)
-            moved = np.fmod(np.array(current)[:, None, None] + np.multiply.outer(steps, [1.0, -1.0]), math.pi)
-            moved[moved < 0.0] += math.pi
-            moved[moved >= math.pi] = 0.0
-            t = np.tile(current, (len(steps), n, 2, 1))  # (sweep, i, sign, angles)
-            t[:, range(n), :, range(n)] = moved  # (i, sweep, sign)
-            t = np.sort(t.reshape(-1, n), axis=1)
-            gap = np.diff(np.column_stack([t, t[:, 0] + math.pi]), axis=1)
-            clean = ((gap == 0.0) | (gap > 2 * LINE_TOL)).all(axis=1)
-            ph = np.exp(2j * t)
-            csum = np.zeros((len(t), n + k), complex)
-            np.cumsum(np.column_stack([ph, ph[:, : k - 1]]), axis=1, out=csum[:, 1:])
-            smax = _pair_sum(k, csum[:, k:] - csum[:, :n]).max(axis=1)
-            slack = rounding + TIE_TOL * np.maximum(1.0, np.fabs(smax) + rounding)
-            masks = (clean & (smax - slack >= _tie_floor(best))).reshape(len(steps), n, 2).tolist()
-        skip = masks.pop(0) if masks else [[False, False]] * n
-        improved = False
-        for i in range(n):
-            for j, delta in enumerate((step, -step)):
-                if skip[i][j] and not improved:
-                    continue
-                trial = current.copy()
-                trial[i] += delta
-                trial = AngleSet(trial)
-                obj = _pair_sum(k, _worst_window(trial, k)[1])
-                if obj < _tie_floor(best):
-                    best, current, improved = obj, list(trial.angles), True
-        if improved:
-            masks, quiet = [], 0
-        else:
-            quiet += 1
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return AngleSet(current)
+    angles = AngleSet(np.array(grid) * (math.pi / g))
+    return angles, worst_subset(angles, config.k)

@@ -9,8 +9,6 @@ its grouped tables must match bit for bit, and so is a row-at-a-time
 draw of the noise tables, which the one-call tables must match, and the
 exhaustive scan of the localization grid start, which the pruned scan must
 match node for node, over node readings recomputed from the geometry.
-The plain coordinate-descent loop of the refinement after the grid pick is
-kept as well, which the screened one must match angle for angle.
 """
 
 import itertools
@@ -19,8 +17,8 @@ import math
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from sensedesign.core import AngleSet, _pair_sum
-from sensedesign.search import _REFINE_SWEEPS, _first_tied, _tie_floor, _worst_window
+from sensedesign.core import _pair_sum
+from sensedesign.search import _first_tied, _tie_floor
 
 TIE_TOL = 1e-12
 RANK_TOL_SCALE = 1e-12
@@ -140,32 +138,6 @@ def grid_block_search(n, k, g):
     ceiling = -_tie_floor(-float(minima.min()))
     u, v = divmod(int(np.argmax(block(fixed) <= ceiling)), g - fixed[-1])
     return minima, (*fixed, fixed[-1] + u, fixed[-1] + v)
-
-
-def refine_plain(angles, k, step):
-    """Coordinate descent on the worst-subset objective, every +-step trial scored by the scalar scan.
-
-    Each sweep tries +-step on every angle, keeps a move whose worst S lies
-    below the tie floor of the current one, and halves the step after a
-    sweep with none, stopping below 1e-12 or after _REFINE_SWEEPS sweeps.
-    """
-    current = list(angles.angles)
-    best = _pair_sum(k, _worst_window(angles, k)[1])
-    for _ in range(_REFINE_SWEEPS):
-        improved = False
-        for i in range(len(current)):
-            for delta in (step, -step):
-                trial = current.copy()
-                trial[i] += delta
-                trial = AngleSet(trial)
-                obj = _pair_sum(k, _worst_window(trial, k)[1])
-                if obj < _tie_floor(best):
-                    best, current, improved = obj, list(trial.angles), True
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return AngleSet(current)
 
 
 def trial_noise(key, trials, size) -> np.ndarray:

@@ -63,7 +63,7 @@ def test_criterion_1_eigenvalue_formulas_agree():
 
 
 def test_criterion_2_grid_search_attains_closed_form():
-    """Exhaustive 180-points-per-angle grid search plus refinement lands within
+    """Exhaustive 180-points-per-angle grid search lands within
     1e-4 of the closed-form placements for n = 3, 4, 5; n = 3 hits the
     analytic floor of -3/2 exactly."""
     start = time.monotonic()

@@ -7,9 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from oracles import TIE_TOL, grid_block_search, pair_cosine_sum_loop, refine_plain
+from oracles import TIE_TOL, grid_block_search, pair_cosine_sum_loop
 
 from sensedesign import (
     AngleSet,
@@ -27,7 +25,7 @@ from sensedesign import (
 )
 from sensedesign import search
 from sensedesign.cli import main
-from sensedesign.search import _TABLE_ENTRIES, _check_budget, _grid_search, _refine, _window_split
+from sensedesign.search import _TABLE_ENTRIES, _check_budget, _grid_search, _window_split
 
 
 def brute_worst(angles: AngleSet, k: int):
@@ -43,7 +41,7 @@ def brute_worst(angles: AngleSet, k: int):
 
 
 def grid_pick(n: int, k: int, g: int) -> AngleSet:
-    """The grid search's coarse pick, the configuration ``minimax_grid_search`` refines."""
+    """The grid search's pick, from ``_grid_search`` alone: what ``minimax_grid_search`` returns."""
     return AngleSet(np.array(_grid_search(n, k, g)[0]) * (math.pi / g))
 
 
@@ -333,14 +331,21 @@ class TestGridSearch:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "n, k, g, grid_worst", [(3, 3, 7, -1.346010735815048), (5, 4, 9, -1.266044443118978)]
+        "n, k, g, grid_worst",
+        [
+            (3, 3, 7, -1.346010735815048),
+            (4, 4, 9, -1.9927260400246556),
+            (5, 4, 9, -1.266044443118978),
+            (5, 2, 9, None),
+            (5, 3, 180, None),
+        ],
     )
-    def test_refines_past_the_grid_pick(self, n, k, g, grid_worst):
-        # on these coarse grids the polish leaves the grid and reaches the closed form
-        assert worst_subset(grid_pick(n, k, g), k).objective == pytest.approx(grid_worst, abs=1e-12)
-        _, report = minimax_grid_search(MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g))
-        assert report.objective < grid_worst
-        assert report.objective == pytest.approx(worst_subset(design_optimal(n), k).objective, abs=1e-9)
+    def test_returns_the_grid_pick(self, n, k, g, grid_worst):
+        # on the coarse grids the pick stays above the closed form (-1.5, -2 and -1.5)
+        angles, report = minimax_grid_search(MinimaxSearchConfig(n=n, k=k, grid_points_per_angle=g))
+        assert angles.angles == grid_pick(n, k, g).angles
+        if grid_worst is not None:
+            assert report.objective == pytest.approx(grid_worst, abs=1e-12)
 
     def test_gauge_fixing_lossless(self):
         angles, report = minimax_grid_search(MinimaxSearchConfig(n=4, grid_points_per_angle=30))
@@ -390,117 +395,6 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             MinimaxSearchConfig(**{"n": 4, **kw})
         assert MinimaxSearchConfig(n=np.int64(4), k=np.int64(3)).n == 4
-
-
-class TestLocalRefine:
-    def test_never_increases(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a = AngleSet(rng.uniform(0, math.pi, 5))
-            before = worst_subset(a, 3).objective
-            after = worst_subset(_refine(a, 3, math.pi / 180), 3).objective
-            assert after <= before + 1e-15
-
-    def test_optimal_designs_are_fixed_points(self):
-        for n in range(3, 11):
-            d = design_optimal(n)
-            before = worst_subset(d, 3).objective
-            after = worst_subset(_refine(d, 3, math.pi / 180), 3).objective
-            assert after <= before + 1e-15
-            assert after >= before - 1e-9
-            # a step far below the tie tolerance only finds tie noise, so nothing moves
-            assert _refine(d, 3, 1e-13).angles == d.angles
-        semi = baseline_semicircle(5)
-        assert _refine(semi, 4, 1e-13).angles == semi.angles
-
-    def test_semicircle7_tied_plateau(self):
-        # every angle move leaves >= 4 of the 7 maximizing triples untouched,
-        # so strict coordinate descent cannot leave this configuration
-        semi = baseline_semicircle(7)
-        before = worst_subset(semi, 3).objective
-        refined = _refine(semi, 3, math.pi / 180)
-        after = worst_subset(refined, 3).objective
-        assert after == pytest.approx(before, abs=1e-15)
-
-    def test_escapes_coarse_grid_point(self):
-        # a perturbed three-angle set should descend toward the -1.5 floor
-        start = AngleSet([0.0, math.pi / 3 + 0.05, 2 * math.pi / 3 - 0.07])
-        before = worst_subset(start, 3).objective
-        after = worst_subset(_refine(start, 3, 0.05), 3).objective
-        assert after < before
-        assert after == pytest.approx(-1.5, abs=1e-6)
-
-
-# lines at and next to the ends of [0, pi): the line just below pi is the line at 0
-WRAP_ANGLES = [0.0, 5e-13, 1e-9, math.pi / 2, math.pi - 1e-9, math.pi - 5e-13, math.nextafter(math.pi, 0.0)]
-
-
-@st.composite
-def refine_starts(draw):
-    """(start, K, step): n 3..8, K 2..n, step 1e-11..0.1, angles uniform, grid-snapped or at the wrap."""
-    n = draw(st.integers(3, 8))
-    k = draw(st.integers(2, n))
-    step = 10.0 ** draw(st.floats(-11.0, -1.0))
-    kind = draw(st.sampled_from(["uniform", "grid", "wrap"]))
-    if kind == "uniform":
-        angles = draw(st.lists(st.floats(0.0, math.pi, exclude_max=True), min_size=n, max_size=n))
-    elif kind == "grid":  # coincident lines, equal bit for bit
-        g = draw(st.integers(2, 12))
-        angles = [j * (math.pi / g) for j in draw(st.lists(st.integers(0, g - 1), min_size=n, max_size=n))]
-    else:
-        angles = draw(st.lists(st.sampled_from(WRAP_ANGLES), min_size=n, max_size=n))
-    return AngleSet(angles), k, step
-
-
-class TestScreenedRefine:
-    """``_refine`` screens its trials in one numpy pass; it must decide as the plain loop does."""
-
-    @given(refine_starts())
-    @settings(derandomize=True, max_examples=120, deadline=None)
-    # the first trial is accepted by less than the scans' rounding: a screen without slack skips it
-    @example((AngleSet([1.8702584284753314, 1.7093608038059234, 2.068989658798558]), 3, 0.03783360567233552))
-    # a move mid-sweep: a later trial that the screen refused for the old angles is accepted
-    @example(
-        (
-            AngleSet([2.243994752564138, 2.6927937030769655, 0.0, 2.243994752564138, 0.8975979010256552]),
-            3,
-            0.06417590444781414,
-        )
-    )
-    def test_matches_plain_loop(self, case):
-        start, k, step = case
-        assert _refine(start, k, step).angles == refine_plain(start, k, step).angles
-
-    # the CI grid picks where refinement moves; the tied plateau where it stalls
-    # (5,2,9) and the 180-point picks, where it moves nothing
-    @pytest.mark.parametrize(
-        "n, k, g, moves",
-        [
-            (3, 3, 7, True),
-            (4, 4, 9, True),
-            (5, 4, 9, True),
-            (5, 2, 9, False),
-            (4, 3, 180, False),
-            (5, 3, 180, False),
-        ],
-    )
-    def test_grid_picks_match_plain_loop(self, n, k, g, moves):
-        start = grid_pick(n, k, g)
-        refined = _refine(start, k, math.pi / g)
-        assert refined.angles == refine_plain(start, k, math.pi / g).angles
-        assert (refined.angles != start.angles) == moves
-
-    @pytest.mark.parametrize("n, most", [(5, 20), (3, 1)])
-    def test_scans_little_at_paper_scale(self, monkeypatch, n, most):
-        # at 180 points nothing moves: n = 5 screens its ~35 halving sweeps at
-        # once and scans only the trials the screen cannot settle; at n = 3 the
-        # start already sits on the -K/2 floor, so only the start is scanned
-        start = grid_pick(n, 3, 180)
-        scans = []
-        scan = search._worst_window
-        monkeypatch.setattr(search, "_worst_window", lambda a, k: scans.append(a) or scan(a, k))
-        assert _refine(start, 3, math.pi / 180).angles == start.angles
-        assert 1 <= len(scans) <= most
 
 
 FOUR = AngleSet([0.0, 1.0, 2.0, 2.5])
