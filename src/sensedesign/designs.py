@@ -9,9 +9,9 @@ parity and size of n:
 * odd n >= 7: angles 2*pi*(i-1)/(n+1) reduced mod pi, i.e. the even
   construction for n+1 with one direction left out.
 
-Baselines are the uniform semicircle and the uniform full circle.  Designs
-normalized mod pi can still carry distinct physical placements; the
-pre-reduction angle is kept in ``AngleSet.raw`` for that purpose.
+Baselines are the uniform semicircle and full circle, and each construction
+is built from one of those two spacings.  A design keeps its physical
+placement, before mod-pi reduction, in ``AngleSet.raw``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ def design_even(n: int, variant: str = "b") -> AngleSet:
         raise ValueError(f"even design needs even n >= 4, got n={n}")
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    full = [2.0 * math.pi * i / n for i in range(n)]
-    if variant == "a":
-        return AngleSet([a % math.pi for a in full])
-    return AngleSet(full)
+    full = baseline_circle(n)
+    return AngleSet(full.angles) if variant == "a" else full
 
 
 def design_small_odd(n: int) -> AngleSet:
@@ -52,7 +50,7 @@ def design_small_odd(n: int) -> AngleSet:
     _check_int("n", n, 1, type_only=True)
     if n not in (3, 5):
         raise ValueError(f"small-odd design is defined for n in {{3, 5}}, got n={n}")
-    return AngleSet([math.pi * i / n for i in range(n)])
+    return baseline_semicircle(n)
 
 
 def design_large_odd(n: int) -> AngleSet:
@@ -60,7 +58,7 @@ def design_large_odd(n: int) -> AngleSet:
     _check_int("n", n, 1, type_only=True)
     if n < 7 or n % 2 == 0:
         raise ValueError(f"large-odd design needs odd n >= 7, got n={n}")
-    return AngleSet([2.0 * math.pi * i / (n + 1) for i in range(n)])
+    return AngleSet(baseline_circle(n + 1).raw[:n])
 
 
 def baseline_semicircle(n: int) -> AngleSet:

@@ -10,7 +10,7 @@ Two settings share the same geometric core:
   the analytic K / (lambda_min * lambda_max), both per unit noise variance;
 * source monitoring from log-RSS readings of ring sensors, where the
   triple with the worst Fisher-information condition number is activated
-  and the source is recovered by maximum likelihood.
+  and the source is located by Levenberg-Marquardt from a grid's best node.
 
 Randomness policy: ``_trial_noise`` draws each noise table, one trial
 per row, in one call from a single PCG64 stream seeded by
@@ -33,26 +33,21 @@ Localization: ``ml_locate`` and the monitoring sweep share one solver,
 ``_locate``, which solves the readings of every design of a sweep, one
 trial per row, as one batch (``_LM_ROWS`` rows at a time).  Each row starts
 at its design's best coarse-grid node, the nearest in reading space.  The
-search for it is pruned but exact: the nodes are grouped into tiles, and
-the start table keeps their predicted readings once, tile by tile.  A
-row's squared distance to a tile's box of predicted readings bounds every
-node of the tile from below, and only the tiles whose bound comes within
-the best score of the row's nearest tile, plus a rounding slack derived
-from the unit roundoff (``_START_SLACK``), are live; every live tile, the
-nearest included, is scored in one pass, with the operations of a scan of
-every node.  The least score wins, and the smallest node index among equal
-ones, so the node is the one a scan of every node picks.
-The row is then refined by Levenberg-Marquardt run on every row together:
-closed-form damped 2x2 normal equations, Nielsen's damping update, and
-MINPACK's xtol and ftol stopping tests, both at ``LM_TOL``.  A
-solution outside the search disc is solved again over the rim angle, from
-its exit direction; no row goes to scipy.  A row still running after
-``_LM_ITERATIONS`` steps keeps its last accepted iterate, and a row whose
-residual ends non-finite, or above its grid node's, keeps the grid node.
-Every residual reported, the grid node's included, is the one formula
-``_disc_model``'s at the reported point, read once after the solves.
-Each row carries its own sensor positions, path loss, centre and radius;
-operations are elementwise and sums over sensors add rows left to right
+search for it is pruned by tile bounds but exact: it picks the node a scan
+of every node picks (see ``_start``).  The row is then refined by
+Levenberg-Marquardt run on every row together: closed-form damped 2x2
+normal equations, Nielsen's damping update, and MINPACK's xtol and ftol
+stopping tests, both at ``LM_TOL``.  A solution outside the search disc is
+solved again over the rim angle, from its exit direction; no row goes to
+scipy.  A row still running after ``_LM_ITERATIONS`` steps keeps its last
+accepted iterate, and a row whose residual ends non-finite, or above its
+grid node's, keeps the grid node.  Every residual reported, the grid node's
+included, is the one formula ``_disc_model``'s at the reported point, read
+once after the solves.  The estimate is a local minimiser of that residual,
+not always the global one: ROADMAP item 10 found 2 of 560 benchmark-size
+rows and 72 of 28,000 paper-scale rows where a lower one exists.  Each row
+carries its own sensor positions, path loss, centre and radius; operations
+are elementwise and sums over sensors add rows left to right
 (``.sum(axis=0)`` goes pairwise from K = 8 on a one-row batch), so a row's
 bits do not depend on the rows or designs batched with it.
 """
@@ -329,10 +324,12 @@ class FimSummary:
     condition: float
 
 
-def _fim_terms(scenario: RssScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Per sensor, the weight 1/d^2 and the weighted doubled-angle phasor exp(2i t)/d^2."""
+def _fim_sums(scenario: RssScenario, subsets):
+    """(W, R) = (sum 1/d_i^2, sum z_i^2/d_i^4) of each subset in turn: Python-float sums in index order."""
     z, d2 = _offsets(scenario)
-    return 1.0 / d2, z**2 / d2**2
+    w, p = (1.0 / d2).tolist(), (z**2 / d2**2).tolist()
+    for c in subsets:
+        yield sum(map(w.__getitem__, c)), sum(map(p.__getitem__, c))
 
 
 def fim(scenario: RssScenario, subset: SubsetSelection | Sequence[int]) -> FimSummary:
@@ -340,9 +337,10 @@ def fim(scenario: RssScenario, subset: SubsetSelection | Sequence[int]) -> FimSu
 
     The geometry term is sum (x_i - z)(x_i - z)^T / ||x_i - z||^4, the
     weighted direction sum of ``core`` with weights 1/d_i^2, and the scale
-    is path_loss^2 / shadow_std^2, the natural-log model of ``rss_sample``.
-    Raises ValueError when that scale is undefined (shadow_std = 0) or
-    overflows or underflows.
+    is path_loss^2 / shadow_std^2, the natural-log model of ``rss_sample``,
+    applied after the spectrum of the (W, R) that ``worst_fim_subset``
+    scores: the condition is the one it ranks by, at any scale.  Raises
+    ValueError when the scale is undefined (shadow_std = 0) or out of range.
     """
     sel = SubsetSelection(subset)
     _check_range(sel, scenario.n)
@@ -352,28 +350,27 @@ def fim(scenario: RssScenario, subset: SubsetSelection | Sequence[int]) -> FimSu
     ratio = float(scenario.path_loss) / float(scenario.shadow_std)
     prefactor = ratio * ratio
     if not 0 < prefactor < math.inf:
-        raise ValueError(
-            f"path_loss / shadow_std = {ratio!r} puts the Fisher information out of float range"
-        )
-    w, p = _fim_terms(scenario)
-    idx = list(sel.indices)
-    weight, r = prefactor * float(w[idx].sum()), prefactor * complex(p[idx].sum())
+        raise ValueError(f"path_loss / shadow_std = {ratio!r} puts the Fisher information out of float range")
+    ((weight, r),) = _fim_sums(scenario, [sel.indices])
     lo, hi, cond = _spectrum(weight, r)
-    return FimSummary(matrix=_matrix(weight, r), lambda_min=lo, lambda_max=hi, condition=cond)
+    # Python-float products: past float range they give inf, not a numpy overflow warning
+    return FimSummary(_matrix(prefactor * weight, prefactor * r), prefactor * lo, prefactor * hi, cond)
 
 
 def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection, float]:
     """Active subset with the largest FIM condition number, and that condition.
 
     Each of the C(n, K) subsets is scored through the scalar kernel of
-    ``core`` from its summed weights and phasors.  Conditions tie by the
+    ``core`` from its (W, R) of ``_fim_sums``, as ``fim`` is.  Conditions tie by the
     rule of ``search`` and the lexicographically smallest index tuple among
     them is reported; when some subset is rank deficient, the smallest such
     tuple is.  Raises ResourceLimitError, before any subset is scored, when
     C(n, K) exceeds ``_FIM_SUBSETS``.
     """
     _check_int("k", k, 2, type_only=True)
-    if not 2 <= k <= scenario.n:
+    if scenario.n < k:
+        raise ValueError(f"need at least k={k} sensors, got {scenario.n}")
+    if k < 2:
         raise ValueError(f"need 2 <= k <= {scenario.n}, got k={k}")
     total = math.comb(scenario.n, k)
     if total > _FIM_SUBSETS:
@@ -381,9 +378,8 @@ def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection
             f"worst_fim_subset at n={scenario.n}, k={k} scores {total} subsets "
             f"(ceiling {_FIM_SUBSETS}); lower n"
         )
-    w, p = (a.tolist() for a in _fim_terms(scenario))
     combos = list(itertools.combinations(range(scenario.n), k))
-    cond = [_spectrum(sum(map(w.__getitem__, c)), sum(map(p.__getitem__, c)))[2] for c in combos]
+    cond = [_spectrum(weight, r)[2] for weight, r in _fim_sums(scenario, combos)]
     pick = _first_tied(cond)
     return SubsetSelection(combos[pick]), cond[pick]
 
@@ -462,10 +458,11 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
         raise ValueError(f"need at least 3 active sensors, got {sel.k}")
     _check_range(sel, scenario.n)
     pos = np.asarray(scenario.sensor_positions, dtype=float)[list(sel.indices)]
-    # the centred positions z_i as complex numbers: sum_i z_i z_i^T has the spectrum of
-    # (W, R) = (sum |z_i|^2, sum z_i^2), so the package's one rank rule decides collinearity
-    spread = (pos - pos.mean(axis=0)) @ np.array([1.0, 1j])
-    if _spectrum(float(np.vdot(spread, spread).real), complex(np.sum(spread * spread)))[2] == math.inf:
+    # the centred positions z_i as complex numbers: sum_i z_i z_i^T has the spectrum of (W, R) =
+    # (sum |z_i|^2, sum z_i^2), Python-float sums, so the package's one rank rule decides collinearity
+    spread = [complex(x, y) for x, y in (pos - pos.mean(axis=0)).tolist()]
+    weight = sum(z.real * z.real + z.imag * z.imag for z in spread)
+    if _spectrum(weight, sum(z * z for z in spread))[2] == math.inf:
         raise DegenerateGeometryError(f"active sensors {sel.indices} are collinear")
 
     z = np.asarray(scenario.source, dtype=float)
@@ -718,25 +715,24 @@ def ml_locate(
     samples: Sequence[float],
     active: SubsetSelection | Sequence[int],
 ) -> LocateResult:
-    """Maximum-likelihood source estimate from the active sensors' readings.
+    """Source estimate from the active sensors' readings: Levenberg-Marquardt from a grid's best node.
 
-    Minimises the log-RSS residual sum_i (y_i - ln A + path_loss ln d_i)^2
-    over the disc of radius 2 * sensor_radius around the nominal source.
-    The start is the best node of a 101x101 grid over the disc (nodes on an
-    active sensor excluded).  Levenberg-Marquardt with the analytic Jacobian
-    path_loss (p - x_i) / d_i^2 refines it; if that solution leaves the
-    disc, a one-dimensional Levenberg-Marquardt solve over the rim angle,
-    started at the exit angle, gives the constrained optimum.  Both solves
-    are the batched ones of the monitoring sweep, run on this one row (there
-    is no scipy path), and stop at MINPACK's xtol or ftol test
-    (``LM_TOL``) or after ``_LM_ITERATIONS`` = 200 steps, MINPACK's budget
-    for two parameters; a solve still running then returns its last
-    accepted iterate.  The returned residual is the model's at the returned
-    estimate, the grid node included, and never exceeds the grid node's:
-    a disc solve only accepts steps that lower it, and a rim solution that
-    is worse, or a non-finite one, returns the grid node.  ``on_boundary``
-    flags estimates within one grid cell of the rim.  Readings of the
-    active sensors must be finite, with 8 K max|y|^2 in float range.
+    The residual is sum_i (y_i - ln A + path_loss ln d_i)^2 over the disc of
+    radius 2 * sensor_radius around the nominal source.  The start is the
+    best node of a 101x101 grid over the disc (nodes on an active sensor
+    excluded); Levenberg-Marquardt with the analytic Jacobian path_loss
+    (p - x_i) / d_i^2 refines it, and a solution that leaves the disc is
+    solved again over the rim angle from its exit angle.  The estimate is a
+    local minimiser, not always the global (maximum-likelihood) one: ROADMAP
+    item 10 found a lower residual on 2 of 560 benchmark-size rows and 72 of
+    28,000 paper-scale rows.  Both solves are the monitoring sweep's batched
+    ones (see the module notes), run on this one row.  The returned residual
+    is the model's at the returned estimate, the grid node included, and
+    never exceeds the grid node's: a disc solve only accepts steps that
+    lower it, and a rim solution that is worse, or a non-finite one,
+    returns the grid node.  ``on_boundary`` flags estimates within one grid
+    cell of the rim.  Readings of the active sensors must be finite, with
+    8 K max|y|^2 in float range.
     """
     sel = SubsetSelection(active)
     table = _start_table(scenario, sel)

@@ -34,6 +34,28 @@ def test_no_assert_in_the_library():
     assert asserts == []
 
 
+def test_no_blas_product_in_the_library():
+    # a BLAS or LAPACK kernel may block, reorder or fuse its sums, so its bits depend on the numpy build;
+    # the library forms every sum elementwise or in Python floats instead
+    banned = {"dot", "vdot", "matmul", "tensordot", "inner", "linalg"}
+    files = sorted((ROOT / "src" / "sensedesign").glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        where = path.relative_to(ROOT)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where}:{node.lineno}: @")
+            elif isinstance(node, ast.Call):
+                func, names = node.func, []
+                while isinstance(func, ast.Attribute):  # np.linalg.solve -> solve, linalg, np
+                    names.append(func.attr)
+                    func = func.value
+                names.append(getattr(func, "id", ""))
+                found += [f"{where}:{node.lineno}: {name}" for name in names if name in banned]
+    assert found == []
+
+
 def test_all_lists_exactly_the_imported_names():
     # a name dropped from the imports but left in __all__ breaks `from sensedesign import *`
     tree = ast.parse((ROOT / "src" / "sensedesign" / "__init__.py").read_text(encoding="utf-8"))

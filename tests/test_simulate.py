@@ -395,7 +395,7 @@ class TestWorstCaseMse:
         # the sweep's one-product-a-row recovery gives each row the bits of least_squares_estimate alone
         sim = sensedesign.simulate
         checked = 0
-        for n, k in ((n, k) for n in range(3, 16) for k in range(2, min(n, 5) + 1)):
+        for n, k in ((n, k) for n in range(3, 16) for k in range(2, min(n, 9) + 1)):
             for angles in (design_optimal(n), baseline_semicircle(n)):
                 sel = worst_subset(angles, k).worst_subset
                 try:
@@ -407,14 +407,14 @@ class TestWorstCaseMse:
                 want = np.array([least_squares_estimate(angles, sel, y) for y in readings])
                 assert sim._estimates(recover, readings.T).T.tobytes() == want.tobytes(), (n, k, angles.raw)
                 checked += 1
-        assert checked == 87  # of 98: design_optimal's worst pair is singular for every n >= 4 but 5
+        assert checked == 155  # of 166: design_optimal's worst pair is singular for every n >= 4 but 5
 
     def test_recovery_sums_are_scalar_sums(self):
         # each trial's x_hat_j is sum_i recover[j][i] * y[i] in Python floats, left to right: no BLAS kernel
         # and no fused multiply-add, so the bits do not depend on the numpy build
         sim = sensedesign.simulate
         checked = 0
-        for n, k in ((n, k) for n in range(3, 16) for k in range(2, min(n, 5) + 1)):
+        for n, k in ((n, k) for n in range(3, 16) for k in range(2, min(n, 9) + 1)):
             for angles in (design_optimal(n), baseline_semicircle(n)):
                 try:
                     recover = sim._recovery(angles, worst_subset(angles, k).worst_subset)
@@ -426,7 +426,7 @@ class TestWorstCaseMse:
                 want = [[sum(rows[j][i] * y[i] for i in range(k)) for j in (0, 1)] for y in noise.tolist()]
                 assert got == want, (n, k, angles.raw)
                 checked += 1
-        assert checked == 87
+        assert checked == 155
 
     def test_recovery_matches_the_solve(self):
         # the closed form (K I - M) A_S / (2 lambda_min lambda_max) against solve(A_S A_S^T, A_S), to within
@@ -638,6 +638,8 @@ class TestFim:
             shadow_std=1.0 / math.sqrt(prefactor),
         )
         assert fim(scn, [0, 1, 2]).condition == pytest.approx(1.0, rel=1e-12)
+        # the spectrum is taken before the scale: the condition is the prefactor-1 one, bit for bit
+        assert fim(scn, [0, 1, 2]).condition == fim(replace(scn, shadow_std=1.0), [0, 1, 2]).condition
 
     def test_matches_per_sensor_sum(self):
         # the weighted case of the kernel: w_i = path_loss^2 / (shadow_std^2 d_i^2) at unequal distances
@@ -732,6 +734,20 @@ class TestWorstFimSubset:
                     mismatches.append((scn.n, k, sel.indices, idx, cond, want))
         assert mismatches == []
 
+    def test_fim_reports_the_condition_it_ranks_by(self):
+        # fim and worst_fim_subset form (W, R) one way, so the reported subset's fim condition is the
+        # reported one exactly: off-centre rings at K = 3 under a prefactor of 9, and K = 8..n, where a
+        # numpy reduction of the per-sensor terms would go pairwise
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n = int(rng.integers(8, 12))
+            centre = tuple(rng.uniform(-0.5, 0.5, 2))
+            ring = ring_positions(AngleSet(rng.uniform(0.0, 2 * math.pi, n)), 1.0, centre)
+            scn = RssScenario(sensor_positions=ring, sensor_radius=0.25)
+            for case, k in [(replace(scn, path_loss=3.0), 3)] + [(scn, k) for k in range(8, n + 1)]:
+                sel, cond = worst_fim_subset(case, k)
+                assert fim(case, sel).condition == cond, (n, k, case.path_loss)
+
     def test_worst_value_matches_gram_worst(self):
         design = design_optimal(10)
         scn = RssScenario(sensor_positions=ring_positions(design), sensor_radius=1.0)
@@ -746,6 +762,14 @@ class TestWorstFimSubset:
         with pytest.raises(ResourceLimitError, match="10586800 subsets"):
             worst_fim_subset(scn)
         assert time.perf_counter() - start < 0.5
+        # the ceiling's basis: a scan holds its index tuples and one condition a subset, about 104 B each
+        tracemalloc.start()
+        try:
+            worst_fim_subset(ring_scenario(n=120))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 110 * math.comb(120, 3)
 
     def test_subset_ceiling_is_inclusive(self, monkeypatch):
         scn = ring_scenario(n=10)
@@ -777,9 +801,27 @@ def test_non_integer_k_is_rejected_before_the_range_check(call):
         (lambda: EstimationScenario(angles=TIGHT_FRAME, k=0), "need 1 <= k <= 3, got k=0"),
         (lambda: EstimationScenario(angles=TIGHT_FRAME, k=4), "need 1 <= k <= 3, got k=4"),
         (lambda: worst_fim_subset(ring_scenario(n=6), k=1), "need 2 <= k <= 6, got k=1"),
-        (lambda: worst_fim_subset(ring_scenario(n=6), k=7), "need 2 <= k <= 6, got k=7"),
+        (lambda: worst_fim_subset(ring_scenario(n=6), k=7), "need at least k=7 sensors, got 6"),
+        # rings with fewer sensors than k: the range 2 <= k <= n would read "2 <= k <= 1"
+        (lambda: worst_fim_subset(polar_scenario([0.0], [1.0])), "need at least k=3 sensors, got 1"),
+        (
+            lambda: worst_fim_subset(polar_scenario([0.0, 1.0], [1.0, 2.0])),
+            "need at least k=3 sensors, got 2",
+        ),
+        (
+            lambda: simulate_monitoring([polar_scenario([0.0, 1.0], [1.0, 2.0])], [10.0]),
+            "need at least k=3 sensors, got 2",
+        ),
     ],
-    ids=["scenario-low", "scenario-high", "fim-low", "fim-high"],
+    ids=[
+        "scenario-low",
+        "scenario-high",
+        "fim-low",
+        "fim-high",
+        "fim-one-sensor",
+        "fim-two-sensors",
+        "monitoring-two-sensors",
+    ],
 )
 def test_integer_k_keeps_its_range_message(call, message):
     with pytest.raises(ValueError) as raised:
