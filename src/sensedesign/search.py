@@ -88,25 +88,49 @@ block against O(w^2) for the full (blocks, u, v) pass.  A running ceiling,
 the tie ceiling of the smallest exact minimum so far, decides: a block whose
 bound is above it cannot be tied with the final minimum, so only the others
 are scored, in chunks of about _CHUNK_ELEMENTS values, and the rest keep
-their bound.  Before building a group's table, the looser bound
-max(min row, min col) of every block is taken, and when none reaches the
-ceiling the table is not built at all (at K = n-1 each table serves one
-block, and most are skipped).  The ceiling starts at the tie ceiling of one
-real block's exact minimum, the uniform layout's (0, floor(g/n), ...,
-floor((n-3) g/n)), scored alone by the same scorer, which gives it the bits
-it gets in its group.  Floor keeps the block sorted and every entry below g
-for every (n, K, g); rounding would put the last entry on g once n >= 6g
-(n = 12, g = 2).  A seed computed any other way (the closed-form
-design, or ``worst_subset`` on the snapped angles) may differ in the last
-bit and prune a tied block.  At n = 5, K = 3 on 180 points 154 of the
-16,290 blocks are scored in full (the seed among them).  The ceiling only
-falls and never drops below the final one, so every block tied with the
-final minimum was scored exactly, and the minimum, the tied set and the
-pick are those of the full search.  The minima are written back in
-enumeration order, and the pick follows the same tie rule: the first
-block in enumeration order whose minimum is within TIE_TOL of the smallest
-(``_tie_floor``), re-scored by the same scorer, then its first row-major
-(u, v) at or below that ceiling.
+their bound.  The ceiling starts at the tie ceiling of one real block's
+exact minimum, the uniform layout's (0, floor(g/n), ..., floor((n-3) g/n)),
+scored alone by the same scorer, which gives it the bits it gets in its
+group.  Floor keeps the block sorted and every entry below g for every
+(n, K, g); rounding would put the last entry on g once n >= 6g (n = 12,
+g = 2).  A seed computed any other way (the closed-form design, or
+``worst_subset`` on the snapped angles) may differ in the last bit and
+prune a tied block.
+
+Cheaper bounds come first.  Before the group loop, every block gets a
+screen from the parts scored once per search: for its r0, the smallest
+entry of the u-v part plus the u-v term over r0 <= u <= v (a suffix minimum
+over rows); for each tabulated line, its smallest value over the free points
+>= r0 (a suffix minimum, gathered at the member's value and r0); and the S of
+each constant window.  Every (u, v) entry is at least each of these: max and
+min only select, and rounding is monotone, so fl(max(a, b) + c) =
+max(fl(a + c), fl(b + c)).  A block whose screen is above the ceiling keeps
+it as its bound and never reaches ``sides``: at n = 5, K = 3 on 180 points
+``sides`` builds 4,461 block rows in 55 calls, the seed and the pick among
+them, where every group built all 16,292.  A search with none of these parts
+(n = 5, K = 4) skips the screen and its per-group filter.
+
+Then, before a group's table, the looser bound max(min row, min col) of
+every block is taken, and when none reaches the ceiling the table is not
+built at all (at K = n-1 each table serves one block, and most are skipped).
+Otherwise the table spans only the u (v) from the first to the last point
+where some live block's u row (v column) is at or below the ceiling.  Every
+(u, v) outside that span is above the ceiling through its row or column, so
+a live block's minimum over the span is its minimum when it is at or below
+the ceiling, and min(that result, its row and column minima outside the
+span) bounds it otherwise.  At n = 4, K = 3 on 180 points the tables hold
+0.31M entries, the seed's and the pick's full squares among them, where full
+squares held 1.77M.  At n = 5, K = 3 on 180 points 154 of the 16,290 blocks
+are scored in full (the seed among them).
+
+The ceiling only falls and never drops below the final one, so every block
+tied with the final minimum was scored exactly, and the minimum, the tied
+set and the pick are those of the full search.  The minima are written back
+in enumeration order, and the pick follows the same tie rule: the first
+block in enumeration order whose minimum is at or below the final tie
+ceiling (``_tie_floor``), found with one comparison over the minima,
+re-scored by the same scorer, then its first row-major (u, v) at or below
+that ceiling.
 """
 
 from __future__ import annotations
@@ -343,11 +367,13 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
         line += s
         return line
 
-    def pair_part(own: Sequence[int], block: Sequence[int], free: np.ndarray) -> np.ndarray:
-        """A pair window's u-v term over the free angles ``free``, from the block's scalar resultant."""
+    def pair_part(
+        own: Sequence[int], block: Sequence[int], free_u: np.ndarray, free_v: np.ndarray
+    ) -> np.ndarray:
+        """A pair window's u-v term over the free angles free_u x free_v, from the block's resultant."""
         r = sum(ph[block[q]] for q in own)
-        a = r.real * free.real + r.imag * free.imag  # Re(conj(r) P) for each free angle P
-        return (_pair_sum(len(own), r) + a)[:, None] + a
+        a_u, a_v = (r.real * free.real + r.imag * free.imag for free in (free_u, free_v))  # Re(conj(r) P)
+        return (_pair_sum(len(own), r) + a_u)[:, None] + a_v
 
     count = math.comb(g + n - 4, n - 3)
     fixed = np.zeros((count, n - 2), dtype=np.intp)
@@ -364,7 +390,7 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
     # no outer angle (K <= 3) as a full-grid u-v part, and each side window that
     # holds at most one as a table of lines, row j for that member on grid point j;
     # built after the grouping, so they take the memory its temporaries freed
-    base = next((pair_part(own, [0], phasor) for own in pair if not any(own)), None)
+    base = next((pair_part(own, [0], phasor, phasor) for own in pair if not any(own)), None)
     pair = [own for own in pair if any(own)]
     by_value = [phasor[:1, None], *[phasor[:, None]] * (n - 3)]  # position q's phasors, a row per grid value
     lines = {
@@ -372,6 +398,7 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
         for own, has_u, has_v in side
         if (has_u or has_v) and sum(map(bool, own)) <= 1
     }
+    constants = [own for own, has_u, has_v in side if not (has_u or has_v)]
 
     def sides(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u rows and v columns (blocks, w) of one group, one pass or one gather per side window."""
@@ -390,54 +417,96 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
             del line  # freed before the next window's line is built
         return rows, cols
 
-    def table_of(block: Sequence[int]) -> np.ndarray:
-        """The u-v table (u, v) that a block shares with its group.
+    def table_of(block: Sequence[int], us: slice = slice(None), vs: slice = slice(None)) -> np.ndarray:
+        """The u-v table (u, v) that a block shares with its group, over the free points us x vs.
 
         The running maximum is kept in the latest pair window's fresh part,
         so ``base`` is only read.
         """
         r0 = block[-1]
-        table = None if base is None else base[r0:, r0:]
+        free_u, free_v = phasor[r0:][us], phasor[r0:][vs]
+        table = None if base is None else base[r0:, r0:][us, vs]
         for own in pair:
-            part = pair_part(own, block, phasor[r0:])
+            part = pair_part(own, block, free_u, free_v)
             table = part if table is None else np.maximum(table, part, out=part)
-        return np.add(table, cross[r0:, r0:], out=table if pair else None)
+        return np.add(table, cross[r0:, r0:][us, vs], out=table if pair else None)
+
+    def span(side: np.ndarray, ceiling: float) -> tuple[slice, np.ndarray]:
+        """(free points from the first to the last where some block's side is <= ceiling, minima outside)."""
+        at = np.flatnonzero((side <= ceiling).any(axis=0))
+        lo, hi = at[0], at[-1] + 1
+        below, above = side[:, :lo].min(axis=1, initial=math.inf), side[:, hi:].min(axis=1, initial=math.inf)
+        return slice(lo, hi), np.minimum(below, above)
 
     def score(group: np.ndarray, ceiling: float) -> np.ndarray:
         """Each block's minimum where its bound is at or below ``ceiling``, else the bound."""
         rows, cols = sides(group)
         bound = np.maximum(rows.min(axis=1), cols.min(axis=1))
-        if not (bound <= ceiling).any():
+        live = np.flatnonzero(bound <= ceiling)
+        if not len(live):
             return bound  # no block can tie the minimum: skip the table
-        table = table_of(group[0].tolist())
-        bound = np.maximum(
+        # the table spans the u and v that some live block holds at or below the ceiling;
+        # every (u, v) outside is above it through its u row or v column
+        (us, rows_out), (vs, cols_out) = span(rows[live], ceiling), span(cols[live], ceiling)
+        rows, cols = rows[live, us], cols[live, vs]
+        table = table_of(group[0].tolist(), us, vs)
+        inner = np.maximum(
             np.maximum(rows, table.min(axis=1)).min(axis=1), np.maximum(cols, table.min(axis=0)).min(axis=1)
         )
-        live = np.flatnonzero(bound <= ceiling)
+        exact = np.flatnonzero(inner <= ceiling)
         step = max(1, _CHUNK_ELEMENTS // table.size)
-        out = np.empty((min(step, len(live)), *table.shape))
-        for lo in range(0, len(live), step):
-            chunk = live[lo : lo + step]
+        out = np.empty((min(step, len(exact)), *table.shape))
+        for lo in range(0, len(exact), step):
+            chunk = exact[lo : lo + step]
             under = np.maximum(table, rows[chunk, :, None], out=out[: len(chunk)])
             # min over u of the rows under the table, then the v columns, then min over v
-            bound[chunk] = np.maximum(cols[chunk], under.min(axis=1)).min(axis=1)
+            inner[chunk] = np.maximum(cols[chunk], under.min(axis=1)).min(axis=1)
+        bound[live] = np.minimum(inner, np.minimum(rows_out, cols_out))
         return bound
 
-    minima = np.empty(count)
     # the smallest exact minimum so far, seeded with the uniform layout's block
     # scored by the same scorer, so it is a real block's computed minimum;
     # floor division keeps it sorted and on the grid
     seed = [i * g // n for i in range(n - 2)]
     best = float(score(np.array([seed]), math.inf)[0])
+
+    def screen() -> np.ndarray:
+        """Each block's lower bound from the parts scored once per search (see the module notes)."""
+        last = fixed[:, -1]
+        bound = np.full(count, -math.inf)
+        if base is not None:
+            # min of base + cross over each row u's v >= u, a chunk of rows at a time, then over u >= r0
+            step = max(1, _CHUNK_ELEMENTS // g)
+            low = [(base[lo : lo + step] + cross[lo : lo + step]).min(axis=1) for lo in range(0, g, step)]
+            bound = np.minimum.accumulate(np.concatenate(low)[::-1])[::-1][last]
+        # each tabulated line's minimum over the free points >= r0, tail[j, g - 1 - r0] for member value j
+        tails = [(own[-1], np.minimum.accumulate(line[:, ::-1], axis=1)) for own, line in lines.items()]
+        step = max(1, _CHUNK_ELEMENTS // (2 * n))  # a chunk's member phasors: about _CHUNK_ELEMENTS values
+        for lo in range(0, count, step):
+            block, chunk = fixed[lo : lo + step], bound[lo : lo + step]
+            for q, tail in tails:
+                np.maximum(chunk, tail[block[:, q], g - 1 - block[:, -1]], out=chunk)
+            members = phasor[block.T] if constants else None
+            for own in constants:
+                np.maximum(chunk, side_line(own, members, None), out=chunk)
+        return bound
+
+    screened = base is not None or bool(lines or constants)
+    minima = screen() if screened else np.empty(count)
     for lo, hi in zip(bounds, bounds[1:]):
         run = order[lo:hi]
-        minima[run] = score(fixed[run], -_tie_floor(-best))
+        ceiling = -_tie_floor(-best)
+        if screened:
+            run = run[minima[run] <= ceiling]
+            if not len(run):
+                continue  # every block keeps its screen, above the ceiling
+        minima[run] = score(fixed[run], ceiling)
         best = min(best, float(minima[run].min()))  # a bound above the ceiling never lowers it
 
     # tie rule: the first block, in enumeration order, whose minimum is tied
     # with the smallest, then its first row-major entry at or below the ceiling
-    block = fixed[_first_tied(-minima)].tolist()
     ceiling = -_tie_floor(-best)
+    block = fixed[np.argmax(minima <= ceiling)].tolist()
     rows, cols = sides(np.array([block]))
     worst = np.maximum(np.maximum(table_of(block), rows[0, :, None]), cols[0])
     u, v = divmod(int(np.argmax(worst <= ceiling)), g - block[-1])

@@ -368,10 +368,10 @@ def worst_fim_subset(scenario: RssScenario, k: int = 3) -> tuple[SubsetSelection
     C(n, K) exceeds ``_FIM_SUBSETS``.
     """
     _check_int("k", k, 2, type_only=True)
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
     if scenario.n < k:
         raise ValueError(f"need at least k={k} sensors, got {scenario.n}")
-    if k < 2:
-        raise ValueError(f"need 2 <= k <= {scenario.n}, got k={k}")
     total = math.comb(scenario.n, k)
     if total > _FIM_SUBSETS:
         raise ResourceLimitError(

@@ -40,6 +40,20 @@ def brute_worst(angles: AngleSet, k: int):
     return min(((s, idx) for s, idx in scored if s >= floor), key=lambda pair: pair[1])
 
 
+def sides_calls(monkeypatch) -> list[int]:
+    """Blocks in each u-row and v-column build (``sides``) of the grid search: its (2, blocks, w) np.full."""
+    calls = []
+    full = np.full
+
+    def counted(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 3 and shape[0] == 2:
+            calls.append(shape[1])
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", counted)
+    return calls
+
+
 def grid_pick(n: int, k: int, g: int) -> AngleSet:
     """The grid search's pick, from ``_grid_search`` alone: what ``minimax_grid_search`` returns."""
     return AngleSet(np.array(_grid_search(n, k, g)[0]) * (math.pi / g))
@@ -53,6 +67,13 @@ def seeded_grid_cases():
 
 
 SEEDED_GRID_CASES = seeded_grid_cases()
+# every K from 2 to n for n = 3..7, two distinct grid sizes in [2, 12] each
+SCREEN_CASES = [
+    (n, k, int(g))
+    for n in range(3, 8)
+    for k in range(2, n + 1)
+    for g in np.random.default_rng(43 * n + k).choice(np.arange(2, 13), 2, replace=False)
+]
 
 
 def tie_rule_cases():
@@ -305,7 +326,10 @@ class TestGridSearch:
         # angle's g values, not scored per block; at n = 4 the u-only window holds
         # the same two and shares the line.  The n = 5 u-only window (two outer
         # angles), and at K = 4 the one member set that the u-only and v-only
-        # windows share, are scored once for each block, the seed and the pick.
+        # windows share, are scored once for each block that ``sides`` builds.
+        # It builds each block at most once, plus the seed and the pick; the
+        # screen leaves it fewer than all the blocks, except at n = 5, K = 4,
+        # where nothing is scored once per search and there is nothing to screen.
         g = 30
         scored = collections.Counter()
         pair_sum = search._pair_sum
@@ -315,8 +339,31 @@ class TestGridSearch:
             return pair_sum(size, resultant)
 
         monkeypatch.setattr(search, "_pair_sum", counted)
+        built = sides_calls(monkeypatch)
         blocks = len(_grid_search(n, k, g)[1])
-        assert scored[k - 1] == tabulated * g + per_block * (blocks + 2)
+        assert scored[k - 1] == tabulated * g + per_block * sum(built)
+        if (n, k) == (5, 4):
+            assert sum(built) == blocks + 2
+        else:
+            assert sum(built) < blocks
+
+    @pytest.mark.parametrize("n, most", [(5, 60), (4, 95)])
+    def test_screen_leaves_few_groups_to_sides(self, monkeypatch, n, most):
+        # every group built its u rows and v columns before the screen: 182
+        # builds (180 groups, the seed and the pick) at both n
+        built = sides_calls(monkeypatch)
+        _grid_search(n, 3, 180)
+        assert len(built) <= most, len(built)
+
+    @pytest.mark.parametrize("n, k, g", SCREEN_CASES)
+    def test_every_screen_is_a_lower_bound(self, monkeypatch, n, k, g):
+        # With a tie ceiling of -inf no block can be scored, so every block
+        # keeps the bound it had before any table: its screen, or at n = 5,
+        # K = 4 (nothing to screen with) its row and column bound.
+        minima, _ = grid_block_search(n, k, g)
+        monkeypatch.setattr(search, "_tie_floor", lambda top: math.inf)
+        _, screens = _grid_search(n, k, g)
+        assert (screens <= minima).all()
 
     def test_grid_is_enumerated_once(self, monkeypatch):
         calls = []

@@ -800,10 +800,12 @@ def test_non_integer_k_is_rejected_before_the_range_check(call):
     [
         (lambda: EstimationScenario(angles=TIGHT_FRAME, k=0), "need 1 <= k <= 3, got k=0"),
         (lambda: EstimationScenario(angles=TIGHT_FRAME, k=4), "need 1 <= k <= 3, got k=4"),
-        (lambda: worst_fim_subset(ring_scenario(n=6), k=1), "need 2 <= k <= 6, got k=1"),
+        (lambda: worst_fim_subset(ring_scenario(n=6), k=1), "need k >= 2, got k=1"),
         (lambda: worst_fim_subset(ring_scenario(n=6), k=7), "need at least k=7 sensors, got 6"),
         # rings with fewer sensors than k: the range 2 <= k <= n would read "2 <= k <= 1"
         (lambda: worst_fim_subset(polar_scenario([0.0], [1.0])), "need at least k=3 sensors, got 1"),
+        # k below 2 is refused for itself, whatever the ring's size
+        (lambda: worst_fim_subset(polar_scenario([0.0], [1.0]), k=1), "need k >= 2, got k=1"),
         (
             lambda: worst_fim_subset(polar_scenario([0.0, 1.0], [1.0, 2.0])),
             "need at least k=3 sensors, got 2",
@@ -819,6 +821,7 @@ def test_non_integer_k_is_rejected_before_the_range_check(call):
         "fim-low",
         "fim-high",
         "fim-one-sensor",
+        "fim-one-sensor-low",
         "fim-two-sensors",
         "monitoring-two-sensors",
     ],
