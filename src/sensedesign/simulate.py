@@ -35,15 +35,18 @@ trial per row, as one batch (``_LM_ROWS`` rows at a time).  Each row starts
 at its design's best coarse-grid node, the nearest in reading space.  The
 search for it is pruned by tile bounds but exact: it picks the node a scan
 of every node picks (see ``_start``).  The row is then refined by
-Levenberg-Marquardt run on every row together: closed-form damped 2x2
-normal equations, Nielsen's damping update, and MINPACK's xtol and ftol
-stopping tests, both at ``LM_TOL``.  A solution outside the search disc is
-solved again over the rim angle, from its exit direction; no row goes to
-scipy.  A row still running after ``_LM_ITERATIONS`` steps keeps its last
-accepted iterate, and a row whose residual ends non-finite, or above its
-grid node's, keeps the grid node.  Every residual reported, the grid node's
-included, is the one formula ``_disc_model``'s at the reported point, read
-once after the solves.  The estimate is a local minimiser of that residual,
+Levenberg-Marquardt run on every row together: damped Newton steps on the
+closed-form Hessian of the squared residual norm (J^T J plus the curvature
+term of the nonzero residual), each a 2x2 solve by Cramer's rule, so the
+rows converge quadratically; Nielsen's damping update; and MINPACK's xtol
+and ftol stopping tests, both at ``LM_TOL``.  A solution outside the search
+disc is solved again over the rim angle, from its exit direction, with
+J^T J alone (no curvature term); no row goes to scipy.  A row still
+running after ``_LM_ITERATIONS`` steps keeps its last accepted iterate,
+and a row whose residual ends non-finite, or above its grid node's, keeps
+the grid node.  Every residual reported, the grid node's included, is the
+one formula ``_disc_model``'s at the reported point, read once after the
+solves.  The estimate is a local minimiser of that residual,
 not always the global one: ROADMAP item 10 found 2 of 560 benchmark-size
 rows and 72 of 28,000 paper-scale rows where a lower one exists.  Each row
 carries its own sensor positions, path loss, centre and radius; operations
@@ -394,13 +397,16 @@ SEARCH_RADIUS_FACTOR = 2.0
 # or the actual and the predicted reduction of the squared residual norm, relative to it, are both at
 # most ftol (and their ratio at most 2).  MINPACK's third test, on the gradient cosine (gtol), is left
 # out: without it no row of the monitoring settings ends with other bits.  A zero-residual row stops
-# after one step, since its step is exactly 0.
+# after one step, since its step is exactly 0.  The disc solve's Newton steps end within ~1e-13 of
+# stationarity (median |J^T r| at the benchmark size's interior estimates, seed 7: 4.8e-14).
 LM_TOL = 1e-15
 # Steps a row may take: 200, MINPACK's default evaluation budget 100 * (p + 1) for p = 2 parameters
-# with an analytic Jacobian (scipy's max_nfev for method="lm").  The rows that reach it converge only
-# linearly; a row still running then keeps its last accepted iterate, whose residual only went down.
+# with an analytic Jacobian (scipy's max_nfev for method="lm").  The rows that reach it are disc rows
+# at very low SNR that head for a minimum next to an active sensor, where the Hessian changes within a
+# step and is often indefinite, so that about half their steps are rejected; a row still running then
+# keeps its last accepted iterate, whose residual only went down.
 _LM_ITERATIONS = 200
-_LM_TAU = 1e-3  # first damping: tau times the largest diagonal entry of J^T J (Nielsen)
+_LM_TAU = 1e-3  # first damping: tau times the largest |H_ii| of the model's Hessian H (Nielsen)
 _START_TILE = 6  # grid nodes per side of a start tile: 6 x 6 nodes share one reading-space box
 _START_ROWS = 64  # rows bounded against every tile at a time: a few 64 x tiles arrays of work memory
 _START_PAIRS = 1024  # (row, tile) pairs scored at a time: a few 1024 x 36 arrays of work memory
@@ -594,7 +600,7 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
     return best
 
 
-def _disc_model(x, d: np.ndarray, jacobian: bool = True):
+def _residuals(x, d: np.ndarray, jacobian: bool = True):
     """Residuals r_i = y_i - ln A + path_loss ln d_i (K, rows) at the points x = (px, py), and gradients.
 
     Each column of d is one row's data: path loss, centre x and y, radius, then sensor x, sensor y and
@@ -607,6 +613,27 @@ def _disc_model(x, d: np.ndarray, jacobian: bool = True):
     return r, (beta * dx / q, beta * dy / q) if jacobian else None
 
 
+def _disc_model(x, d: np.ndarray, jacobian: bool = True):
+    """The residuals at the points x, their gradients j_i and each sensor's share of the Hessian of |r|^2 / 2.
+
+    That share is j_i j_i^T + r_i times the Hessian of r_i, (path_loss / d_i^2) I - (2 / path_loss)
+    j_i j_i^T, and path_loss / d_i^2 = |j_i|^2 / path_loss: with t_i = r_i / path_loss its entries are
+    j0^2 + t_i (j1^2 - j0^2), j1^2 + t_i (j0^2 - j1^2) and j0 j1 (1 - 2 t_i).
+    """
+    r, jac = _residuals(x, d, jacobian)
+    if not jacobian:
+        return r, None
+    j0, j1 = jac
+    h00, h11, t = j0 * j0, j1 * j1, r / d[0]  # (K, rows) arrays, updated in place to bound work memory
+    tu = t * (h11 - h00)
+    h00 += tu
+    h11 -= tu
+    del tu
+    t *= -2.0
+    t += 1.0
+    return r, (jac, (h00, h11, np.multiply(j0 * j1, t, out=t)))
+
+
 def _rim_points(d: np.ndarray, phi: np.ndarray):
     """Points (px, py) of each row's search circle at the angles phi, and R cos phi, R sin phi."""
     rc, rs = d[3] * np.cos(phi), d[3] * np.sin(phi)
@@ -614,17 +641,20 @@ def _rim_points(d: np.ndarray, phi: np.ndarray):
 
 
 def _rim_model(x, d: np.ndarray, jacobian: bool = True):
-    """The same residuals at the rim angles x = (phi,), and dr_i/dphi."""
+    """The same residuals at the rim angles x = (phi,), dr_i/dphi, and its square: no curvature term."""
     points, rc, rs = _rim_points(d, x[0])
-    r, jac = _disc_model(points, d, jacobian)
-    return r, (jac[1] * rc - jac[0] * rs,) if jacobian else None
+    r, jac = _residuals(points, d, jacobian)
+    if not jacobian:
+        return r, None
+    j = jac[1] * rc - jac[0] * rs
+    return r, ((j,), (j * j,))
 
 
-def _damped_step(diag, cross, g, mu: np.ndarray) -> np.ndarray:
-    """h solving (J^T J + mu I) h = -J^T r for one or two parameters, by Cramer's rule."""
+def _damped_step(hess, g, mu: np.ndarray) -> np.ndarray:
+    """h solving (H + mu I) h = -g for p = 1 or 2 by Cramer's rule; H is (H_00,) or (H_00, H_11, H_01)."""
     if len(g) == 1:
-        return np.array([-g[0] / (diag[0] + mu)])
-    d0, d1 = diag[0] + mu, diag[1] + mu
+        return np.array([-g[0] / (hess[0] + mu)])
+    d0, d1, cross = hess[0] + mu, hess[1] + mu, hess[2]
     det = d0 * d1 - cross * cross
     return np.array([(cross * g[1] - d1 * g[0]) / det, (cross * g[0] - d0 * g[1]) / det])
 
@@ -632,9 +662,14 @@ def _damped_step(diag, cross, g, mu: np.ndarray) -> np.ndarray:
 def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Levenberg-Marquardt on every row at once: x (p, rows) with p = 1 or 2, per-row data d (F, rows).
 
-    Damping starts at ``_LM_TAU`` times the largest diagonal entry of J^T J
-    and follows Nielsen's rule per row: an accepted step (gain ratio
-    rho > 0, so a lower residual) scales it by max(1/3, 1 - (2 rho - 1)^3),
+    The model gives the residuals r, the gradients J and each sensor's
+    share of the Hessian H of |r|^2 / 2; a step h solves (H + mu I) h =
+    -J^T r, and its predicted reduction of |r|^2 is h^T H h + 2 mu |h|^2.
+    H need not be positive definite far from a minimum, so a step is
+    accepted only when that prediction is positive and the gain ratio rho
+    of the actual reduction to it is too (so a lower residual).  Damping
+    starts at ``_LM_TAU`` times the largest |H_ii| and follows Nielsen's
+    rule per row: an accepted step scales it by max(1/3, 1 - (2 rho - 1)^3),
     a rejected one by nu, which then doubles.  Rows stop at the tests of
     ``LM_TOL`` or after ``_LM_ITERATIONS`` steps, and leave the batch when
     they stop.  Returns the last accepted x; its residual is the model's
@@ -645,23 +680,24 @@ def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     out, rows, nu = np.empty_like(x), np.arange(x.shape[1]), np.full(x.shape[1], 2.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(_LM_ITERATIONS):
-            r, jac = model(x, d)
+            r, (jac, terms) = model(x, d)
             s = _sum(r * r)
-            diag = [_sum(j * j) for j in jac]
-            cross = _sum(jac[0] * jac[1]) if len(jac) == 2 else None
             g = [_sum(j * r) for j in jac]
+            hess = [_sum(t) for t in terms]
+            del r, jac, terms  # (K, rows) arrays: freed before the trial point's
             if step == 0:
-                mu = _LM_TAU * np.maximum(diag[0], diag[-1])
-            h = _damped_step(diag, cross, g, mu)
+                mu = _LM_TAU * np.abs(hess[: len(g)]).max(axis=0)  # the largest |H_ii|
+            h = _damped_step(hess, g, mu)
             hh = _sum(h * h)
-            jh = _sum([j * hj for j, hj in zip(jac, h)])
-            pred = _sum(jh * jh) + 2.0 * mu * hh
-            del r, jac, jh  # (K, rows) arrays: freed before the trial point's
+            hHh = _sum([hess[i] * h[i] * h[i] for i in range(len(h))])
+            if len(h) == 2:  # the cross term
+                hHh += 2.0 * hess[2] * h[0] * h[1]
+            pred = hHh + 2.0 * mu * hh
             xn = x + h
             sn = _sum(np.square(model(xn, d, False)[0]))
             rho = (s - sn) / pred
             actual = 1.0 - sn / s
-            accept = rho > 0.0
+            accept = (rho > 0.0) & (pred > 0.0)
             stop = np.sqrt(hh) <= LM_TOL * (np.sqrt(_sum(x * x)) + LM_TOL)
             stop |= (np.abs(actual) <= LM_TOL) & (pred / s <= LM_TOL) & (rho <= 2.0)
             x = np.where(accept, xn, x)
@@ -720,9 +756,10 @@ def ml_locate(
     The residual is sum_i (y_i - ln A + path_loss ln d_i)^2 over the disc of
     radius 2 * sensor_radius around the nominal source.  The start is the
     best node of a 101x101 grid over the disc (nodes on an active sensor
-    excluded); Levenberg-Marquardt with the analytic Jacobian path_loss
-    (p - x_i) / d_i^2 refines it, and a solution that leaves the disc is
-    solved again over the rim angle from its exit angle.  The estimate is a
+    excluded); Levenberg-Marquardt refines it with damped Newton steps on
+    the closed-form Hessian, built from the analytic Jacobian path_loss
+    (p - x_i) / d_i^2 and the residuals, and a solution that leaves the disc
+    is solved again over the rim angle from its exit angle.  The estimate is a
     local minimiser, not always the global (maximum-likelihood) one: ROADMAP
     item 10 found a lower residual on 2 of 560 benchmark-size rows and 72 of
     28,000 paper-scale rows.  Both solves are the monitoring sweep's batched

@@ -8,7 +8,9 @@ The grid search's per-block evaluator is kept here too, as the reference
 its grouped tables must match bit for bit, and so is a row-at-a-time
 draw of the noise tables, which the one-call tables must match, and the
 exhaustive scan of the localization grid start, which the pruned scan must
-match node for node, over node readings recomputed from the geometry.
+match node for node, over node readings recomputed from the geometry, and
+the gradient of the localization residual with a central-difference Hessian
+built from it, against which the solver's closed-form Hessian is checked.
 """
 
 import itertools
@@ -181,3 +183,35 @@ def grid_start(table, y) -> np.ndarray:
         s += mu_sq
         best[lo : lo + len(block)] = np.argmin(s, axis=1)
     return best
+
+
+def rss_gradient(p, sensors, c, beta) -> list[float]:
+    """Gradient of sum_i r_i^2, r_i = c_i + beta ln |p - s_i|, added sensor by sensor in Python floats.
+
+    Each term is 2 r_i beta (p - s_i) / |p - s_i|^2.
+    """
+    g = [0.0, 0.0]
+    for (sx, sy), ci in zip(sensors, c):
+        dx, dy = p[0] - sx, p[1] - sy
+        q = dx * dx + dy * dy
+        r = ci + 0.5 * beta * math.log(q)
+        g[0] += 2.0 * r * beta * dx / q
+        g[1] += 2.0 * r * beta * dy / q
+    return g
+
+
+def rss_hessian(p, sensors, c, beta) -> np.ndarray:
+    """Hessian of sum_i r_i^2 at p by central differences of ``rss_gradient``: column k is d(gradient)/dp_k.
+
+    The step is 1e-4 of the distance from p to its nearest sensor, the length over which the residual's
+    curvature changes.
+    """
+    step = 1e-4 * min(math.hypot(p[0] - sx, p[1] - sy) for sx, sy in sensors)
+    cols = []
+    for k in range(2):
+        hi, lo = [float(p[0]), float(p[1])], [float(p[0]), float(p[1])]
+        hi[k] += step
+        lo[k] -= step
+        plus, minus = rss_gradient(hi, sensors, c, beta), rss_gradient(lo, sensors, c, beta)
+        cols.append([(a - b) / (hi[k] - lo[k]) for a, b in zip(plus, minus)])
+    return np.array(cols).T

@@ -19,6 +19,8 @@ from oracles import (
     grid_start,
     node_readings,
     recovery_solve,
+    rss_gradient,
+    rss_hessian,
     trial_noise,
     worst_fim_direct,
 )
@@ -1104,30 +1106,38 @@ class TestMlLocate:
                 assert on_boundary[i] == alone.on_boundary, (scn.shadow_std, i)
 
     def test_every_residual_is_the_model_at_the_estimate(self, monkeypatch):
-        # the stress setting's optimal design has rows at the step cap, rim rows and rows that keep their
-        # grid node; every residual, the kept nodes' included, is _disc_model's at the returned estimate
+        # the stress setting's optimal design, and the same setting on the n = 11 optimal ring, have rows at
+        # the step cap, rim rows and rows that keep their grid node; every residual, the kept nodes'
+        # included, is _disc_model's at the returned estimate
         sim = sensedesign.simulate
         calls, locate = [], sim._locate
         monkeypatch.setattr(sim, "_locate", lambda designs: calls.append(designs) or locate(designs))
-        scn = RssScenario(
-            sensor_positions=ring_positions(design_optimal(12)),
-            sensor_radius=1.0,
-            amplitude=5.0,
-            trials=300,
-            seed=3,
-        )
-        simulate_monitoring([scn], [-20.0, -5.0, 60.0, 120.0])
-        [[(table, y)]] = calls
-        est, residual, _ = locate([(table, y)])
-        assert residual.tolist() == disc_rss(table, y, est.T).tolist()
-        kept = np.flatnonzero(np.all(est == table.nodes[sim._start(table, y)], axis=1))
-        assert kept.size >= 10, kept.size
-        active = list(worst_fim_subset(scn)[0].indices)
-        for i in [*kept, *range(0, len(y), 97)]:
-            samples = np.zeros(scn.n)
-            samples[active] = y[i]
-            result = ml_locate(scn, samples, active)
-            assert result.residual == disc_rss(table, y[i : i + 1], result.estimate[:, None])[0], i
+        scenarios = [
+            RssScenario(
+                sensor_positions=ring_positions(design_optimal(n)),
+                sensor_radius=1.0,
+                amplitude=5.0,
+                trials=300,
+                seed=3,
+            )
+            for n in (12, 11)
+        ]
+        simulate_monitoring(scenarios, [-20.0, -5.0, 60.0, 120.0])
+        [designs] = calls
+        kept_rows = 0
+        for scn, (table, y) in zip(scenarios, designs):
+            est, residual, _ = locate([(table, y)])
+            assert residual.tolist() == disc_rss(table, y, est.T).tolist()
+            kept = np.flatnonzero(np.all(est == table.nodes[sim._start(table, y)], axis=1))
+            kept_rows += kept.size
+            active = list(worst_fim_subset(scn)[0].indices)
+            for i in [*kept, *range(0, len(y), 97)]:
+                samples = np.zeros(scn.n)
+                samples[active] = y[i]
+                result = ml_locate(scn, samples, active)
+                want = disc_rss(table, y[i : i + 1], result.estimate[:, None])[0]
+                assert result.residual == want, (scn.n, i)
+        assert kept_rows >= 10, kept_rows
 
     def test_lm_makes_no_model_call_after_the_cap(self, monkeypatch):
         # with a cap of 3 steps, rows still running at the cap cost 3 Jacobian evaluations, one per step
@@ -1148,6 +1158,48 @@ class TestMlLocate:
         assert calls.count(True) == 3 and calls.count(False) == 3, calls
         monkeypatch.undo()
         assert not np.array_equal(sim._lm_rows(model, node, d), capped)  # the row was still running
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(3, 6),
+        center=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        radius=st.floats(0.2, 4.0),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        spread=st.lists(st.floats(1.0, 1.8), min_size=6, max_size=6),
+        path_loss=st.floats(0.5, 6.0),
+        c=st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6),
+        where=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi)),
+        near=st.sampled_from([None, 1e-2, 1e-5]),
+    )
+    def test_disc_hessian_matches_central_differences(
+        self, k, center, radius, phase, spread, path_loss, c, where, near
+    ):
+        # the Hessian of |r|^2 / 2 that the disc solve steps on, summed from _disc_model's per-sensor
+        # shares, is half the central-difference Hessian of |r|^2 built from its analytic gradient: on
+        # off-centre rings of uneven radius, anywhere in the search disc and next to a sensor, where the
+        # curvature term of a large residual dominates
+        sim = sensedesign.simulate
+        angles = [phase + 2.0 * math.pi * i / k for i in range(k)]
+        sensors = [
+            (center[0] + radius * r * math.cos(a), center[1] + radius * r * math.sin(a))
+            for a, r in zip(angles, spread)
+        ]
+        reach, base = (where[0] * radius, center) if near is None else (near * radius, sensors[0])
+        p = (base[0] + reach * math.cos(where[1]), base[1] + reach * math.sin(where[1]))
+        dist = [math.hypot(p[0] - sx, p[1] - sy) for sx, sy in sensors]
+        assume(min(dist) > 1e-6 * radius)
+        geo = [path_loss, *center, 2.0 * radius, *(s[0] for s in sensors), *(s[1] for s in sensors)]
+        d = np.array([*geo, *c[:k]])[:, None]
+        _, (_, terms) = sim._disc_model(np.array(p)[:, None], d)
+        h00, h11, h01 = (float(sim._sum(t)[0]) for t in terms)
+        want = rss_hessian(p, sensors, c[:k], path_loss) / 2.0
+        # the size of the terms: |j_i|^2 = path_loss^2 / d_i^2 times 1 + 2 |r_i| / path_loss
+        scale = sum(
+            path_loss**2 / q * (1.0 + 2.0 * abs(ci + path_loss * math.log(q) / 2.0) / path_loss)
+            for q, ci in zip((x * x for x in dist), c)
+        )
+        for got, ref in ((h00, want[0, 0]), (h11, want[1, 1]), (h01, want[0, 1]), (h01, want[1, 0])):
+            assert abs(got - ref) <= 1e-6 * scale, (got, ref, scale)
 
     def test_scipy_path_is_the_oracle(self):
         # the batched solve is never worse than scipy's least_squares from the same start node
@@ -1300,6 +1352,43 @@ class TestMonitoring:
         argv = ["simulate-monitoring", "--n", "10", "--snr", "0,5,10,15,20,25,30", "--trials", "40"]
         assert main([*argv, "--seed", "7", "--output", str(tmp_path / "m.csv")]) == 0
         assert calls[0] == ("_disc_model", 560) and [c[0] for c in calls[1:]] in ([], ["_rim_model"]), calls
+
+    def test_benchmark_size_disc_solve_converges_quadratically(self, monkeypatch, tmp_path):
+        # the benchmark-size command at seed 7: the disc solve's Newton steps stop every row within 30
+        # steps (72 with J^T J alone), and at the rows that end inside the disc off their grid node the
+        # median |J^T r| is at most 1e-12 (1.0e-10 with J^T J alone, which stops short of stationarity)
+        sim = sensedesign.simulate
+        solves, steps, located = [], [], []
+        solve, damped, locate = sim._lm_rows, sim._damped_step, sim._locate
+
+        def counted(model, x, d):
+            solves.append(model.__name__)
+            steps.append(0)
+            return solve(model, x, d)
+
+        def stepped(*args):
+            steps[-1] += 1
+            return damped(*args)
+
+        monkeypatch.setattr(sim, "_lm_rows", counted)
+        monkeypatch.setattr(sim, "_damped_step", stepped)
+        monkeypatch.setattr(sim, "_locate", lambda designs: located.append(designs) or locate(designs))
+        argv = ["simulate-monitoring", "--n", "10", "--snr", "0,5,10,15,20,25,30", "--trials", "40"]
+        assert main([*argv, "--seed", "7", "--output", str(tmp_path / "m.csv")]) == 0
+        assert solves[0] == "_disc_model" and steps[0] <= 30, (solves, steps)
+        [designs] = located
+        monkeypatch.undo()
+        est = iter(locate(designs)[0])
+        gradients = []
+        for table, y in designs:
+            for yi, node in zip(y, table.nodes[sim._start(table, y)]):
+                e = next(est)
+                inside = math.hypot(*(e - table.center)) < table.radius * (1.0 - 1e-9)
+                if inside and not np.array_equal(e, node):
+                    g = rss_gradient(e, table.pos, yi - table.log_amplitude, table.path_loss)
+                    gradients.append(math.hypot(*g) / 2.0)  # the gradient of |r|^2 is 2 J^T r
+        assert len(gradients) >= 500, len(gradients)
+        assert np.median(gradients) <= 1e-12, np.median(gradients)
 
     def test_batches_of_97_rows_give_the_same_bits(self, monkeypatch):
         # the stress setting's two designs (2,400 rows) have rim rows, rows at the step cap and rows
