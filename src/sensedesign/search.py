@@ -107,8 +107,8 @@ min only select, and rounding is monotone, so fl(max(a, b) + c) =
 max(fl(a + c), fl(b + c)).  A block whose screen is above the ceiling keeps
 it as its bound and never reaches ``sides``: at n = 5, K = 3 on 180 points
 ``sides`` builds 4,461 block rows in 55 calls, the seed and the pick among
-them, where every group built all 16,292.  A search with none of these parts
-(n = 5, K = 4) skips the screen and its per-group filter.
+them.  A search with none of these parts (K = n for n >= 4, K = n - 1 for
+n >= 5) screens every block at -inf, so every block reaches ``score``.
 
 Then, before a group's table, the looser bound max(min row, min col) of
 every block is taken, and when none reaches the ceiling the table is not
@@ -119,9 +119,9 @@ where some live block's u row (v column) is at or below the ceiling.  Every
 a live block's minimum over the span is its minimum when it is at or below
 the ceiling, and min(that result, its row and column minima outside the
 span) bounds it otherwise.  At n = 4, K = 3 on 180 points the tables hold
-0.31M entries, the seed's and the pick's full squares among them, where full
-squares held 1.77M.  At n = 5, K = 3 on 180 points 154 of the 16,290 blocks
-are scored in full (the seed among them).
+0.31M entries, the seed's and the pick's full squares among them.  At n = 5,
+K = 3 on 180 points 154 of the 16,290 blocks are scored in full (the seed
+among them).
 
 The ceiling only falls and never drops below the final one, so every block
 tied with the final minimum was scored exactly, and the minimum, the tied
@@ -491,15 +491,13 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
                 np.maximum(chunk, side_line(own, members, None), out=chunk)
         return bound
 
-    screened = base is not None or bool(lines or constants)
-    minima = screen() if screened else np.empty(count)
+    minima = screen()
     for lo, hi in zip(bounds, bounds[1:]):
         run = order[lo:hi]
         ceiling = -_tie_floor(-best)
-        if screened:
-            run = run[minima[run] <= ceiling]
-            if not len(run):
-                continue  # every block keeps its screen, above the ceiling
+        run = run[minima[run] <= ceiling]
+        if not len(run):
+            continue  # every block keeps its screen, above the ceiling
         minima[run] = score(fixed[run], ceiling)
         best = min(best, float(minima[run].min()))  # a bound above the ceiling never lowers it
 

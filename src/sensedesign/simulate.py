@@ -30,29 +30,29 @@ trial count and its row width (K, or n for monitoring), and every design
 and row with the same three shares it.  The tables live only for the sweep call.
 
 Localization: ``ml_locate`` and the monitoring sweep share one solver,
-``_locate``, which solves the readings of every design of a sweep, one
-trial per row, as one batch (``_LM_ROWS`` rows at a time).  Each row starts
-at its design's best coarse-grid node, the nearest in reading space.  The
-search for it is pruned by tile bounds but exact: it picks the node a scan
-of every node picks (see ``_start``).  The row is then refined by
-Levenberg-Marquardt run on every row together: damped Newton steps on the
-closed-form Hessian of the squared residual norm (J^T J plus the curvature
-term of the nonzero residual), each a 2x2 solve by Cramer's rule, so the
-rows converge quadratically; Nielsen's damping update; and MINPACK's xtol
-and ftol stopping tests, both at ``LM_TOL``.  A solution outside the search
-disc is solved again over the rim angle, from its exit direction, with
-J^T J alone (no curvature term); no row goes to scipy.  A row still
-running after ``_LM_ITERATIONS`` steps keeps its last accepted iterate,
-and a row whose residual ends non-finite, or above its grid node's, keeps
-the grid node.  Every residual reported, the grid node's included, is the
-one formula ``_disc_model``'s at the reported point, read once after the
-solves.  The estimate is a local minimiser of that residual,
-not always the global one: ROADMAP item 10 found 2 of 560 benchmark-size
-rows and 72 of 28,000 paper-scale rows where a lower one exists.  Each row
-carries its own sensor positions, path loss, centre and radius; operations
-are elementwise and sums over sensors add rows left to right
-(``.sum(axis=0)`` goes pairwise from K = 8 on a one-row batch), so a row's
-bits do not depend on the rows or designs batched with it.
+``_locate``, which solves the readings of every design of a sweep, one trial
+per row, as one batch (``_LM_ROWS`` rows at a time).  Each row starts at its
+design's best coarse-grid node, the nearest in reading space.  The search
+for it is pruned by tile bounds but exact: it picks the node a scan of every
+node picks (see ``_start``).  The row is then refined by Levenberg-Marquardt
+on every row together: damped Newton steps on the closed-form Hessian of the
+squared residual norm (J^T J plus the curvature term of the nonzero
+residual), each a 2x2 solve by Cramer's rule, so the rows converge
+quadratically; a gain predicted from step and gradient alone; Nielsen's
+damping update; and MINPACK's xtol and ftol stopping tests, both at
+``LM_TOL``.  A solution outside the search disc is solved again over the rim
+angle, from its exit direction, on ``_disc_model``'s r and J, with J^T J
+alone; no row goes to scipy.  A row still running after ``_LM_ITERATIONS``
+steps keeps its last accepted iterate, and a row whose residual ends
+non-finite, or above its grid node's, keeps the grid node.  Every residual
+reported, the grid node's included, is ``_disc_model``'s at the reported
+point, read once after the solves.  The estimate is a local minimiser of
+that residual, not always the global one: ROADMAP item 10 found 2 of 560
+benchmark-size rows and 72 of 28,000 paper-scale rows where a lower one
+exists.  Each row carries its own sensor positions, path loss, centre and
+radius; operations are elementwise and sums over sensors add rows left to
+right (``.sum(axis=0)`` goes pairwise from K = 8 on a one-row batch), so a
+row's bits do not depend on the rows or designs batched with it.
 """
 
 from __future__ import annotations
@@ -275,7 +275,8 @@ class RssScenario:
                 raise ValueError(f"sensor {i} at distance {math.hypot(x, y):.6g} is too far from the source")
             d = math.sqrt(d2)
             if d < MIN_SENSOR_DISTANCE:
-                raise DegenerateGeometryError(f"sensor {i} coincides with the source")
+                near = f"within MIN_SENSOR_DISTANCE={MIN_SENSOR_DISTANCE:g} of the source"
+                raise DegenerateGeometryError(f"sensor {i} at distance {d:.6g} is {near}")
             if d < self.sensor_radius * (1.0 - 1e-9):  # relative slack: any ring radius fits
                 raise ValueError(
                     f"sensor {i} at distance {d:.6g} lies inside the radius-"
@@ -600,38 +601,30 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
     return best
 
 
-def _residuals(x, d: np.ndarray, jacobian: bool = True):
-    """Residuals r_i = y_i - ln A + path_loss ln d_i (K, rows) at the points x = (px, py), and gradients.
+def _disc_model(x, d: np.ndarray, jacobian: bool = True):
+    """Residuals r (K, rows) at the points x = (px, py), their gradients j_i and Hessian shares of |r|^2 / 2.
 
-    Each column of d is one row's data: path loss, centre x and y, radius, then sensor x, sensor y and
-    y_i - ln A, K entries each.
+    r_i = y_i - ln A + path_loss ln d_i.  Each column of d is one row's data: path loss, centre x and y,
+    radius, then sensor x, sensor y and y_i - ln A, K entries each.  Sensor i's share is j_i j_i^T + r_i
+    times the Hessian of r_i, (path_loss / d_i^2) I - (2 / path_loss) j_i j_i^T, and path_loss / d_i^2 =
+    |j_i|^2 / path_loss: with t_i = r_i / path_loss its entries are j0^2 + t_i (j1^2 - j0^2),
+    j1^2 + t_i (j0^2 - j1^2) and j0 j1 (1 - 2 t_i).
     """
     beta, (sx, sy, c) = d[0], d[4:].reshape(3, -1, d.shape[1])
     dx, dy = x[0] - sx, x[1] - sy
     q = dx * dx + dy * dy
     r = c + beta * np.log(np.sqrt(q))
-    return r, (beta * dx / q, beta * dy / q) if jacobian else None
-
-
-def _disc_model(x, d: np.ndarray, jacobian: bool = True):
-    """The residuals at the points x, their gradients j_i and each sensor's share of the Hessian of |r|^2 / 2.
-
-    That share is j_i j_i^T + r_i times the Hessian of r_i, (path_loss / d_i^2) I - (2 / path_loss)
-    j_i j_i^T, and path_loss / d_i^2 = |j_i|^2 / path_loss: with t_i = r_i / path_loss its entries are
-    j0^2 + t_i (j1^2 - j0^2), j1^2 + t_i (j0^2 - j1^2) and j0 j1 (1 - 2 t_i).
-    """
-    r, jac = _residuals(x, d, jacobian)
     if not jacobian:
         return r, None
-    j0, j1 = jac
-    h00, h11, t = j0 * j0, j1 * j1, r / d[0]  # (K, rows) arrays, updated in place to bound work memory
+    j0, j1 = beta * dx / q, beta * dy / q
+    h00, h11, t = j0 * j0, j1 * j1, r / beta  # (K, rows) arrays, updated in place to bound work memory
     tu = t * (h11 - h00)
     h00 += tu
     h11 -= tu
     del tu
     t *= -2.0
     t += 1.0
-    return r, (jac, (h00, h11, np.multiply(j0 * j1, t, out=t)))
+    return r, ((j0, j1), (h00, h11, np.multiply(j0 * j1, t, out=t)))
 
 
 def _rim_points(d: np.ndarray, phi: np.ndarray):
@@ -641,12 +634,13 @@ def _rim_points(d: np.ndarray, phi: np.ndarray):
 
 
 def _rim_model(x, d: np.ndarray, jacobian: bool = True):
-    """The same residuals at the rim angles x = (phi,), dr_i/dphi, and its square: no curvature term."""
+    """``_disc_model``'s residuals at the rim angles x = (phi,), dr_i/dphi from its J, and its square."""
     points, rc, rs = _rim_points(d, x[0])
-    r, jac = _residuals(points, d, jacobian)
+    r, model = _disc_model(points, d, jacobian)
     if not jacobian:
         return r, None
-    j = jac[1] * rc - jac[0] * rs
+    (j0, j1), _ = model
+    j = j1 * rc - j0 * rs
     return r, ((j,), (j * j,))
 
 
@@ -663,8 +657,9 @@ def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Levenberg-Marquardt on every row at once: x (p, rows) with p = 1 or 2, per-row data d (F, rows).
 
     The model gives the residuals r, the gradients J and each sensor's
-    share of the Hessian H of |r|^2 / 2; a step h solves (H + mu I) h =
-    -J^T r, and its predicted reduction of |r|^2 is h^T H h + 2 mu |h|^2.
+    share of the Hessian H of |r|^2 / 2; a step h solves (H + mu I) h = -g,
+    g = J^T r, so its predicted reduction of |r|^2, h^T H h + 2 mu |h|^2,
+    is mu |h|^2 - h^T g: only the step and the first damping read H.
     H need not be positive definite far from a minimum, so a step is
     accepted only when that prediction is positive and the gain ratio rho
     of the actual reduction to it is too (so a lower residual).  Damping
@@ -689,10 +684,7 @@ def _lm_rows(model, x: np.ndarray, d: np.ndarray) -> np.ndarray:
                 mu = _LM_TAU * np.abs(hess[: len(g)]).max(axis=0)  # the largest |H_ii|
             h = _damped_step(hess, g, mu)
             hh = _sum(h * h)
-            hHh = _sum([hess[i] * h[i] * h[i] for i in range(len(h))])
-            if len(h) == 2:  # the cross term
-                hHh += 2.0 * hess[2] * h[0] * h[1]
-            pred = hHh + 2.0 * mu * hh
+            pred = mu * hh - _sum([hi * gi for hi, gi in zip(h, g)])  # h^T H h + 2 mu |h|^2
             xn = x + h
             sn = _sum(np.square(model(xn, d, False)[0]))
             rho = (s - sn) / pred

@@ -399,6 +399,15 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     [
         (["evaluate", "--n", 5, "--k", 9], "need 1 <= k <= 5, got k=9"),
         (["simulate-monitoring", "--n", 2], "optimal design needs n >= 3, got n=2"),
+        # a tiny ring, and a source so far out that ring and source round to one point
+        (
+            ["simulate-monitoring", "--radius", "1e-13"],
+            "sensor 0 at distance 1e-13 is within MIN_SENSOR_DISTANCE=1e-12 of the source",
+        ),
+        (
+            ["simulate-monitoring", "--source=1e300,0"],
+            "sensor 0 at distance 0 is within MIN_SENSOR_DISTANCE=1e-12 of the source",
+        ),
     ],
 )
 def test_library_message_on_bad_size(tmp_path, capsys, argv, message):

@@ -329,7 +329,8 @@ class TestGridSearch:
         # windows share, are scored once for each block that ``sides`` builds.
         # It builds each block at most once, plus the seed and the pick; the
         # screen leaves it fewer than all the blocks, except at n = 5, K = 4,
-        # where nothing is scored once per search and there is nothing to screen.
+        # where nothing is scored once per search: every screen is -inf, and
+        # every block reaches it.
         g = 30
         scored = collections.Counter()
         pair_sum = search._pair_sum
@@ -357,9 +358,10 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("n, k, g", SCREEN_CASES)
     def test_every_screen_is_a_lower_bound(self, monkeypatch, n, k, g):
-        # With a tie ceiling of -inf no block can be scored, so every block
-        # keeps the bound it had before any table: its screen, or at n = 5,
-        # K = 4 (nothing to screen with) its row and column bound.
+        # With a tie ceiling of -inf no table is built, so every block keeps a
+        # bound from before any table: its screen, or, where nothing is scored
+        # once per search (K = n for n >= 4, K = n - 1 for n >= 5) and every
+        # screen is -inf, the row and column bound that ``score`` returns.
         minima, _ = grid_block_search(n, k, g)
         monkeypatch.setattr(search, "_tie_floor", lambda top: math.inf)
         _, screens = _grid_search(n, k, g)

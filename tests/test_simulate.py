@@ -1201,6 +1201,50 @@ class TestMlLocate:
         for got, ref in ((h00, want[0, 0]), (h11, want[1, 1]), (h01, want[0, 1]), (h01, want[1, 0])):
             assert abs(got - ref) <= 1e-6 * scale, (got, ref, scale)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(3, 6),
+        center=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        radius=st.floats(0.2, 4.0),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        spread=st.lists(st.floats(1.0, 1.8), min_size=6, max_size=6),
+        path_loss=st.floats(0.5, 6.0),
+        c=st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6),
+        where=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi)),
+        log_mu=st.floats(-12.0, 3.0),
+    )
+    def test_predicted_gain_is_read_from_the_step(
+        self, k, center, radius, phase, spread, path_loss, c, where, log_mu
+    ):
+        # h solves (H + mu I) h = -g, so the gain _lm_rows predicts, mu |h|^2 - h^T g, is h^T H h +
+        # 2 mu |h|^2 with H summed from the model's shares: in the search disc of off-centre rings, where
+        # H may be indefinite, and on its rim, to 1e-12 of the terms' size |h|^T |H| |h| + 2 mu |h|^2
+        sim = sensedesign.simulate
+        angles = [phase + 2.0 * math.pi * i / k for i in range(k)]
+        sensors = [
+            (center[0] + radius * r * math.cos(a), center[1] + radius * r * math.sin(a))
+            for a, r in zip(angles, spread)
+        ]
+        reach = where[0] * radius
+        p = (center[0] + reach * math.cos(where[1]), center[1] + reach * math.sin(where[1]))
+        assume(min(math.hypot(p[0] - sx, p[1] - sy) for sx, sy in sensors) > 1e-6 * radius)
+        geo = [path_loss, *center, 2.0 * radius, *(s[0] for s in sensors), *(s[1] for s in sensors)]
+        d = np.array([*geo, *c[:k]])[:, None]
+        mu = np.array([10.0**log_mu])
+        for model, x in ((sim._disc_model, np.array(p)[:, None]), (sim._rim_model, np.array([[where[1]]]))):
+            r, (jac, terms) = model(x, d)
+            g = [sim._sum(j * r) for j in jac]
+            hess = [sim._sum(t) for t in terms]
+            h = sim._damped_step(hess, g, mu)
+            hh = sim._sum(h * h)
+            pred = mu * hh - sim._sum([hi * gi for hi, gi in zip(h, g)])
+            quad = [hess[i] * h[i] * h[i] for i in range(len(h))]
+            if len(h) == 2:
+                quad.append(2.0 * hess[2] * h[0] * h[1])
+            want = sum(quad) + 2.0 * mu * hh
+            size = sum(map(abs, quad)) + 2.0 * mu * hh
+            assert abs(pred - want) <= 1e-12 * size, (model.__name__, pred, want, size)
+
     def test_scipy_path_is_the_oracle(self):
         # the batched solve is never worse than scipy's least_squares from the same start node
         sim = sensedesign.simulate
