@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -112,8 +111,8 @@ def write_manifest(output_path: str, command: str, config: dict, seed: int | Non
     write_atomic(output_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def emit(args, name: str, header, rows, doc=None, **extra_config) -> str:
-    """Write a command's data file and its manifest; returns the path written.
+def emit(args, name: str, header, rows, doc=None, **extra_config) -> tuple[str, str]:
+    """Write a command's data file and its manifest; returns the path written and the file's text.
 
     CSV renders ``header`` and ``rows``, JSON renders ``doc``: by default the
     command, ``extra_config`` and the rows as header-keyed objects.  The path is
@@ -136,7 +135,7 @@ def emit(args, name: str, header, rows, doc=None, **extra_config) -> str:
     config = {k: v for k, v in vars(args).items() if k != "subcommand"}
     seed = getattr(args, "seed", None)  # the simulations' --seed
     write_manifest(path, args.subcommand, {**config, "output": path, **extra_config}, seed)
-    return path
+    return path, payload
 
 
 def read_angle_file(path: str) -> AngleSet:
@@ -205,7 +204,7 @@ def cmd_design(args) -> int:
         "scheme": args.scheme,
         "angles": [dict(zip(header, row)) for row in rows],
     }
-    path = emit(args, f"design_n{args.n}_{args.scheme}", header, rows, doc)
+    path, _ = emit(args, f"design_n{args.n}_{args.scheme}", header, rows, doc)
     print(f"wrote {path} ({len(rows)} angles)")
     return 0
 
@@ -218,7 +217,7 @@ def evaluation_report(angles: AngleSet, k: int, source: str) -> dict:
         "n": angles.n,
         "k": k,
         "worst_subset": list(report.worst_subset.indices),
-        **dataclasses.asdict(report.summary),
+        **vars(report.summary),  # a flat frozen dataclass: its fields in order, not deep-copied
         "subsets_evaluated": report.subsets_evaluated,
     }
 
@@ -236,9 +235,10 @@ def cmd_evaluate(args) -> int:
         name = f"evaluate_n{args.n}_{args.scheme}"
     report = evaluation_report(angles, args.k, source)
     keys = [k for k in report if k != "command"]
-    path = emit(args, name, keys, [[report[k] for k in keys]], report)
-    print(json.dumps(sanitize_json(report), indent=2))
-    print(f"wrote {path}")
+    path, payload = emit(args, name, keys, [[report[k] for k in keys]], report)
+    if args.format == "csv":  # stdout shows the report as the JSON file would hold it
+        payload = json.dumps(sanitize_json(report), indent=2) + "\n"
+    print(f"{payload}wrote {path}")
     return 0
 
 
@@ -277,7 +277,7 @@ def cmd_verify(args) -> int:
             row += [None, None]
         rows.append(row)
         print(f"n={n}: optimal objective {optimal:.6f}")
-    path = emit(args, f"verify_n{args.n_min}-{args.n_max}", header, rows)
+    path, _ = emit(args, f"verify_n{args.n_min}-{args.n_max}", header, rows)
     print(f"wrote {path}")
     return 0
 
@@ -299,7 +299,7 @@ def cmd_simulate_estimation(args) -> int:
         [n, label, r.report.worst_subset.indices, r.mse, r.std_error, r.expected_mse]
         for (n, label), r in zip(cases, simulate_estimation(scenarios))
     ]
-    path = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows)
+    path, _ = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -327,7 +327,7 @@ def cmd_simulate_monitoring(args) -> int:
         for pt in result.points
     ]
     rows.sort(key=lambda r: (r[0], r[1]))
-    path = emit(args, f"monitoring_n{args.n}", header, rows, metadata=metadata)
+    path, _ = emit(args, f"monitoring_n{args.n}", header, rows, metadata=metadata)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

@@ -34,7 +34,11 @@ Localization: ``ml_locate`` and the monitoring sweep share one solver,
 per row, as one batch (``_LM_ROWS`` rows at a time).  Each row starts at its
 design's best coarse-grid node, the nearest in reading space.  The search
 for it is pruned by tile bounds but exact: it picks the node a scan of every
-node picks (see ``_start``).  The row is then refined by Levenberg-Marquardt
+node picks (see ``_start``).  The bounds run in float32 on boxes and
+readings scaled by a power of two, the boxes rounded outward, so no bound
+exceeds a node's distance; every score that decides a node is float64.  The
+start table, built once per design from the grid's two axes, takes about
+1 ms at n = 10.  The row is then refined by Levenberg-Marquardt
 on every row together: damped Newton steps on the closed-form Hessian of the
 squared residual norm (J^T J plus the curvature term of the nonzero
 residual), each a 2x2 solve by Cramer's rule, so the rows converge
@@ -414,13 +418,21 @@ _START_PAIRS = 1024  # (row, tile) pairs scored at a time: a few 1024 x 36 array
 # Pruning slack of _start, per row a multiple of M + |y|^2, M the largest mu_sq of the table.  With
 # u = 2^-53 and K active sensors: a node's float score mu_sq - 2 y.mu differs from its exact value
 # |mu - y|^2 - |y|^2 by at most (2K + 2) u (M + |y|^2) (mu_sq and y.mu are K-term sums, and
-# 2 |y.mu| <= M + |y|^2); a tile's float bound differs from its exact value, at most
-# 2 (M + |y|^2), by at most (K + 2) u times that; |y|^2 and the sum upper + |y|^2 + slack add
-# K u |y|^2 and 6 u (M + |y|^2).  So a tile holding a node whose float score is at most the upper
-# bound passes once the slack exceeds (5K + 12) u (M + |y|^2), below 1e-12 (M + |y|^2) for K < 1700.
-# 1e-9 leaves a wide margin and costs almost no pruning: in the paper-scale monitoring run it adds
-# one scored (row, tile) pair to the 228,671 that a zero slack scores.
+# 2 |y.mu| <= M + |y|^2); |y|^2 and the sum upper + |y|^2 + slack add K u |y|^2 and 6 u (M + |y|^2).
+# A tile's bound never exceeds the exact |mu - y|^2 of its nodes (below), and its limit is
+# upper + |y|^2 + slack over s^2, rounded up to float32.  So a tile holding a node whose float score is at
+# most the upper bound passes once the slack exceeds (3K + 8) u (M + |y|^2), below 1e-12 (M + |y|^2)
+# for K < 3000.  1e-9 leaves a wide margin and costs no pruning: the paper-scale monitoring run scores
+# 228,688 (row, tile) pairs with it and with a zero slack (float64 bounds scored 228,672 and 228,671).
+# The bounds run in float32 on the boxes and readings over s = 2^e, all in [-1, 1].  With v = 2^-24
+# (_F32_UNIT), each box is widened by (K + 8) v before the cast; that cast and the cast of y / s err
+# by at most 2v each, so each sensor's gap (the box's nearest point minus y) is 0 or at most
+# |mu_i - y_i| / s - (K + 4) v, for every node in the tile.  Rounding the gap, its square and the K-term
+# sum scales the bound by at most (1 + v)^(K + 2); as |mu_i - y_i| / s <= 2, the margin (K + 4) v
+# absorbs that with (1 - u)^(K + 2) to spare for K < 3000.  So s^2 times the bound is at most the float
+# distance sum_i (mu_i - y_i)^2 of every node in the tile, itself at least (1 - u)^(K + 2) times exact.
 _START_SLACK = 1e-9
+_F32_UNIT = 2.0**-24  # float32 unit roundoff
 _LM_ROWS = 4096  # rows in one Levenberg-Marquardt batch: bounds its work memory at paper scale
 
 
@@ -475,12 +487,11 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     z = np.asarray(scenario.source, dtype=float)
     radius = SEARCH_RADIUS_FACTOR * scenario.sensor_radius
     axis = np.linspace(-radius, radius, GRID_POINTS_PER_AXIS)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    points = np.column_stack([gx.ravel(), gy.ravel()]) + z
-    off = points - z
-    inside = np.flatnonzero(np.einsum("ij,ij->i", off, off) <= radius**2)
-    points = points[inside]
-    d = np.hypot(pos[:, :1] - points[:, 0], pos[:, 1:] - points[:, 1])
+    px, py = axis + z[0], axis + z[1]  # the grid's two axes: node (row, col) sits at (px[row], py[col])
+    dx, dy = px - z[0], py - z[1]
+    inside = np.flatnonzero(np.add.outer(dx * dx, dy * dy).ravel() <= radius**2)
+    row, col = np.divmod(inside, GRID_POINTS_PER_AXIS)
+    d = np.hypot(pos[:, :1] - px[row], pos[:, 1:] - py[col])
     # a node on a sensor predicts an infinite reading; its score would be inf - inf
     keep = d.min(axis=0) >= MIN_SENSOR_DISTANCE
     log_amplitude = math.log(scenario.amplitude)
@@ -489,8 +500,8 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     mu_sq = np.einsum("ij,ij->j", mu, mu)
     # each node's index at its grid cell, and the cells cut into tiles of _START_TILE x _START_TILE
     n, side = len(mu_sq), -(-GRID_POINTS_PER_AXIS // _START_TILE)
+    row, col = row[keep], col[keep]
     cell = np.full((side * _START_TILE) ** 2, n)
-    row, col = np.divmod(inside[keep], GRID_POINTS_PER_AXIS)
     cell[row * side * _START_TILE + col] = np.arange(n)
     cell = cell.reshape(side, _START_TILE, side, _START_TILE).swapaxes(1, 2).reshape(side * side, -1)
     first = cell.min(axis=1)
@@ -503,7 +514,7 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
         radius=radius,
         log_amplitude=log_amplitude,
         path_loss=scenario.path_loss,
-        nodes=points[keep],
+        nodes=np.column_stack([px[row], py[col]]),
         tiles=tiles,
         tile_mu=tile_mu,
         tile_mu_sq=mu_sq.take(tiles),
@@ -527,16 +538,32 @@ def _sum(terms: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     return total
 
 
-def _tile_bounds(table: _StartTable, y: np.ndarray) -> np.ndarray:
-    """Squared distance from every row of y (rows, k) to every tile's box (rows, tiles), summed over sensors.
+def _scaled_boxes(table: _StartTable, y: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(e, lo, hi, y): the tile boxes, widened outward, and the readings y (rows, k), over 2^e in float32.
 
-    No node of a tile lies nearer to y in reading space: the bound is at most |mu - y|^2 of each.
+    2^e exceeds every |lo|, |hi| and |y|, so the division is exact, the
+    scaled values lie in [-1, 1] and no cast overflows; see ``_START_SLACK``.
     """
-    bound = np.zeros((len(y), len(table.tiles)))
-    for yi, a, b in zip(y.T, table.lo, table.hi):
-        gap = np.maximum(a - yi[:, None], yi[:, None] - b)
-        np.maximum(gap, 0.0, out=gap)
-        bound += np.multiply(gap, gap, out=gap)
+    e = math.frexp(max(-float(table.lo.min()), float(table.hi.max()), float(np.abs(y).max())))[1]
+    widen = (len(table.lo) + 8) * _F32_UNIT
+    lo, hi = np.ldexp(table.lo, -e) - widen, np.ldexp(table.hi, -e) + widen
+    return e, lo.astype(np.float32), hi.astype(np.float32), np.ldexp(y, -e).astype(np.float32)
+
+
+def _tile_bounds(lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Float32 squared distance from every row of y (rows, k) to every box (k, tiles), summed over sensors.
+
+    On the scaled boxes and readings of ``_scaled_boxes``, 2^2e times the
+    bound is at most the float |mu - y|^2 of every node in the tile.
+    """
+    bound = np.zeros((len(y), lo.shape[1]), dtype=np.float32)
+    gap = np.empty_like(bound)
+    for yi, a, b in zip(y.T, lo, hi):
+        col = yi[:, None]
+        np.minimum(np.maximum(col, a, out=gap), b, out=gap)  # the box's nearest point to y
+        gap -= col
+        gap *= gap
+        bound += gap
     return bound
 
 
@@ -563,28 +590,35 @@ def _start(table: _StartTable, y: np.ndarray) -> np.ndarray:
     The score is |mu - y|^2 - |y|^2, so the best node is the nearest in
     reading space.  For each block of ``_START_ROWS`` rows, the squared
     distance from y to a tile's box (summed over sensors) bounds the
-    distance of its nodes from below; the least score of each row's tile of
-    least bound is an upper bound on the best score.  Only the tiles whose
-    bound is within the upper bound plus ``_START_SLACK`` * (M + |y|^2), M
-    the largest ``mu_sq``, are live (see ``_START_SLACK``), the least-bound
-    tile always; they are scored ``_START_PAIRS`` (row, tile) pairs at a
-    time, in one pass.  The others hold no node as good as the upper bound,
-    so no minimum or tie is lost.  Among the scored nodes the least float
+    distance of its nodes from below.  It is computed in float32, on boxes
+    and readings divided by a power of two 2^e above all of them (exact, and
+    no overflow) with the boxes widened outward by more than every rounding
+    (``_scaled_boxes``), so 2^2e times it never exceeds the exact distance of
+    any node in the tile.  The least score of each row's tile of least bound
+    is an upper bound on the best score.  Only the tiles whose bound is
+    within the upper bound plus ``_START_SLACK`` * (M + |y|^2), M the largest
+    ``mu_sq``, over 2^2e and rounded up to float32, are live (see
+    ``_START_SLACK``), the least-bound tile always; they are scored
+    ``_START_PAIRS`` (row, tile) pairs at a time, in one pass, in float64.
+    The others hold no node as good as the upper bound, so no minimum or tie
+    is lost.  Among the scored nodes the least float
     score wins, and among equal ones the smallest node index: the node
     ``argmin`` picks from all the scores.  Every score is computed
     elementwise, so a row's node does not depend on the rows scored with it.
     """
     best, n_tiles = np.empty(len(y), dtype=np.intp), len(table.tiles)
     mu_sq_max = float(table.tile_mu_sq.max())  # every node is in some tile
+    e, box_lo, box_hi, scaled = _scaled_boxes(table, y)
     for lo in range(0, len(y), _START_ROWS):
         block = y[lo : lo + _START_ROWS]
         rows = np.arange(len(block))
-        bound = _tile_bounds(table, block)
+        bound = _tile_bounds(box_lo, box_hi, scaled[lo : lo + _START_ROWS])
         near = np.argmin(bound, axis=1)
         upper = _tile_scores(table, block, rows, near).min(axis=1)
         y_sq = _sum(block.T * block.T)
         bound[rows, near] = 0.0  # the tile that gave the upper bound is always live
-        live = bound <= (upper + y_sq + _START_SLACK * (mu_sq_max + y_sq))[:, None]
+        limit = np.ldexp(upper + y_sq + _START_SLACK * (mu_sq_max + y_sq), -2 * e).astype(np.float32)
+        live = bound <= np.nextafter(limit, np.float32(np.inf))[:, None]  # rounded up
         count, pairs = live.sum(axis=1), np.flatnonzero(live)  # every row has a live tile
         del bound, live  # (rows, tiles) arrays: freed before the pairs are scored
         low, arg = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.intp)

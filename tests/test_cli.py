@@ -109,6 +109,14 @@ class TestEvaluate:
         doc = json.loads(out.read_text())
         assert doc["gram_condition"] == pytest.approx(6.967911665634092, abs=1e-9)
 
+    def test_stdout_holds_the_json_file(self, tmp_path, capsys):
+        # --format json prints the bytes it wrote; a CSV file's report goes to stdout as the same JSON
+        out, table = tmp_path / "eval.json", tmp_path / "eval.csv"
+        assert run(tmp_path, "evaluate", "--n", 7, "--format", "json", "--output", out) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes() + f"wrote {out}\n".encode()
+        assert run(tmp_path, "evaluate", "--n", 7, "--format", "csv", "--output", table) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes() + f"wrote {table}\n".encode()
+
     def test_singular_design_serializes_inf(self, tmp_path):
         src = tmp_path / "angles.csv"
         src.write_text("angle_rad\n0.2\n0.2\n0.2\n")

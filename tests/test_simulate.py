@@ -64,6 +64,20 @@ def ring_scenario(n=10, radius=1.0, source=(0.0, 0.0), **kw) -> RssScenario:
     )
 
 
+def assert_start_is_exhaustive(table, y):
+    """The pruned start picks the exhaustive scan's node for every row of y, with no tile bound too high.
+
+    Each tile's float32 bound, times 2^2e (exact), is at most the float
+    distance |mu - y|^2 of every node in it, with no tolerance.
+    """
+    sim = sensedesign.simulate
+    assert sim._start(table, y).tolist() == grid_start(table, y).tolist()
+    sample = y[::8]
+    dist = sum((table.tile_mu[i] - sample[:, i, None, None]) ** 2 for i in range(sample.shape[1]))
+    e, lo, hi, scaled = sim._scaled_boxes(table, sample)
+    assert np.all(np.ldexp(sim._tile_bounds(lo, hi, scaled).astype(float), 2 * e) <= dist.min(axis=2))
+
+
 def polar_scenario(phi, dist, source=(0.0, 0.0)) -> RssScenario:
     """Sensors at angles phi and distances dist from the source."""
     positions = [(source[0] + d * math.cos(a), source[1] + d * math.sin(a)) for a, d in zip(phi, dist)]
@@ -1081,11 +1095,26 @@ class TestMlLocate:
                 0.5 * (mu[:, a] + mu[:, a + 1]).T,
             ]
         )
-        assert sim._start(table, y).tolist() == grid_start(table, y).tolist()
-        # each tile's bound is at most the float distance |mu - y|^2 of every node in it
-        sample = y[::8]
-        dist = sum((table.tile_mu[i] - sample[:, i, None, None]) ** 2 for i in range(k))
-        assert np.all(sim._tile_bounds(table, sample) <= dist.min(axis=2))
+        assert_start_is_exhaustive(table, y)
+
+    @pytest.mark.parametrize(
+        "path_loss, sigma", [(1e150, 1.0), (2.0, 1e150)], ids=["path-loss-1e150", "snr-3000"]
+    )
+    def test_start_matches_the_exhaustive_scan_at_huge_readings(self, path_loss, sigma):
+        # readings near 1e150, from the CLI's --path-loss 1e150 or the noise of --snr=-3000, leave float32
+        # range: the bounds run on boxes and readings over a power of two, and stay exact
+        sim = sensedesign.simulate
+        scn = ring_scenario(7, path_loss=path_loss)
+        table = sim._start_table(scn, SubsetSelection([0, 2, 4]))
+        rng = default_rng(3)
+        a = rng.choice(len(table.nodes) - 1, size=40)
+        mu = node_readings(table)[0]
+        clean = sim._rss_mean(scn)[[0, 2, 4]]
+        y = np.concatenate(
+            [clean + sigma * rng.standard_normal((120, 3)), mu[:, a].T, 0.5 * (mu[:, a] + mu[:, a + 1]).T]
+        )
+        assert np.abs(y).max() > 1e149
+        assert_start_is_exhaustive(table, y)
 
     @pytest.mark.parametrize("cap", [0, 1, 3, 10])
     def test_rows_at_the_step_cap(self, monkeypatch, cap):
