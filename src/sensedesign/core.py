@@ -127,6 +127,18 @@ def _resultant(
     return sel.k, sum(cmath.exp(2j * angles.angles[i]) for i in sel.indices)
 
 
+def _sum(terms: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Left-to-right sum of arrays, or of a 2-D array's rows: the package's one array sum.
+
+    Each element gets the bits of a scalar left-to-right evaluation, whatever the layout, the batch
+    or the numpy build (a numpy reduction or ``einsum`` may reorder or block its sums).
+    """
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def _pair_sum(k, resultant):
     """S = sum over pairs of cos 2(t_l - t_j) of K unit columns, (|R|^2 - K) / 2.
 

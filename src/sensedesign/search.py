@@ -55,15 +55,14 @@ enumeration (the block already has each as (v, u)), so it is +inf, and
 neither the minimum nor the pick can land there.
 
 The rows and columns of a whole group are built one side window (one that
-holds u or v but not both) at a time.  At K = n-1 a u-only and a v-only
-window hold the same fixed angles; their one line is maxed into both.  The
-block resultants are summed from the gathered member phasors one member at
-a time, in window order (Python's ``sum`` order), and S is one
-``_pair_sum`` call on that (blocks, 1) array.  Every window term, S and
-Re(conj(r) P) = Re r Re P + Im r Im P alike, is built from real products,
-sums and differences, each rounded on its own, so a batched window gives
-the same bits as a scalar resultant per block.  When every fixed position
-is a key (K = 4 at n = 5), each group holds one block.
+holds u or v but not both) at a time.  At K = n-1 a u-only and a v-only window
+hold the same fixed angles; their one line is maxed into both.  The block
+resultants are ``_sum`` of the gathered member phasors, in window order
+(Python's ``sum`` order), and S is one ``_pair_sum`` call on that (blocks, 1)
+array.  Every window term, S and Re(conj(r) P) = Re r Re P + Im r Im P alike,
+is built from real products, sums and differences, each rounded on its own, so
+a batched window gives the same bits as a scalar resultant per block.  When
+every fixed position is a key (K = 4 at n = 5), each group holds one block.
 
 A window that holds at most one outer angle depends on the block through
 that angle alone, so it is scored once per search, over the full grid of
@@ -97,18 +96,18 @@ g = 2).  A seed computed any other way (the closed-form design, or
 ``worst_subset`` on the snapped angles) may differ in the last bit and
 prune a tied block.
 
-Cheaper bounds come first.  Before the group loop, every block gets a
-screen from the parts scored once per search: for its r0, the smallest
-entry of the u-v part plus the u-v term over r0 <= u <= v (a suffix minimum
-over rows); for each tabulated line, its smallest value over the free points
->= r0 (a suffix minimum, gathered at the member's value and r0); and the S of
-each constant window.  Every (u, v) entry is at least each of these: max and
-min only select, and rounding is monotone, so fl(max(a, b) + c) =
-max(fl(a + c), fl(b + c)).  A block whose screen is above the ceiling keeps
-it as its bound and never reaches ``sides``: at n = 5, K = 3 on 180 points
-``sides`` builds 4,461 block rows in 55 calls, the seed and the pick among
-them.  A search with none of these parts (K = n for n >= 4, K = n - 1 for
-n >= 5) screens every block at -inf, so every block reaches ``score``.
+Cheaper bounds come first.  Before the group loop, every block gets a screen
+from the parts scored once per search: for its r0, the smallest entry of the
+u-v part plus the u-v term over r0 <= u <= v (a suffix minimum over rows),
+and the S of each constant window.  Every (u, v) entry is at least each of
+these: max and min only select, and rounding is monotone, so
+fl(max(a, b) + c) = max(fl(a + c), fl(b + c)).  The tabulated lines' minima
+bound it too but never changed which blocks pass (n = 3..7, every K, g from
+7 to 180), so the screen reads none.  A block whose screen is above the
+ceiling keeps it as its bound and never reaches ``sides``: at n = 5, K = 3 on
+180 points ``sides`` builds 4,461 block rows in 55 calls, the seed and the
+pick among them.  A search with none of these parts (K = n for n >= 4,
+K = n - 1 for n >= 5) screens every block at -inf, so all reach ``score``.
 
 Then, before a group's table, the looser bound max(min row, min col) of
 every block is taken, and when none reaches the ceiling the table is not
@@ -144,7 +143,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AngleSet, SpectralSummary, SubsetSelection, _check_int, _pair_sum, _summary
+from .core import AngleSet, SpectralSummary, SubsetSelection, _check_int, _pair_sum, _sum, _summary
 
 # hard ceiling on the grid configurations a search covers
 EVALUATION_GUARD = 1_000_000_000
@@ -352,13 +351,10 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
         """S of a side window with each free angle in ``free``, or of its fixed members alone when None.
 
         ``members[q]`` holds position q's phasors as a column, one row per
-        block or per grid value.  They are summed member by member in window
-        order, as Python's sum does for one block, so each row gets its
-        scalar bits.
+        block or per grid value.  ``_sum`` adds them in window order, as
+        Python's sum does for one block, so each row gets its scalar bits.
         """
-        r = members[own[0]]
-        for q in own[1:]:
-            r = r + members[q]
+        r = _sum([members[q] for q in own])
         s = _pair_sum(len(own), r)
         if free is None:
             return s
@@ -479,13 +475,9 @@ def _grid_search(n: int, k: int, g: int) -> tuple[tuple[int, ...], np.ndarray]:
             step = max(1, _CHUNK_ELEMENTS // g)
             low = [(base[lo : lo + step] + cross[lo : lo + step]).min(axis=1) for lo in range(0, g, step)]
             bound = np.minimum.accumulate(np.concatenate(low)[::-1])[::-1][last]
-        # each tabulated line's minimum over the free points >= r0, tail[j, g - 1 - r0] for member value j
-        tails = [(own[-1], np.minimum.accumulate(line[:, ::-1], axis=1)) for own, line in lines.items()]
         step = max(1, _CHUNK_ELEMENTS // (2 * n))  # a chunk's member phasors: about _CHUNK_ELEMENTS values
         for lo in range(0, count, step):
             block, chunk = fixed[lo : lo + step], bound[lo : lo + step]
-            for q, tail in tails:
-                np.maximum(chunk, tail[block[:, q], g - 1 - block[:, -1]], out=chunk)
             members = phasor[block.T] if constants else None
             for own in constants:
                 np.maximum(chunk, side_line(own, members, None), out=chunk)

@@ -54,9 +54,9 @@ point, read once after the solves.  The estimate is a local minimiser of
 that residual, not always the global one: ROADMAP item 10 found 2 of 560
 benchmark-size rows and 72 of 28,000 paper-scale rows where a lower one
 exists.  Each row carries its own sensor positions, path loss, centre and
-radius; operations are elementwise and sums over sensors add rows left to
-right (``.sum(axis=0)`` goes pairwise from K = 8 on a one-row batch), so a
-row's bits do not depend on the rows or designs batched with it.
+radius; operations are elementwise and every sum over sensors is
+``core._sum``, left to right, so a row's bits do not depend on the rows or
+designs batched with it.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from .core import (
     _matrix,
     _resultant,
     _spectrum,
+    _sum,
 )
 from .search import ResourceLimitError, WorstCaseReport, _first_tied, worst_subset
 
@@ -156,17 +157,11 @@ def _recovery(angles: AngleSet, sel: SubsetSelection) -> np.ndarray:
 def _estimates(recover: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """x_hat (2, trials) for readings given sensor by sensor, columns (K, trials): column t is trial t's y.
 
-    Row j is recover[j, 0] * y_0 + recover[j, 1] * y_1 + ..., added left
-    to right with one rounded multiply and one rounded add a term, so every
-    trial gets the bits of a scalar evaluation of that sum, whatever the
-    BLAS build and the trials computed with it (pinned by tests).
+    Row j is recover[j, 0] * y_0 + recover[j, 1] * y_1 + ..., one rounded
+    multiply a term, added by ``_sum``, so every trial gets the bits of a
+    scalar evaluation of that sum (pinned by tests).
     """
-    out = np.empty((2, columns.shape[1]))
-    for j in range(2):
-        np.multiply(recover[j, 0], columns[0], out=out[j])
-        for i in range(1, len(columns)):
-            out[j] += recover[j, i] * columns[i]
-    return out
+    return _sum([r[:, None] * y for r, y in zip(recover.T, columns)])
 
 
 def least_squares_estimate(
@@ -497,7 +492,7 @@ def _start_table(scenario: RssScenario, sel: SubsetSelection) -> _StartTable:
     log_amplitude = math.log(scenario.amplitude)
     mu = log_amplitude - scenario.path_loss * np.log(d[:, keep])
     _check_readings(mu, sel.k, f"path_loss={scenario.path_loss!r} is too large")
-    mu_sq = np.einsum("ij,ij->j", mu, mu)
+    mu_sq = _sum(mu * mu)
     # each node's index at its grid cell, and the cells cut into tiles of _START_TILE x _START_TILE
     n, side = len(mu_sq), -(-GRID_POINTS_PER_AXIS // _START_TILE)
     row, col = row[keep], col[keep]
@@ -528,14 +523,6 @@ def _check_readings(values: np.ndarray, k: int, cause: str) -> None:
     m = float(np.abs(values).max())
     if not 8.0 * k * m * m < math.inf:  # Python floats: the product overflows to inf, not an exception
         raise ValueError(f"{cause}: the log-RSS readings leave float range")
-
-
-def _sum(terms: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Left-to-right sum of per-sensor (or per-parameter) arrays, or of a 2-D array's rows."""
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
 
 
 def _scaled_boxes(table: _StartTable, y: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:

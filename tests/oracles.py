@@ -152,14 +152,16 @@ def node_readings(table) -> tuple[np.ndarray, np.ndarray]:
     """Predicted readings mu (k, nodes) at the start table's nodes, and their squared norms mu_sq.
 
     Recomputed from the geometry, ln A - path_loss * ln hypot(sensor - node),
-    not gathered back from the table's tiles.  ``np.einsum`` rounds a C-ordered
-    mu differently from the Fortran-ordered one ``_start_table`` builds from its
-    node mask, so the sum runs over a Fortran-ordered copy.
+    not gathered back from the table's tiles; mu_sq adds the squares sensor by
+    sensor, left to right.
     """
     pos, nodes = table.pos, table.nodes
     d = np.hypot(pos[:, :1] - nodes[:, 0], pos[:, 1:] - nodes[:, 1])
-    mu = np.asfortranarray(table.log_amplitude - table.path_loss * np.log(d))
-    return mu, np.einsum("ij,ij->j", mu, mu)
+    mu = table.log_amplitude - table.path_loss * np.log(d)
+    mu_sq = mu[0] * mu[0]
+    for row in mu[1:]:
+        mu_sq = mu_sq + row * row
+    return mu, mu_sq
 
 
 def grid_start(table, y) -> np.ndarray:

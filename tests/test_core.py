@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from sensedesign import (
     spectral_summary,
 )
 from sensedesign import core
-from sensedesign.core import _pair_sum
+from sensedesign.core import _pair_sum, _sum
 
 finite_angles = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -144,6 +146,28 @@ class TestPairCosineSum:
         # round exactly as the scalar call does
         batched = _pair_sum(k, np.array(resultants))
         assert batched.tolist() == [_pair_sum(k, r) for r in resultants]
+
+
+class TestSum:
+    # K = 1..12 terms, past the 8 from which a numpy reduction along a contiguous axis goes pairwise
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_each_column_is_a_scalar_left_to_right_sum(self, k, dtype):
+        rng = np.random.default_rng(k)
+
+        def draw():  # magnitudes from 1e-8 to 1e8, so that the order of the adds shows in the bits
+            return rng.standard_normal((k, 40)) * 10.0 ** rng.integers(-8, 9, (k, 40))
+
+        values = draw() if dtype is np.float64 else draw() + 1j * draw()
+        columns = values.T.tolist()
+        want = np.array([functools.reduce(operator.add, c) for c in columns], dtype=dtype)
+        if k >= 3:  # the data tells the orders apart: some column's reversed sum has other bits
+            backward = np.array([functools.reduce(operator.add, c[::-1]) for c in columns], dtype=dtype)
+            assert backward.tobytes() != want.tobytes()
+        for terms in (np.ascontiguousarray(values), np.asfortranarray(values), list(values)):
+            got = _sum(terms)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEigenvalues:
