@@ -27,17 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simulate
 from .core import AngleSet
 from .designs import SCHEME_ALIASES, SCHEMES, build_design
 from .search import MinimaxSearchConfig, ResourceLimitError, _check_budget, minimax_grid_search, worst_subset
-from .simulate import (
-    EstimationScenario,
-    RssScenario,
-    ring_positions,
-    simulate_estimation,
-    simulate_monitoring,
-)
 
 OUTPUT_DIR_ENV = "SENSEDESIGN_OUTPUT_DIR"
 
@@ -287,7 +280,7 @@ def cmd_simulate_estimation(args) -> int:
     header = ["n", "design", "worst_subset", "mse", "std_error", "expected_mse"]
     cases = [(n, label) for n in range(args.n_min, args.n_max + 1) for label in ("optimal", "semicircle")]
     scenarios = [
-        EstimationScenario(
+        simulate.EstimationScenario(
             angles=build_design(n, label),
             k=args.k,
             trials=args.trials,
@@ -297,7 +290,7 @@ def cmd_simulate_estimation(args) -> int:
     ]
     rows = [
         [n, label, r.report.worst_subset.indices, r.mse, r.std_error, r.expected_mse]
-        for (n, label), r in zip(cases, simulate_estimation(scenarios))
+        for (n, label), r in zip(cases, simulate.simulate_estimation(scenarios))
     ]
     path, _ = emit(args, f"estimation_n{args.n_min}-{args.n_max}", header, rows)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -308,8 +301,8 @@ def cmd_simulate_monitoring(args) -> int:
     header = ["snr_db", "design", "noise_std", "mse", "std_error", "mse_db", "worst_subset"]
     labels = ("optimal", "semicircle")
     scenarios = [
-        RssScenario(
-            sensor_positions=ring_positions(build_design(args.n, label), args.radius, args.source),
+        simulate.RssScenario(
+            sensor_positions=simulate.ring_positions(build_design(args.n, label), args.radius, args.source),
             source=args.source,
             sensor_radius=args.radius,
             amplitude=args.amplitude,
@@ -319,7 +312,7 @@ def cmd_simulate_monitoring(args) -> int:
         )
         for label in labels
     ]
-    results = simulate_monitoring(scenarios, args.snr)
+    results = simulate.simulate_monitoring(scenarios, args.snr)
     metadata = {label: result.metadata for label, result in zip(labels, results)}
     rows = [
         [pt.snr_db, label, pt.noise_std, pt.mse, pt.std_error, pt.mse_db, pt.worst_subset]

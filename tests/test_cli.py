@@ -609,27 +609,32 @@ print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scip
 
 
 def test_commands_without_noise_load_no_random_or_openssl(tmp_path):
-    """design, evaluate and verify load neither numpy.random nor OpenSSL; a noise draw loads numpy.random.
+    """design, evaluate and verify load neither numpy.random nor OpenSSL, nor run sensedesign.simulate.
 
-    Modules that ``import numpy`` loads by itself are exempt: a numpy that imports numpy.random eagerly
-    (and numpy.random imports secrets) leaves nothing for the package to defer.
+    A noise draw loads numpy.random and runs sensedesign.simulate.  Modules that ``import numpy`` loads
+    by itself are exempt: a numpy that imports numpy.random eagerly (and numpy.random imports secrets)
+    leaves nothing for the package to defer.
     """
     script = """
-import sys, typing
+import sys, types, typing
 import numpy
 by_numpy = set(sys.modules)
 from sensedesign.cli import main
-import sensedesign.simulate
 def loaded():
     return sorted(m for m in set(sys.modules) - by_numpy
                   if m.split(".")[:2] == ["numpy", "random"] or m in ("secrets", "hashlib", "_hashlib"))
+def simulate_ran():
+    # any attribute access on the registered module, even __class__, would run it; type() reads none
+    return type(sys.modules["sensedesign.simulate"]) is types.ModuleType
 commands = [
     ["design", "--n", "5"],
     ["evaluate", "--n", "8"],
     ["verify", "--n-min", "3", "--n-max", "5", "--grid-max-n", "4", "--grid-points", "24"],
 ]
-quiet = [main(argv) for argv in commands], loaded()
-drawn = main(["simulate-estimation", "--n-max", "3", "--trials", "5"]), "numpy.random" in sys.modules
+quiet = [main(argv) for argv in commands], loaded(), simulate_ran()
+code = main(["simulate-estimation", "--n-max", "3", "--trials", "5"])
+drawn = code, "numpy.random" in sys.modules, simulate_ran()
+import sensedesign.simulate  # an import statement reads the module's __spec__, which runs it
 hint = typing.get_type_hints(sensedesign.simulate.rss_sample)["rng"] == (numpy.random.Generator | None)
 print(quiet, drawn, hint)
 """
@@ -639,4 +644,4 @@ print(quiet, drawn, hint)
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "([0, 0, 0], []) (0, True) True"
+    assert proc.stdout.splitlines()[-1] == "([0, 0, 0], [], False) (0, True, True) True"

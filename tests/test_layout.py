@@ -1,7 +1,10 @@
 """Source layout rules that review would otherwise check by eye."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import sensedesign
 
@@ -57,17 +60,52 @@ def test_no_blas_product_in_the_library():
     assert found == []
 
 
-def test_all_lists_exactly_the_imported_names():
-    # a name dropped from the imports but left in __all__ breaks `from sensedesign import *`
+def _package_imports():
+    """Each name that ``sensedesign/__init__.py`` imports from a package module, mapped to that module.
+
+    The names of ``sensedesign.simulate``, which the package resolves at first use, are imported under
+    ``if TYPE_CHECKING:`` only.
+    """
     tree = ast.parse((ROOT / "src" / "sensedesign" / "__init__.py").read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
+    nodes = list(tree.body)
+    nodes += [
+        inner
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+        for inner in node.body
+    ]
+    return {
+        alias.asname or alias.name: f"sensedesign.{node.module}"
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
-    assert sorted(sensedesign.__all__) == sorted(imported | {"__version__"})
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name dropped from the imports but left in __all__ breaks `from sensedesign import *`
+    assert sorted(sensedesign.__all__) == sorted(set(_package_imports()) | {"__version__"})
     assert len(set(sensedesign.__all__)) == len(sensedesign.__all__)
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    imports = _package_imports()
+    assert len(imports) == 38
+    for name, module in imports.items():
+        assert getattr(sensedesign, name) is getattr(importlib.import_module(module), name), name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from sensedesign import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(sensedesign.__all__)
+    assert len(sensedesign.__all__) == 39
+    assert set(sensedesign.__all__) <= set(dir(sensedesign))
+
+
+def test_unknown_name_raises_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'sensedesign' has no attribute 'no_such_name'"):
+        sensedesign.no_such_name  # noqa: B018
 
 
 def test_every_private_module_name_is_used_in_the_library():
