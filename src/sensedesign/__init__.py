@@ -1,10 +1,8 @@
 """Worst-case conditioning of planar sensing matrices: designs, search, simulation.
 
-The Monte Carlo module ``sensedesign.simulate`` is registered at import but runs only at its
-first attribute access, so ``design``, ``evaluate`` and ``verify`` never compile or execute it.
+Each public name has one path: the Monte Carlo studies are ``sensedesign.simulate.<name>`` only.  That
+module runs at its first attribute access, so ``design``, ``evaluate`` and ``verify`` never execute it.
 """
-
-from typing import TYPE_CHECKING
 
 __version__ = "0.1.0"
 
@@ -36,27 +34,6 @@ from .search import (
     worst_subset,
 )
 
-if TYPE_CHECKING:
-    from .simulate import (
-        DegenerateGeometryError,
-        EstimationResult,
-        EstimationScenario,
-        FimSummary,
-        LocateResult,
-        MonitoringPoint,
-        MonitoringResult,
-        RssScenario,
-        SingularSubsetError,
-        fim,
-        least_squares_estimate,
-        ml_locate,
-        ring_positions,
-        rss_sample,
-        simulate_estimation,
-        simulate_monitoring,
-        worst_fim_subset,
-    )
-
 __all__ = [
     "__version__",
     "RANK_TOL_SCALE",
@@ -80,23 +57,6 @@ __all__ = [
     "grid_evaluations",
     "minimax_grid_search",
     "worst_subset",
-    "DegenerateGeometryError",
-    "EstimationResult",
-    "EstimationScenario",
-    "FimSummary",
-    "LocateResult",
-    "MonitoringPoint",
-    "MonitoringResult",
-    "RssScenario",
-    "SingularSubsetError",
-    "fim",
-    "least_squares_estimate",
-    "ml_locate",
-    "ring_positions",
-    "rss_sample",
-    "simulate_estimation",
-    "simulate_monitoring",
-    "worst_fim_subset",
 ]
 
 
@@ -119,14 +79,3 @@ def _lazy_submodule(name: str):
 
 
 simulate = _lazy_submodule(__name__ + ".simulate")
-
-
-def __getattr__(name: str):
-    # the simulate names of __all__, resolved (and the module run) at first use
-    if name in __all__:
-        return getattr(simulate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -78,7 +78,7 @@ from .core import (
     _spectrum,
     _sum,
 )
-from .search import ResourceLimitError, WorstCaseReport, _first_tied, worst_subset
+from .search import EPS, ResourceLimitError, WorstCaseReport, _first_tied, worst_subset
 
 MIN_SENSOR_DISTANCE = 1e-12
 # hard ceiling on the subsets worst_fim_subset scores: it holds about 104 bytes per subset (measured),
@@ -832,11 +832,10 @@ def simulate_monitoring(
     Returns one result per scenario, in order; each scenario runs
     ``scenario.trials`` trials at every SNR point.  The noise level for a
     point is set from SNR = 10 log10(P_s / sigma^2), where P_s is the mean
-    squared noiseless log-RSS over the ring.  When the
-    scenario makes every noiseless reading zero (unit amplitude at unit
-    distance), P_s degenerates; the reference power falls back to 1 and the
-    metadata says so.  A ring too large for ``worst_fim_subset`` raises its
-    ResourceLimitError before any scenario's noise is drawn.
+    squared noiseless log-RSS over the ring, or 1 when every such reading lies
+    within its rounding floor (unit amplitude at unit distance, wherever the
+    ring sits); the metadata says which.  A ring too large for
+    ``worst_fim_subset`` raises its ResourceLimitError before any noise is drawn.
 
     Each noise table is drawn once: the table of SNR point pi depends only
     on its ``_trial_noise`` key (seed, pi), the scenario's trial count and
@@ -851,13 +850,18 @@ def simulate_monitoring(
     for scenario in scenarios:
         clean = _rss_mean(scenario)
         _check_readings(clean, scenario.n, f"path_loss={scenario.path_loss!r} is too large")
+        # Rounding floor of each reading: placing p_i (cos, product, sum), cutting its offset from s back out
+        # and forming d_i move ln d_i by <= 5.25 eps P_i / d_i (P_i = |p_i|_1 + |s|_1 >= d_i), and at a zero
+        # reading the logs, product and difference add <= 1.5 eps |ln A|; 8 eps covers both coefficients.
+        spread = np.abs(scenario.sensor_positions).sum(axis=1) + np.abs(scenario.source).sum()  # P_i
+        with np.errstate(over="ignore"):  # an infinite floor holds every reading
+            loss = scenario.path_loss * spread / np.sqrt(_offsets(scenario)[1])
+        floor = 8.0 * EPS * (loss + abs(math.log(scenario.amplitude)))
         signal_power = float(np.mean(clean**2))
-        if signal_power > 1e-30:
-            reference = "mean_squared_noiseless_log_rss"
-            p_ref = signal_power
-        else:
-            reference = "unit_log_power"
-            p_ref = 1.0
+        if signal_power > 0 and np.any(np.abs(clean) > floor):
+            reference, p_ref = "mean_squared_noiseless_log_rss", signal_power
+        else:  # rounding of a zero scene, wherever it sits, or a power that underflows
+            reference, p_ref = "unit_log_power", 1.0
         try:  # every noise level before the first solve; a too-low SNR overflows
             sigmas = [math.sqrt(p_ref * 10.0 ** (-snr / 10.0)) for snr in snrs]
         except OverflowError:

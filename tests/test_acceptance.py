@@ -16,21 +16,23 @@ from oracles import gram_eigenvalues_direct
 
 from sensedesign import (
     AngleSet,
-    EstimationScenario,
     MinimaxSearchConfig,
-    RssScenario,
     baseline_circle,
     baseline_semicircle,
     design_large_odd,
     design_optimal,
     minimax_grid_search,
+    spectral_summary,
+    worst_subset,
+)
+from sensedesign.simulate import (
+    EstimationScenario,
+    RssScenario,
     ml_locate,
     rss_sample,
     simulate_estimation,
     simulate_monitoring,
-    spectral_summary,
     worst_fim_subset,
-    worst_subset,
 )
 from sensedesign.cli import main
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -61,22 +62,11 @@ def test_no_blas_product_in_the_library():
 
 
 def _package_imports():
-    """Each name that ``sensedesign/__init__.py`` imports from a package module, mapped to that module.
-
-    The names of ``sensedesign.simulate``, which the package resolves at first use, are imported under
-    ``if TYPE_CHECKING:`` only.
-    """
+    """Each name that ``sensedesign/__init__.py`` imports from a package module, mapped to that module."""
     tree = ast.parse((ROOT / "src" / "sensedesign" / "__init__.py").read_text(encoding="utf-8"))
-    nodes = list(tree.body)
-    nodes += [
-        inner
-        for node in tree.body
-        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
-        for inner in node.body
-    ]
     return {
         alias.asname or alias.name: f"sensedesign.{node.module}"
-        for node in nodes
+        for node in tree.body
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
@@ -90,7 +80,7 @@ def test_all_lists_exactly_the_imported_names():
 
 def test_every_public_name_is_its_defining_modules_object():
     imports = _package_imports()
-    assert len(imports) == 38
+    assert len(imports) == 21
     for name, module in imports.items():
         assert getattr(sensedesign, name) is getattr(importlib.import_module(module), name), name
 
@@ -99,8 +89,21 @@ def test_star_import_and_dir_list_every_public_name():
     namespace = {}
     exec("from sensedesign import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(sensedesign.__all__)
-    assert len(sensedesign.__all__) == 39
+    assert len(sensedesign.__all__) == 22
     assert set(sensedesign.__all__) <= set(dir(sensedesign))
+
+
+def test_simulate_names_have_one_path():
+    # the Monte Carlo studies are reached as sensedesign.simulate.<name> only, never on the package
+    defined = [
+        name
+        for name, obj in vars(sensedesign.simulate).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == "sensedesign.simulate"
+    ]
+    assert "simulate_monitoring" in defined
+    assert [name for name in defined if hasattr(sensedesign, name)] == []
 
 
 def test_unknown_name_raises_attribute_error_naming_the_package():

@@ -29,16 +29,20 @@ from scipy.optimize import least_squares, minimize
 import sensedesign.simulate
 from sensedesign import (
     AngleSet,
-    DegenerateGeometryError,
-    EstimationScenario,
     ResourceLimitError,
-    RssScenario,
-    SingularSubsetError,
     SubsetSelection,
     baseline_circle,
     baseline_semicircle,
     build_design,
     design_optimal,
+    spectral_summary,
+    worst_subset,
+)
+from sensedesign.simulate import (
+    DegenerateGeometryError,
+    EstimationScenario,
+    RssScenario,
+    SingularSubsetError,
     fim,
     least_squares_estimate,
     ml_locate,
@@ -46,9 +50,7 @@ from sensedesign import (
     rss_sample,
     simulate_estimation,
     simulate_monitoring,
-    spectral_summary,
     worst_fim_subset,
-    worst_subset,
 )
 from sensedesign.cli import main
 
@@ -1332,6 +1334,25 @@ class TestMonitoring:
         result = simulate_monitoring([scn], [10.0])[0]
         assert result.metadata["snr_reference"] == "mean_squared_noiseless_log_rss"
         assert result.metadata["reference_power"] == pytest.approx(math.log(10.0) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("source", [(1.5, -2.0), (-30.0, 40.0), (1e3, -7e2)])
+    def test_moving_the_scene_keeps_its_snr_reference(self, source):
+        # moving the ring and the source together only rounds the zero readings of the default scene,
+        # which must still take the unit reference, not one built from rounding
+        origin, moved = (
+            simulate_monitoring([ring_scenario(source=s, trials=40, seed=7)], [0.0, 30.0])[0]
+            for s in ((0.0, 0.0), source)
+        )
+        assert moved.metadata["snr_reference"] == origin.metadata["snr_reference"] == "unit_log_power"
+        assert [p.noise_std for p in moved.points] == [p.noise_std for p in origin.points]
+        assert [p.worst_subset for p in moved.points] == [p.worst_subset for p in origin.points]
+        for p, q in zip(moved.points, origin.points):
+            assert p.mse == pytest.approx(q.mse, rel=1e-7)
+
+    def test_underflowing_signal_power_takes_the_unit_reference(self):
+        # readings ~7e-301 lie above their rounding floor, but their squares underflow to a zero power
+        scn = ring_scenario(n=6, radius=2.0, path_loss=1e-300, trials=4, seed=1)
+        assert simulate_monitoring([scn], [10.0])[0].metadata["snr_reference"] == "unit_log_power"
 
     def test_deterministic(self):
         scn = ring_scenario(n=6, trials=5, seed=9)
